@@ -14,12 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .ontology import CUBE, HAND, TABLE, EnvironmentRegistry
-from .trace import DemoTrace, hand_velocity
+from .ontology import CUBE, TABLE, EnvironmentRegistry
+from .trace import DemoFrame, DemoTrace, TraceError
 
 # A hand sitting essentially on an object has no usable approach
 # direction; treat it as moving toward the object.
 _ZERO_DIST = 1e-9
+
+# Position of a cube missing from a frame; masked out before any rule.
+_ABSENT = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -79,36 +82,15 @@ class SymbolicState:
         return self.t == other.t and self.hands == other.hands and self.env == other.env
 
 
-def _nearest_cube(
-    hand_pos: np.ndarray,
-    candidates: dict[str, np.ndarray],
-    max_dist: float,
-) -> tuple[str, float] | None:
-    """Closest candidate within max_dist, ties broken by name."""
-    best: tuple[float, str] | None = None
-    for name in sorted(candidates):
-        d = float(np.linalg.norm(candidates[name] - hand_pos))
-        if d < max_dist and (best is None or d < best[0]):
-            best = (d, name)
-    if best is None:
-        return None
-    return best[1], best[0]
-
-
 def ground_env(frame_objects, contacts, registry: EnvironmentRegistry) -> EnvSymState:
     """Contact and support relations over cubes and tables only."""
-    things = {
-        name
-        for name in frame_objects
-        if registry.types.is_subtype(registry.type_of(name), CUBE)
-        or registry.types.is_subtype(registry.type_of(name), TABLE)
-    }
-    in_touch = frozenset(
-        pair for pair in contacts if all(member in things for member in pair)
-    )
+    things = set(registry.of_type(CUBE)).union(registry.of_type(TABLE))
+    present = things.intersection(frame_objects)
+    for name in frame_objects.keys() - present:
+        registry.type_of(name)  # unknown instances raise RegistryError
+    in_touch = frozenset(pair for pair in contacts if pair <= present)
     on_top = set()
-    for pair in in_touch:
-        a, b = sorted(pair)
+    for a, b in in_touch:
         za, zb = frame_objects[a][2], frame_objects[b][2]
         if za > zb:
             on_top.add((a, b))
@@ -117,75 +99,132 @@ def ground_env(frame_objects, contacts, registry: EnvironmentRegistry) -> EnvSym
     return EnvSymState(in_touch, frozenset(on_top))
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    # np.vecdot reduces like np.dot, so these norms are bit-identical to
+    # np.linalg.norm on each 3-vector; a plain (v * v).sum(-1) is not.
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _ground_hand(
+    frames: list[DemoFrame],
+    dt: np.ndarray,
+    hand: str,
+    cubes: list[str],
+    cube_pos: np.ndarray,
+    cube_present: np.ndarray,
+    config: GroundingConfig,
+) -> list[HandSymState]:
+    """The hand's states at frames[1:]; it is present in every one of ``frames``."""
+    samples = [frame.hands[hand] for frame in frames]
+    pos = np.array([sample.pos for sample in samples], dtype=float).reshape(-1, 3)
+    n = len(samples) - 1
+    velocity = (pos[1:] - pos[:-1]) / dt[:n, None]
+    speed = _norm(velocity)
+    moving = speed > config.move_speed
+    column = {name: j for j, name in enumerate(cubes)}
+    held = np.array([column.get(s.held, -1) for s in samples[1:]])
+
+    offset = cube_pos[:n] - pos[1:, None, :]
+    dist = _norm(offset)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosine = np.vecdot(velocity[:, None, :], offset) / (speed[:, None] * dist)
+    approached = (
+        cube_present[:n]
+        & moving[:, None]
+        & (np.arange(len(cubes)) != held[:, None])
+        & (dist < config.acted_on_dist)
+        & ((dist < _ZERO_DIST) | (cosine > config.approach_cosine))
+    )
+    within = cube_present[:n] & (dist < config.graspable_dist)
+
+    return [
+        HandSymState(
+            handMove=move,
+            handOpen=sample.open,
+            inHand=sample.held,
+            actedOn=None if a is None else cubes[a],
+            graspable=None if g is None else cubes[g],
+        )
+        for sample, move, a, g in zip(
+            samples[1:], moving.tolist(), _nearest(approached, dist), _nearest(within, dist)
+        )
+    ]
+
+
+def _nearest(mask: np.ndarray, dist: np.ndarray) -> list[int | None]:
+    """Per row, the column of least distance among the masked ones, or None.
+
+    argmin keeps the first of equal distances, so ties go to the first name.
+    """
+    if not mask.shape[1]:
+        return [None] * len(mask)
+    best = np.argmin(np.where(mask, dist, np.inf), axis=1)
+    return [j if hit else None for j, hit in zip(best.tolist(), mask.any(axis=1).tolist())]
+
+
+def _ground_frames(
+    frames: list[DemoFrame],
+    registry: EnvironmentRegistry,
+    config: GroundingConfig,
+    first_index: int,
+) -> list[SymbolicState]:
+    """Ground frames[1:], where frames[0] is trace frame ``first_index``.
+
+    The velocity at a frame is the backward difference to the frame
+    before it, so every hand of a frame must also be in the frame before.
+    """
+    for k in range(1, len(frames)):
+        before = frames[k - 1].hands
+        for hand in frames[k].hands:
+            if hand not in before:
+                raise TraceError(
+                    f"hand {hand} missing around frame index {first_index + k}"
+                )
+
+    cubes = registry.of_type(CUBE)
+    grounded = frames[1:]
+    cube_pos = np.array(
+        [[frame.objects.get(name, _ABSENT) for name in cubes] for frame in grounded],
+        dtype=float,
+    ).reshape(len(grounded), len(cubes), 3)
+    cube_present = np.array(
+        [[name in frame.objects for name in cubes] for frame in grounded], dtype=bool
+    ).reshape(len(grounded), len(cubes))
+    times = np.array([frame.t for frame in frames], dtype=float)
+    dt = times[1:] - times[:-1]
+
+    # A hand in frames[k] is, by the check above, in every frame before it.
+    last = {hand: k for k, frame in enumerate(grounded, start=1) for hand in frame.hands}
+    per_hand = {
+        hand: _ground_hand(frames[: k + 1], dt, hand, cubes, cube_pos, cube_present, config)
+        for hand, k in last.items()
+    }
+
+    return [
+        SymbolicState(
+            frame.t,
+            {hand: per_hand[hand][i] for hand in frame.hands},
+            ground_env(frame.objects, frame.contacts, registry),
+        )
+        for i, frame in enumerate(grounded)
+    ]
+
+
 def ground_frame(
     trace: DemoTrace, index: int, config: GroundingConfig | None = None
 ) -> SymbolicState:
     """Ground one frame; needs index >= 1 for the velocity estimate."""
-    config = config or GroundingConfig()
     if index < 1 or index >= len(trace.frames):
         raise ValueError(f"frame index {index} cannot be grounded (need 1..{len(trace.frames) - 1})")
-    frame = trace.frames[index]
-    registry = trace.registry
-
-    cube_pos = {
-        name: np.asarray(pos)
-        for name, pos in frame.objects.items()
-        if registry.types.is_subtype(registry.type_of(name), CUBE)
-    }
-
-    hands: dict[str, HandSymState] = {}
-    for hand, sample in frame.hands.items():
-        velocity = hand_velocity(trace, hand, index)
-        speed = float(np.linalg.norm(velocity))
-        moving = speed > config.move_speed
-        hand_pos = np.asarray(sample.pos)
-
-        acted_on: str | None = None
-        if moving:
-            approached = {}
-            for name, pos in cube_pos.items():
-                if name == sample.held:
-                    continue
-                offset = pos - hand_pos
-                d = float(np.linalg.norm(offset))
-                if d >= config.acted_on_dist:
-                    continue
-                if d < _ZERO_DIST:
-                    approached[name] = pos
-                    continue
-                cosine = float(np.dot(velocity, offset) / (speed * d))
-                if cosine > config.approach_cosine:
-                    approached[name] = pos
-            found = _nearest_cube(hand_pos, approached, config.acted_on_dist)
-            acted_on = found[0] if found else None
-
-        found = _nearest_cube(hand_pos, cube_pos, config.graspable_dist)
-        graspable = found[0] if found else None
-
-        hands[hand] = HandSymState(
-            handMove=moving,
-            handOpen=sample.open,
-            inHand=sample.held,
-            actedOn=acted_on,
-            graspable=graspable,
-        )
-
-    env = ground_env(frame.objects, frame.contacts, registry)
-    return SymbolicState(frame.t, hands, env)
+    frames = trace.frames[index - 1 : index + 1]
+    return _ground_frames(frames, trace.registry, config or GroundingConfig(), index - 1)[0]
 
 
 def ground_trace(
     trace: DemoTrace, config: GroundingConfig | None = None
 ) -> list[SymbolicState]:
     """Ground every frame from index 1 onward."""
-    config = config or GroundingConfig()
-    return [ground_frame(trace, i, config) for i in range(1, len(trace.frames))]
-
-
-def env_of_frame(trace: DemoTrace, index: int) -> EnvSymState:
-    """Environment relations of any frame, including index 0."""
-    frame = trace.frames[index]
-    return ground_env(frame.objects, frame.contacts, trace.registry)
+    return _ground_frames(trace.frames, trace.registry, config or GroundingConfig(), 0)
 
 
 def states_to_json(states: list[SymbolicState]) -> list[dict]:

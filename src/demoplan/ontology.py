@@ -99,15 +99,18 @@ class EnvironmentRegistry:
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise RegistryError(f"unknown registry role: {self.role!r}")
-        seen: set[str] = set()
+        # Lookups read these tables, so the instance list is not to be
+        # changed after construction.
+        self._type_of: dict[str, str] = {}
+        self._of_type: dict[str, list[str]] = {}
         for inst in self.instances:
-            if inst.name in seen:
+            if inst.name in self._type_of:
                 raise RegistryError(f"duplicate instance name: {inst.name}")
-            seen.add(inst.name)
             if inst.type_name not in self.types:
                 raise UnknownTypeError(
                     f"instance {inst.name} has unknown type {inst.type_name}"
                 )
+            self._type_of[inst.name] = inst.type_name
         tables = self.of_type(TABLE)
         if len(tables) != 1:
             raise RegistryError(
@@ -115,21 +118,27 @@ class EnvironmentRegistry:
             )
 
     def __contains__(self, name: str) -> bool:
-        return any(inst.name == name for inst in self.instances)
+        try:
+            return name in self._type_of
+        except TypeError:  # unhashable, so not a name
+            return False
 
     def type_of(self, name: str) -> str:
-        for inst in self.instances:
-            if inst.name == name:
-                return inst.type_name
-        raise RegistryError(f"unknown instance: {name}")
+        try:
+            return self._type_of[name]
+        except (KeyError, TypeError):
+            raise RegistryError(f"unknown instance: {name}") from None
 
     def of_type(self, type_name: str) -> list[str]:
         """Instance names whose type is a subtype of ``type_name``, sorted."""
-        return sorted(
-            inst.name
-            for inst in self.instances
-            if self.types.is_subtype(inst.type_name, type_name)
-        )
+        names = self._of_type.get(type_name)
+        if names is None:
+            names = self._of_type[type_name] = sorted(
+                name
+                for name, inst_type in self._type_of.items()
+                if self.types.is_subtype(inst_type, type_name)
+            )
+        return list(names)
 
     @property
     def hands(self) -> list[str]:

@@ -11,13 +11,14 @@ Traces are stored as JSON Lines, one frame per line:
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .ontology import CUBE, HAND, EnvironmentRegistry
+
+_NUMBER_TYPES = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
 
 
 class TraceError(Exception):
@@ -60,14 +61,25 @@ class DemoTrace:
         return len(self.frames)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number: booleans, NaN, infinities and ints too large
+    for a float are not."""
+    return type(value) in _NUMBER_TYPES and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
 def _as_vec(value, what: str, line: int | None) -> tuple[float, float, float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 3
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
-        raise TraceError(f"{what} must be a 3-element number list, got {value!r}", line)
-    return (float(value[0]), float(value[1]), float(value[2]))
+    if isinstance(value, (list, tuple)) and len(value) == 3:
+        x, y, z = value
+        if _is_number(x) and _is_number(y) and _is_number(z):
+            return (float(x), float(y), float(z))
+    raise TraceError(f"{what} must be a 3-element finite number list, got {value!r}", line)
+
+
+def _as_dict(doc: dict, key: str, line: int | None) -> dict:
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise TraceError(f"{key!r} must be a JSON object, got {value!r}", line)
+    return value
 
 
 def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None = None) -> DemoFrame:
@@ -77,11 +89,13 @@ def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None =
     for key in ("t", "hands", "objects", "contacts"):
         if key not in doc:
             raise TraceError(f"frame missing {key!r}", line)
-    if not isinstance(doc["t"], (int, float)):
-        raise TraceError(f"timestamp must be a number, got {doc['t']!r}", line)
+    if not _is_number(doc["t"]):
+        raise TraceError(f"timestamp must be a finite number, got {doc['t']!r}", line)
+    if not isinstance(doc["contacts"], list):
+        raise TraceError(f"'contacts' must be a JSON list, got {doc['contacts']!r}", line)
 
     hands: dict[str, HandSample] = {}
-    for name, sample in doc["hands"].items():
+    for name, sample in _as_dict(doc, "hands", line).items():
         if name not in registry or not registry.types.is_subtype(registry.type_of(name), HAND):
             raise TraceError(f"unknown hand instance: {name}", line)
         if not isinstance(sample, dict):
@@ -99,7 +113,7 @@ def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None =
         )
 
     objects: dict[str, tuple[float, float, float]] = {}
-    for name, pos in doc["objects"].items():
+    for name, pos in _as_dict(doc, "objects", line).items():
         if name not in registry:
             raise TraceError(f"unknown object instance: {name}", line)
         objects[name] = _as_vec(pos, f"object {name} pos", line)
@@ -162,23 +176,3 @@ def frame_to_json(frame: DemoFrame) -> dict:
         "contacts": sorted(sorted(pair) for pair in frame.contacts),
     }
 
-
-def hand_velocity(trace: DemoTrace, hand: str, index: int) -> np.ndarray:
-    """Backward finite-difference velocity of a hand at a frame, in m/s."""
-    if index <= 0 or index >= len(trace.frames):
-        raise TraceError(f"velocity undefined at frame index {index}")
-    cur, prev = trace.frames[index], trace.frames[index - 1]
-    if hand not in cur.hands or hand not in prev.hands:
-        raise TraceError(f"hand {hand} missing around frame index {index}")
-    dt = cur.t - prev.t
-    p1 = np.asarray(cur.hands[hand].pos)
-    p0 = np.asarray(prev.hands[hand].pos)
-    return (p1 - p0) / dt
-
-
-def hand_speed(trace: DemoTrace, hand: str, index: int) -> float:
-    return float(np.linalg.norm(hand_velocity(trace, hand, index)))
-
-
-def distance(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
-    return math.dist(a, b)

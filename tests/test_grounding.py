@@ -7,8 +7,10 @@ values can be read off the rule definitions directly.
 
 import json
 
+import grounding_oracle
+import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from demoplan.grounding import (
@@ -17,9 +19,19 @@ from demoplan.grounding import (
     HandSymState,
     ground_frame,
     ground_trace,
+    states_to_json,
 )
-from demoplan.ontology import execution_registry
-from demoplan.trace import DemoFrame, DemoTrace, HandSample
+from demoplan.ontology import (
+    CUBE,
+    HAND,
+    EnvironmentRegistry,
+    ObjectInstance,
+    ObjectType,
+    TypeHierarchy,
+    execution_registry,
+)
+from demoplan.ontology import TABLE as TABLE_TYPE
+from demoplan.trace import DemoFrame, DemoTrace, HandSample, TraceError
 
 DT = 0.1
 TABLE = (0.5, 0.5, 0.37)
@@ -213,3 +225,176 @@ def test_graspable_iff_within_distance(gap):
     trace = make_trace((0.5, 0.5, 0.775 + gap), (0.5, 0.5, 0.775 + gap))
     hand = gripper(trace)
     assert (hand.graspable == "Cube_red3") == (gap < 0.10)
+
+
+def test_hand_speed_is_a_backward_difference():
+    # 0.3 m in 0.1 s: 3.0 m/s, up to the last bit of the division.
+    trace = make_trace((0.0, 0.0, 1.0), (0.3, 0.0, 1.0))
+    assert gripper(trace, GroundingConfig(move_speed=2.999)).handMove
+    assert not gripper(trace, GroundingConfig(move_speed=3.001)).handMove
+
+
+def _two_hand_registry():
+    return EnvironmentRegistry(
+        "demonstration",
+        [
+            ObjectInstance("Right_hand", HAND),
+            ObjectInstance("Left_hand", HAND),
+            ObjectInstance("Cube_red1", CUBE),
+            ObjectInstance("table1", TABLE_TYPE),
+        ],
+    )
+
+
+def _hands_trace(hands_per_frame):
+    """Frames 0.1 s apart holding the given hands at rest."""
+    frames = [
+        DemoFrame(
+            0.1 * i,
+            {hand: HandSample((0.5, 0.5, 1.0), True, None) for hand in hands},
+            {"Cube_red1": (0.5, 0.5, 0.775), "table1": TABLE},
+            frozenset(),
+        )
+        for i, hands in enumerate(hands_per_frame)
+    ]
+    return DemoTrace(frames, _two_hand_registry(), 10.0)
+
+
+def test_velocity_needs_the_hand_in_the_previous_frame():
+    trace = _hands_trace([["Right_hand"], ["Right_hand", "Left_hand"]])
+    with pytest.raises(TraceError, match="hand Left_hand missing around frame index 1"):
+        ground_frame(trace, 1)
+    with pytest.raises(TraceError, match="hand Left_hand missing around frame index 1"):
+        ground_trace(trace)
+
+
+def test_hand_dropout_rejects_the_trace():
+    """A hand missing from the middle frame cannot be grounded when it returns."""
+    trace = _hands_trace([["Right_hand"], [], ["Right_hand"]])
+    assert ground_frame(trace, 1).hands == {}
+    with pytest.raises(TraceError, match="hand Right_hand missing around frame index 2"):
+        ground_frame(trace, 2)
+    with pytest.raises(TraceError, match="hand Right_hand missing around frame index 2"):
+        ground_trace(trace)
+
+
+def test_a_hand_may_leave_the_trace():
+    trace = _hands_trace([["Right_hand", "Left_hand"], ["Right_hand", "Left_hand"], ["Right_hand"]])
+    states = ground_trace(trace)
+    assert [list(state.hands) for state in states] == [["Right_hand", "Left_hand"], ["Right_hand"]]
+    assert states == grounding_oracle.ground_trace(trace)
+
+
+def test_seed7_corpus_matches_the_per_frame_oracle(corpus):
+    for demo in corpus:
+        states = ground_trace(demo.trace)
+        assert states_to_json(states) == states_to_json(
+            grounding_oracle.ground_trace(demo.trace)
+        )
+
+
+# Generated scenes: coordinates on a 1/32 m lattice make exactly equal
+# distances, zero distances and distances exactly at a threshold common.
+LATTICE = st.integers(0, 8).map(lambda k: k / 32)
+COORD = st.one_of(LATTICE, st.floats(0.0, 0.25, allow_nan=False))
+POINT = st.tuples(COORD, COORD, COORD)
+SCENE_CUBES = ("Cube_b", "Cube_a", "Cube_small", "Cube_c")
+SCENE_HANDS = ("Right_hand", "Left_hand")
+
+
+def _scene_registry():
+    types = TypeHierarchy([ObjectType("Small_cube", CUBE)])
+    instances = [ObjectInstance(hand, HAND) for hand in SCENE_HANDS]
+    instances += [
+        ObjectInstance(cube, "Small_cube" if cube == "Cube_small" else CUBE)
+        for cube in SCENE_CUBES
+    ]
+    instances.append(ObjectInstance("table1", TABLE_TYPE))
+    return EnvironmentRegistry("demonstration", instances, types)
+
+
+def _near(point):
+    """Points a few lattice steps from ``point`` along one axis."""
+    return st.tuples(st.integers(0, 2), st.integers(-4, 4)).map(
+        lambda step: tuple(
+            x + step[1] / 32 if axis == step[0] else x for axis, x in enumerate(point)
+        )
+    )
+
+
+@st.composite
+def scenes(draw):
+    n_frames = draw(st.integers(2, 6))
+    left_frames = draw(st.integers(0, n_frames))  # the left hand leaves after these
+    held = draw(st.sampled_from((None, *SCENE_CUBES)))
+    t = 0.0
+    frames = []
+    right = draw(POINT)
+    for i in range(n_frames):
+        right = draw(st.one_of(POINT, _near(right)))
+        objects = {}
+        for cube in draw(st.permutations(SCENE_CUBES)):
+            if cube == held:
+                objects[cube] = right
+            elif draw(st.booleans()) or draw(st.booleans()):
+                objects[cube] = draw(st.one_of(POINT, _near(right)))
+        objects["table1"] = TABLE
+        hands = {"Right_hand": HandSample(right, held is None, held)}
+        if i < left_frames:
+            hands["Left_hand"] = HandSample(draw(POINT), True, None)
+        touching = sorted(objects) + sorted(hands)
+        contacts = draw(st.sets(st.sampled_from(touching).flatmap(
+            lambda a: st.sampled_from([b for b in touching if b != a]).map(
+                lambda b: frozenset((a, b)))), max_size=4))
+        frames.append(DemoFrame(t, hands, objects, frozenset(contacts)))
+        t += draw(st.sampled_from((0.1, 0.125, 1 / 30)))
+    return DemoTrace(frames, _scene_registry(), 10.0)
+
+
+CONFIGS = st.builds(
+    GroundingConfig,
+    acted_on_dist=st.sampled_from((0.16, 0.0625, 0.25)),
+    graspable_dist=st.sampled_from((0.10, 0.0625, 0.125)),
+    move_speed=st.sampled_from((0.10, 0.0, 0.5)),
+    approach_cosine=st.sampled_from((0.5, 0.0, -1.0, 0.9)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=scenes(), config=CONFIGS)
+def test_generated_traces_match_the_per_frame_oracle(trace, config):
+    states = ground_trace(trace, config)
+    expected = grounding_oracle.ground_trace(trace, config)
+    assert states_to_json(states) == states_to_json(expected)
+    assert states == expected
+    assert [list(s.hands) for s in states] == [list(s.hands) for s in expected]
+    for i in range(1, len(trace.frames)):
+        assert ground_frame(trace, i, config) == expected[i - 1]
+
+
+def test_distances_speeds_and_cosines_are_numpys_to_the_bit():
+    """A threshold equal to what np.linalg.norm and np.dot give fails the
+    strict test, and the next float past it passes."""
+    up = lambda x: float(np.nextafter(x, np.inf))
+    down = lambda x: float(np.nextafter(x, -np.inf))
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        p0, p1 = (tuple(rng.uniform(0.4, 0.6, 3).tolist()) for _ in range(2))
+        cube = tuple(rng.uniform(0.4, 0.6, 3).tolist())
+        trace = make_trace(p0, p1, cubes={"Cube_red3": cube})
+        velocity = (np.asarray(p1) - np.asarray(p0)) / DT
+        offset = np.asarray(cube) - np.asarray(p1)
+        speed = float(np.linalg.norm(velocity))
+        d = float(np.linalg.norm(offset))
+        cosine = float(np.dot(velocity, offset) / (speed * d))
+
+        assert not gripper(trace, GroundingConfig(move_speed=speed)).handMove
+        assert gripper(trace, GroundingConfig(move_speed=down(speed))).handMove
+        assert gripper(trace, GroundingConfig(graspable_dist=d)).graspable is None
+        assert gripper(trace, GroundingConfig(graspable_dist=up(d))).graspable == "Cube_red3"
+        acted = dict(move_speed=0.0, approach_cosine=-2.0)
+        assert gripper(trace, GroundingConfig(acted_on_dist=d, **acted)).actedOn is None
+        assert gripper(trace, GroundingConfig(acted_on_dist=up(d), **acted)).actedOn == "Cube_red3"
+        acted = dict(move_speed=0.0, acted_on_dist=1.0)
+        assert gripper(trace, GroundingConfig(approach_cosine=cosine, **acted)).actedOn is None
+        assert gripper(trace, GroundingConfig(approach_cosine=down(cosine), **acted)).actedOn == "Cube_red3"

@@ -1,7 +1,10 @@
 """Tests for trace.py."""
 
-import numpy as np
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoplan.ontology import execution_registry
 from demoplan.trace import (
@@ -9,8 +12,6 @@ from demoplan.trace import (
     DemoTrace,
     HandSample,
     TraceError,
-    hand_speed,
-    hand_velocity,
     read_trace,
     write_trace,
 )
@@ -34,21 +35,6 @@ def registry():
 def two_frames(registry):
     frames = [_frame(0.0, (0.0, 0.0, 1.0)), _frame(0.1, (0.3, 0.0, 1.0))]
     return DemoTrace(frames, registry, 10.0)
-
-
-def test_velocity_is_a_backward_difference(two_frames):
-    v = hand_velocity(two_frames, "Robot_gripper", 1)
-    assert np.allclose(v, [3.0, 0.0, 0.0])
-    assert hand_speed(two_frames, "Robot_gripper", 1) == pytest.approx(3.0)
-
-
-def test_velocity_needs_a_previous_frame(two_frames):
-    with pytest.raises(TraceError):
-        hand_velocity(two_frames, "Robot_gripper", 0)
-    with pytest.raises(TraceError):
-        hand_velocity(two_frames, "Robot_gripper", 2)
-    with pytest.raises(TraceError, match="Left_hand"):
-        hand_velocity(two_frames, "Left_hand", 1)
 
 
 def test_write_read_round_trip(tmp_path, registry, two_frames):
@@ -103,3 +89,85 @@ def test_blank_lines_are_skipped(tmp_path, registry, two_frames):
     write_trace(two_frames, path)
     path.write_text(path.read_text().replace("\n", "\n\n"))
     assert len(read_trace(path, registry)) == 2
+
+
+HAND_POS = "hand Robot_gripper pos must be a 3-element finite number list"
+CUBE_POS = "object Cube_red3 pos must be a 3-element finite number list"
+
+
+def _set(path, value):
+    """An edit of a frame document: set the value at a key path."""
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _write_with_second_frame_edited(trace, path, edit):
+    write_trace(trace, path)
+    first, second = path.read_text().splitlines()
+    doc = json.loads(second)
+    edit(doc)
+    path.write_text(first + "\n" + json.dumps(doc) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(("hands", "Robot_gripper", "pos", 0), float("nan")), HAND_POS),
+        (_set(("objects", "Cube_red3", 2), float("-inf")), CUBE_POS),
+        (_set(("hands", "Robot_gripper", "pos", 1), True), HAND_POS),
+        (_set(("t",), float("inf")), "timestamp must be a finite number"),
+        (_set(("t",), True), "timestamp must be a finite number"),
+        (_set(("hands",), []), "'hands' must be a JSON object"),
+        (_set(("objects",), []), "'objects' must be a JSON object"),
+        (_set(("contacts",), 5), "'contacts' must be a JSON list"),
+        (_set(("objects", "Cube_red3", 0), 10**400), CUBE_POS),
+    ],
+    ids=[
+        "nan-coordinate",
+        "infinite-coordinate",
+        "boolean-coordinate",
+        "infinite-timestamp",
+        "boolean-timestamp",
+        "hands-list",
+        "objects-list",
+        "contacts-number",
+        "huge-int-coordinate",
+    ],
+)
+def test_read_rejects_bad_values_with_the_line(tmp_path, registry, two_frames, edit, message):
+    path = tmp_path / "trace.jsonl"
+    _write_with_second_frame_edited(two_frames, path, edit)
+    with pytest.raises(TraceError, match=f"^line 2: {message}"):
+        read_trace(path, registry)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.sampled_from(["Robot_gripper", "Cube_red3", "high_table"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=12), inner, max_size=3),
+    max_leaves=8,
+)
+FRAME_PATHS = [
+    ("t",), ("hands",), ("objects",), ("contacts",),
+    ("hands", "Robot_gripper"), ("hands", "Robot_gripper", "pos"),
+    ("hands", "Robot_gripper", "pos", 2), ("hands", "Robot_gripper", "open"),
+    ("hands", "Robot_gripper", "held"), ("objects", "Cube_red3"),
+    ("objects", "Cube_red3", 0), ("contacts", 0), ("contacts", 0, 1),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(FRAME_PATHS), value=JSON_VALUES)
+def test_read_raises_only_trace_errors_on_fuzzed_values(tmp_path_factory, path, value):
+    registry = execution_registry()
+    frames = [_frame(0.0, (0.0, 0.0, 1.0)), _frame(0.1, (0.3, 0.0, 1.0))]
+    trace_path = tmp_path_factory.mktemp("fuzz") / "trace.jsonl"
+    _write_with_second_frame_edited(DemoTrace(frames, registry, 10.0), trace_path, _set(path, value))
+    try:
+        read_trace(trace_path, registry)
+    except TraceError as exc:
+        assert exc.line == 2
