@@ -384,10 +384,11 @@ def main(argv: list[str] | None = None) -> int:
         OSError,
         json.JSONDecodeError,
         KeyError,
+        oplearn.AttributionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (planner.PlannerError, oplearn.AttributionError) as exc:
+    except planner.PlannerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -71,10 +71,6 @@ class TypeHierarchy:
     def __contains__(self, name: str) -> bool:
         return name in self._parent
 
-    @property
-    def type_names(self) -> list[str]:
-        return sorted(self._parent)
-
     def is_subtype(self, a: str, b: str) -> bool:
         """True iff ``a`` equals ``b`` or ``b`` is an ancestor of ``a``."""
         for name in (a, b):

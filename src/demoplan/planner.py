@@ -4,9 +4,13 @@ Operators are grounded over a registry into precompiled atom sets, then
 states are packed into integer bitmasks for the search. min_cost mode is
 uniform-cost search and provably optimal; min_length uses unit weights;
 greedy orders the frontier by unsatisfied goal literals and trades
-optimality for speed. Validation replays a plan step by step, optionally
-under mutex world semantics where a newly acquired actedOn or graspable
-displaces the hand's previous one.
+optimality for speed. An expansion looks only at the actions whose hand
+preconditions hold: each hand's candidates are cached under the hand's
+part of the state and come out in (name, args) order, so every mode
+generates exactly the successors a scan over all actions would.
+Validation replays a plan step by step, optionally under mutex world
+semantics where a newly acquired actedOn or graspable displaces the
+hand's previous one.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ class ValidationReport:
     reason: str
 
 
+def _bind(literal: Literal, binding: dict[str, str]) -> Atom:
+    """The literal's atom under the binding; unbound terms stay as they are."""
+    return (literal.pred, tuple(map(binding.get, literal.args, literal.args)))
+
+
 def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[GroundAction]:
     """Every type- and neq-respecting binding of every operator.
 
@@ -74,19 +83,11 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
             ):
                 continue
             pre_pos = frozenset(
-                l.substitute(binding).atom
-                for l in op.preconditions
-                if l.positive and l.pred != NEQ
+                _bind(l, binding) for l in op.preconditions if l.positive and l.pred != NEQ
             )
-            pre_neg = frozenset(
-                l.substitute(binding).atom for l in op.preconditions if not l.positive
-            )
-            add = frozenset(
-                l.substitute(binding).atom for l in op.effects if l.positive
-            )
-            delete = {
-                l.substitute(binding).atom for l in op.effects if not l.positive
-            }
+            pre_neg = frozenset(_bind(l, binding) for l in op.preconditions if not l.positive)
+            add = frozenset(_bind(l, binding) for l in op.effects if l.positive)
+            delete = {_bind(l, binding) for l in op.effects if not l.positive}
             for rev in op.revokes:
                 hand = binding.get(rev.hand, rev.hand)
                 keep = binding.get(rev.keep, rev.keep)
@@ -110,19 +111,74 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
 
 
 class _Masks:
-    """Bitmask compilation of atoms shared by one solve call."""
+    """Bitmask compilation of atoms shared by one solve call; each new
+    atom takes the next free bit."""
 
     def __init__(self) -> None:
-        self.index: dict[Atom, int] = {}
+        self.bits: dict[Atom, int] = {}
 
     def mask(self, atoms) -> int:
+        bits = self.bits
         m = 0
         for atom in atoms:
-            i = self.index.get(atom)
-            if i is None:
-                i = self.index[atom] = len(self.index)
-            m |= 1 << i
+            bit = bits.get(atom)
+            if bit is None:
+                bit = bits[atom] = 1 << len(bits)
+            m |= bit
         return m
+
+
+class _Successors:
+    """Successor index of one solve call.
+
+    Each hand gets a bitmask of the atoms that name it. An action whose
+    preconditions mention exactly one hand belongs to that hand; the
+    others, mentioning no hand or several, are tested on every
+    expansion. A hand's cache maps the hand's part of a state to the
+    hand's actions whose hand preconditions hold there; each entry keeps
+    only the rest of the preconditions to test against the full state.
+    Entries are ``(index, pre_pos, pre_neg, add, delete, weight)`` and
+    come out in index order, which is the order of a scan over all
+    actions.
+    """
+
+    def __init__(self, masks: _Masks, hands: list[str], compiled, weights) -> None:
+        hand_masks = dict.fromkeys(hands, 0)
+        for (_, args), bit in masks.bits.items():
+            for hand in hands:
+                if hand in args:
+                    hand_masks[hand] |= bit
+        groups = [(m, ~m, [], {}) for m in hand_masks.values()]
+        self.always: list[tuple] = []
+        for i, ((pp, pn, add, dl), weight) in enumerate(zip(compiled, weights)):
+            pre = pp | pn
+            owners = [group for group in groups if pre & group[0]]
+            if len(owners) == 1:
+                m, rest, members, _ = owners[0]
+                members.append((pp & m, pn & m, (i, pp & rest, pn & rest, add, dl, weight)))
+            else:
+                self.always.append((i, pp, pn, add, dl, weight))
+        self.hands = [(m, members, cache) for m, _, members, cache in groups if members]
+
+    @staticmethod
+    def _of_hand(state: int, mask: int, members: list, cache: dict) -> list[tuple]:
+        key = state & mask
+        entries = cache.get(key)
+        if entries is None:
+            entries = cache[key] = [
+                entry for pp, pn, entry in members if key & pp == pp and not key & pn
+            ]
+        return entries
+
+    def candidates(self, state: int) -> list[tuple]:
+        """Actions that may apply in ``state``, in index order."""
+        if len(self.hands) == 1 and not self.always:
+            return self._of_hand(state, *self.hands[0])
+        merged = list(self.always)
+        for mask, members, cache in self.hands:
+            merged += self._of_hand(state, mask, members, cache)
+        merged.sort()
+        return merged
 
 
 def solve(
@@ -145,6 +201,7 @@ def solve(
         for a in actions
     ]
     weights = [1 if mode == "min_length" else a.cost for a in actions]
+    successors = _Successors(masks, problem.registry.hands, compiled, weights)
 
     def reached(state: int) -> bool:
         return state & goal_pos == goal_pos and not state & goal_neg
@@ -178,11 +235,11 @@ def solve(
         expansions += 1
         if max_expansions is not None and expansions > max_expansions:
             raise PlannerError(f"gave up after {max_expansions} expansions")
-        for i, (pp, pn, add, dl) in enumerate(compiled):
+        for i, pp, pn, add, dl, weight in successors.candidates(state):
             if state & pp != pp or state & pn:
                 continue
             nxt = (state & ~dl) | add
-            ng = g + weights[i]
+            ng = g + weight
             if mode == "greedy":
                 if nxt in parent:
                     continue

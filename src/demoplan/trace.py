@@ -100,15 +100,18 @@ def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None =
             raise TraceError(f"unknown hand instance: {name}", line)
         if not isinstance(sample, dict):
             raise TraceError(f"hand sample for {name} must be an object", line)
+        is_open = sample.get("open")
+        if type(is_open) is not bool:
+            raise TraceError(f"hand {name} open must be a JSON boolean, got {is_open!r}", line)
         held = sample.get("held")
         if held is not None:
             if held not in registry or not registry.types.is_subtype(registry.type_of(held), CUBE):
                 raise TraceError(f"held object {held!r} is not a known cube", line)
-            if sample.get("open"):
+            if is_open:
                 raise TraceError(f"hand {name} cannot be open while holding {held}", line)
         hands[name] = HandSample(
             pos=_as_vec(sample.get("pos"), f"hand {name} pos", line),
-            open=bool(sample.get("open")),
+            open=is_open,
             held=held,
         )
 

@@ -1,0 +1,86 @@
+"""Full-scan search, kept as the oracle for ``planner.solve``.
+
+This is the original successor loop: every expansion tests every ground
+action's bitmask preconditions in ``(name, args)`` order. ``solve``
+generates the same successors in the same order from its per-hand
+index, so the tests expect identical plans, ``None`` results and
+expansion-budget failures from both.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+
+from demoplan.model import GroundAction, PlanningProblem
+from demoplan.planner import MODES, Plan, PlannerError, _Masks
+
+
+def solve(
+    problem: PlanningProblem,
+    actions: list[GroundAction],
+    mode: str = "min_cost",
+    max_expansions: int | None = None,
+) -> Plan | None:
+    if mode not in MODES:
+        raise PlannerError(f"unknown mode {mode!r}, expected one of {MODES}")
+    actions = sorted(actions, key=lambda a: (a.name, a.args))
+
+    masks = _Masks()
+    init = masks.mask(problem.init)
+    goal_pos = masks.mask(l.atom for l in problem.goal if l.positive)
+    goal_neg = masks.mask(l.atom for l in problem.goal if not l.positive)
+    compiled = [
+        (masks.mask(a.pre_pos), masks.mask(a.pre_neg), masks.mask(a.add), masks.mask(a.delete))
+        for a in actions
+    ]
+    weights = [1 if mode == "min_length" else a.cost for a in actions]
+
+    def reached(state: int) -> bool:
+        return state & goal_pos == goal_pos and not state & goal_neg
+
+    def rebuild(state: int) -> Plan:
+        indices: list[int] = []
+        while True:
+            prev = parent[state]
+            if prev is None:
+                break
+            state, action_index = prev
+            indices.append(action_index)
+        steps = tuple(actions[i] for i in reversed(indices))
+        return Plan(steps, sum(s.cost for s in steps), len(steps))
+
+    def unsatisfied(state: int) -> int:
+        return bin(goal_pos & ~state).count("1") + bin(goal_neg & state).count("1")
+
+    parent: dict[int, tuple[int, int] | None] = {init: None}
+    best_g = {init: 0}
+    counter = itertools.count()
+    priority = unsatisfied(init) if mode == "greedy" else 0
+    heap = [(priority, next(counter), 0, init)]
+    expansions = 0
+    while heap:
+        _, _, g, state = heapq.heappop(heap)
+        if g > best_g.get(state, g):
+            continue
+        if reached(state):
+            return rebuild(state)
+        expansions += 1
+        if max_expansions is not None and expansions > max_expansions:
+            raise PlannerError(f"gave up after {max_expansions} expansions")
+        for i, (pp, pn, add, dl) in enumerate(compiled):
+            if state & pp != pp or state & pn:
+                continue
+            nxt = (state & ~dl) | add
+            ng = g + weights[i]
+            if mode == "greedy":
+                if nxt in parent:
+                    continue
+                parent[nxt] = (state, i)
+                best_g[nxt] = ng
+                heapq.heappush(heap, (unsatisfied(nxt), next(counter), ng, nxt))
+            elif ng < best_g.get(nxt, ng + 1):
+                best_g[nxt] = ng
+                parent[nxt] = (state, i)
+                heapq.heappush(heap, (ng, next(counter), ng, nxt))
+    return None

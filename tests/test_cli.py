@@ -19,6 +19,7 @@ from demoplan.ontology import (
     demonstration_registry,
     save_registry,
 )
+from demoplan.trace import DemoFrame, DemoTrace, HandSample, write_trace
 
 GOAL1 = [{"pred": "onTop", "args": ["Cube_green3", "Cube_blue3"], "positive": True}]
 
@@ -284,6 +285,33 @@ def test_missing_goal_file_is_config_error(tmp_path, library_file, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_unattributable_change_is_bad_input(tmp_path, capsys):
+    """Both hands rest for the whole trace while two cubes come into
+    contact; no hand's activity can have caused it."""
+    registry = demonstration_registry()
+    rest = {
+        "Right_hand": HandSample((0.9, 0.2, 1.2), True, None),
+        "Left_hand": HandSample((0.1, 0.2, 1.2), True, None),
+    }
+    objects = {
+        "Cube_red1": (0.45, 0.5, 0.775),
+        "Cube_green1": (0.5, 0.5, 0.775),
+        "table1": (0.5, 0.5, 0.37),
+    }
+    on_table = {frozenset(("Cube_red1", "table1")), frozenset(("Cube_green1", "table1"))}
+    touching = on_table | {frozenset(("Cube_red1", "Cube_green1"))}
+    frames = [
+        DemoFrame(i / 10, rest, objects, frozenset(touching if i >= 10 else on_table))
+        for i in range(20)
+    ]
+    path = tmp_path / "trace.jsonl"
+    write_trace(DemoTrace(frames, registry, 10.0), path)
+    code = main(["learn", str(path), "--library", str(tmp_path / "library.json")])
+    assert code == 2
+    assert "changed during the opening segment" in capsys.readouterr().err
+    assert not (tmp_path / "library.json").exists()
 
 
 def test_pipeline_from_traces(tmp_path, trace_dir, goal_file):

@@ -3,8 +3,13 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import planner_oracle
 
 from demoplan.model import (
+    NEQ,
     LearnedOperator,
     Literal,
     OperatorLibrary,
@@ -13,6 +18,7 @@ from demoplan.model import (
 from demoplan.ontology import EnvironmentRegistry, ObjectInstance
 from demoplan.oplearn import assign_costs
 from demoplan.planner import (
+    MODES,
     Plan,
     PlannerError,
     compare_cost_modes,
@@ -292,3 +298,219 @@ def test_plan_to_json(exec_actions, exec_registry):
         "failing_step": None,
         "reason": "ok",
     }
+
+
+# --- equivalence with the full-scan oracle ---------------------------------
+
+COLORS = ("green", "yellow", "blue", "red", "white", "black")
+
+
+def table_registry(colors, hands=(GRIPPER,)):
+    return EnvironmentRegistry(
+        "execution",
+        [ObjectInstance(hand, "Hand") for hand in hands]
+        + [ObjectInstance(f"Cube_{c}3", "Wooden_cube") for c in colors]
+        + [ObjectInstance("high_table", "Table")],
+    )
+
+
+def outcome(solver, problem, actions, mode, max_expansions=None):
+    """A solver's result as comparable data: the plan's JSON, None, or
+    the budget error's message."""
+    try:
+        plan = solver(problem, actions, mode, max_expansions)
+    except PlannerError as exc:
+        return ("error", str(exc))
+    return None if plan is None else plan_to_json(plan)
+
+
+def assert_same_plans(problem, actions, modes=MODES, max_expansions=None):
+    for mode in modes:
+        expected = outcome(planner_oracle.solve, problem, actions, mode, max_expansions)
+        assert outcome(solve, problem, actions, mode, max_expansions) == expected, mode
+
+
+@pytest.fixture(scope="module")
+def libraries(combined_library, repaired_library):
+    return {"raw": combined_library, "repaired": repaired_library}
+
+
+@pytest.mark.parametrize("library_name", ["raw", "repaired"])
+@pytest.mark.parametrize("goal_name", ["goal1", "goal2", "goal3", "goal4"])
+def test_solve_matches_the_scan_on_the_standard_goals(
+    libraries, exec_registry, library_name, goal_name
+):
+    actions = ground(libraries[library_name], exec_registry)
+    problem = goal_problem(exec_registry, *standard_goals(exec_registry)[goal_name])
+    assert_same_plans(problem, actions)
+
+
+@pytest.mark.parametrize(
+    "registry",
+    [table_registry(COLORS), table_registry(COLORS[:4], ("Left_gripper", "Right_gripper"))],
+    ids=["cubes6", "hands2"],
+)
+@pytest.mark.parametrize("goal_name", ["goal1", "goal2", "goal4"])
+def test_solve_matches_the_scan_on_larger_tables(
+    repaired_library, registry, goal_name
+):
+    actions = ground(repaired_library, registry)
+    problem = goal_problem(registry, *standard_goals(registry)[goal_name])
+    assert_same_plans(problem, actions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_solve_matches_the_scan_on_random_goals(libraries, data):
+    """Random onTop goals, some negated, over a random subset of cubes
+    on one or two grippers; a small budget bounds the search, and both
+    solvers must then give up at the same point."""
+    library = libraries[data.draw(st.sampled_from(["raw", "repaired"]))]
+    hands = data.draw(st.sampled_from([(GRIPPER,), ("Left_gripper", "Right_gripper")]))
+    colors = data.draw(
+        st.lists(st.sampled_from(COLORS[:5]), min_size=2, max_size=4, unique=True)
+    )
+    registry = table_registry(colors, hands)
+    things = registry.cubes + [registry.table]
+    goal = data.draw(
+        st.lists(
+            st.builds(
+                lambda above, below, positive: Literal("onTop", (above, below), positive),
+                st.sampled_from(registry.cubes),
+                st.sampled_from(things),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda l: l.atom,
+        )
+    )
+    problem = goal_problem(registry, *goal)
+    assert_same_plans(problem, ground(library, registry), max_expansions=1500)
+
+
+def handless_and_two_hand_operators():
+    """A cube slide that names no hand and a handover that names two:
+    both land in the group tested on every expansion."""
+    slide = LearnedOperator(
+        activity=ActivityLabel.PUT,
+        config_index=9,
+        params=(("?Wooden_cube1", "Wooden_cube"), ("?Wooden_cube2", "Wooden_cube")),
+        preconditions=frozenset(
+            {
+                Literal("onTop", ("?Wooden_cube1", "high_table")),
+                Literal("onTop", ("?Wooden_cube2", "high_table")),
+                Literal(NEQ, ("?Wooden_cube1", "?Wooden_cube2")),
+            }
+        ),
+        effects=frozenset(
+            {
+                Literal("onTop", ("?Wooden_cube1", "?Wooden_cube2")),
+                Literal("onTop", ("?Wooden_cube1", "high_table"), False),
+            }
+        ),
+        count=1,
+        cost=5,
+    )
+    handover = LearnedOperator(
+        activity=ActivityLabel.TAKE,
+        config_index=9,
+        params=(("?Hand1", "Hand"), ("?Hand2", "Hand"), ("?Wooden_cube1", "Wooden_cube")),
+        preconditions=frozenset(
+            {
+                Literal("inHand", ("?Hand1", "?Wooden_cube1")),
+                Literal("handOpen", ("?Hand2",)),
+                Literal(NEQ, ("?Hand1", "?Hand2")),
+            }
+        ),
+        effects=frozenset(
+            {
+                Literal("inHand", ("?Hand2", "?Wooden_cube1")),
+                Literal("inHand", ("?Hand1", "?Wooden_cube1"), False),
+                Literal("handOpen", ("?Hand1",)),
+                Literal("handOpen", ("?Hand2",), False),
+            }
+        ),
+        count=1,
+        cost=1,
+    )
+    return OperatorLibrary([slide, handover])
+
+
+@pytest.mark.parametrize(
+    "hands", [(GRIPPER,), ("Left_gripper", "Right_gripper")], ids=["one-hand", "two-hands"]
+)
+def test_solve_matches_the_scan_with_actions_outside_any_hand(repaired_library, hands):
+    registry = table_registry(COLORS[:4], hands)
+    actions = ground(repaired_library, registry) + ground(
+        handless_and_two_hand_operators(), registry
+    )
+    cubes = registry.cubes
+    for goal in (
+        (Literal("onTop", (cubes[1], cubes[0])),),
+        (Literal("inHand", (hands[-1], cubes[2])),),
+        (Literal("onTop", (cubes[1], cubes[0])), Literal("inHand", (hands[0], cubes[3]))),
+    ):
+        problem = goal_problem(registry, *goal)
+        assert_same_plans(problem, actions)
+    slide_plan = solve(goal_problem(registry, Literal("onTop", (cubes[1], cubes[0]))), actions)
+    assert [s.name for s in slide_plan.steps] == ["Put9"]
+
+
+def test_hands_in_the_same_configuration_keep_their_own_candidates():
+    """Neither hand names an atom of the initial state, so both hands'
+    parts of it are the same empty key; each must still get its own
+    actions."""
+    open_hand = LearnedOperator(
+        activity=ActivityLabel.REACH,
+        config_index=9,
+        params=(("?Hand1", "Hand"),),
+        preconditions=frozenset({Literal("handOpen", ("?Hand1",), False)}),
+        effects=frozenset({Literal("handOpen", ("?Hand1",))}),
+        count=1,
+        cost=3,
+    )
+    hands = ("Left_gripper", "Right_gripper")
+    registry = table_registry(COLORS[:1], hands)
+    actions = ground(OperatorLibrary([open_hand]), registry)
+    problem = PlanningProblem(
+        registry, frozenset(), tuple(Literal("handOpen", (h,)) for h in hands)
+    )
+    assert_same_plans(problem, actions)
+    plan = solve(problem, actions)
+    assert [s.args for s in plan.steps] == [("Left_gripper",), ("Right_gripper",)]
+
+
+@pytest.mark.parametrize(
+    "hands, goal_name, mode",
+    [
+        ((GRIPPER,), "goal2", "min_cost"),
+        ((GRIPPER,), "goal4", "min_length"),
+        (("Left_gripper", "Right_gripper"), "goal2", "greedy"),
+    ],
+    ids=["one-hand-goal2-min_cost", "one-hand-goal4-min_length", "two-hands-goal2-greedy"],
+)
+def test_expansion_budget_fails_at_the_same_point_as_the_scan(
+    repaired_library, hands, goal_name, mode
+):
+    registry = table_registry(COLORS[:4], hands)
+    actions = ground(repaired_library, registry)
+    problem = goal_problem(registry, *standard_goals(registry)[goal_name])
+
+    def scan_gives_up(k):
+        return isinstance(outcome(planner_oracle.solve, problem, actions, mode, k), tuple)
+
+    low, high = 0, 1  # the scan gives up at low and not at high
+    while scan_gives_up(high):
+        low, high = high, high * 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if scan_gives_up(mid):
+            low = mid
+        else:
+            high = mid
+    with pytest.raises(PlannerError, match=f"gave up after {low} expansions"):
+        solve(problem, actions, mode, max_expansions=low)
+    assert outcome(solve, problem, actions, mode, high) == outcome(
+        planner_oracle.solve, problem, actions, mode, high
+    )

@@ -93,6 +93,7 @@ def test_blank_lines_are_skipped(tmp_path, registry, two_frames):
 
 HAND_POS = "hand Robot_gripper pos must be a 3-element finite number list"
 CUBE_POS = "object Cube_red3 pos must be a 3-element finite number list"
+HAND_OPEN = "hand Robot_gripper open must be a JSON boolean"
 
 
 def _set(path, value):
@@ -102,6 +103,16 @@ def _set(path, value):
         for key in keys:
             doc = doc[key]
         doc[last] = value
+    return edit
+
+
+def _drop(path):
+    """An edit of a frame document: delete the key at a key path."""
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        del doc[last]
     return edit
 
 
@@ -125,6 +136,9 @@ def _write_with_second_frame_edited(trace, path, edit):
         (_set(("objects",), []), "'objects' must be a JSON object"),
         (_set(("contacts",), 5), "'contacts' must be a JSON list"),
         (_set(("objects", "Cube_red3", 0), 10**400), CUBE_POS),
+        (_set(("hands", "Robot_gripper", "open"), "no"), HAND_OPEN),
+        (_set(("hands", "Robot_gripper", "open"), 1), HAND_OPEN),
+        (_drop(("hands", "Robot_gripper", "open")), HAND_OPEN),
     ],
     ids=[
         "nan-coordinate",
@@ -136,6 +150,9 @@ def _write_with_second_frame_edited(trace, path, edit):
         "objects-list",
         "contacts-number",
         "huge-int-coordinate",
+        "string-open",
+        "number-open",
+        "missing-open",
     ],
 )
 def test_read_rejects_bad_values_with_the_line(tmp_path, registry, two_frames, edit, message):
