@@ -1,8 +1,8 @@
 """Command line entry point wiring the pipeline stages together.
 
 Each stage is independently invokable on the previous stage's files, and
-``pipeline`` runs the whole chain: synthesize or ingest traces, ground,
-segment, learn, emit PDDL, plan, validate. Exit codes: 0 success, 1
+``pipeline`` runs the whole chain through the same helpers: synthesize or
+ingest traces, ground, segment, learn, emit PDDL, plan, validate. Exit codes: 0 success, 1
 unexpected failure, 2 bad input or configuration, 3 unsolvable goal, 4
 failed plan validation.
 """
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import grounding, oplearn, pddl, planner, segmentation, synthgen
-from .model import Literal, ModelError, OperatorLibrary, PlanningProblem
+from .model import Literal, ModelError, OperatorLibrary, PlanningProblem, literal_from_json
 from .ontology import (
     OntologyError,
     demonstration_registry,
@@ -28,6 +28,8 @@ from .ontology import (
 from .trace import TraceError, read_trace
 
 GROUNDING_ENV = "DEMOPLAN_GROUNDING"
+
+PLANNER_MODES = {"cost": "min_cost", "length": "min_length", "greedy": "greedy"}
 
 log = logging.getLogger("demoplan")
 
@@ -67,10 +69,16 @@ def _load_goal(path: str | Path) -> tuple[Literal, ...]:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, list) or not doc:
         raise ValueError(f"goal file {path} must be a non-empty JSON list of literals")
-    return tuple(
-        Literal(item["pred"], tuple(item["args"]), bool(item.get("positive", True)))
-        for item in doc
-    )
+    return tuple(map(literal_from_json, doc))
+
+
+def _load_library(path: str | Path) -> OperatorLibrary:
+    return OperatorLibrary.from_json(json.loads(Path(path).read_text()))
+
+
+def _problem(registry, goal: tuple[Literal, ...]) -> PlanningProblem:
+    """The goal on the registry's table with every cube flat on it."""
+    return PlanningProblem(registry, planner.tabletop_init(registry), goal)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -81,6 +89,32 @@ def _write_json(path: Path, doc) -> None:
 def _segments_for(trace, config, debounce):
     states = grounding.ground_trace(trace, config)
     return states, segmentation.segment(states, debounce)
+
+
+def _learn(library, trace_paths, registry, config, args, segment_dir=None) -> OperatorLibrary:
+    """Learn every trace into ``library``, assign costs and, with
+    ``args.repair``, repair it. Each trace's segments are also written
+    to ``segment_dir`` when one is given."""
+    for path in trace_paths:
+        trace = read_trace(path, registry)
+        states, segments = _segments_for(trace, config, args.debounce)
+        if segment_dir is not None:
+            segmentation.write_segments(segments, segment_dir / f"{Path(path).stem}.segments.json")
+        oplearn.learn_from_demo(states, segments, library, registry, trace)
+        log.info("learned %s: %d operators so far", path, len(library))
+    oplearn.assign_costs(library)
+    return oplearn.repair_exclusivity(library) if args.repair else library
+
+
+def _export_pddl(library, problem, directory: Path) -> None:
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "domain.pddl").write_text(pddl.emit_domain(library).text)
+    (directory / "problem.pddl").write_text(pddl.emit_problem(problem).text)
+
+
+def _solve(library, problem, args) -> planner.Plan | None:
+    actions = planner.ground(library, problem.registry)
+    return planner.solve(problem, actions, PLANNER_MODES[args.mode], args.max_expansions)
 
 
 def cmd_gen(args) -> int:
@@ -137,58 +171,32 @@ def cmd_segment(args) -> int:
 def cmd_learn(args) -> int:
     registry = _registry(args.registry)
     lib_path = Path(args.library)
-    if args.append and lib_path.exists():
-        library = OperatorLibrary.from_json(json.loads(lib_path.read_text()))
-    else:
-        library = OperatorLibrary()
-    config = _grounding_config(args)
-    for trace_path in args.traces:
-        trace = read_trace(trace_path, registry)
-        states, segments = _segments_for(trace, config, args.debounce)
-        oplearn.learn_from_demo(states, segments, library, registry, trace)
-        log.info("learned %s: %d operators so far", trace_path, len(library))
-    oplearn.assign_costs(library)
-    if args.repair:
-        library = oplearn.repair_exclusivity(library)
+    library = _load_library(lib_path) if args.append and lib_path.exists() else OperatorLibrary()
+    library = _learn(library, args.traces, registry, _grounding_config(args), args)
     _write_json(lib_path, library.to_json())
     print(lib_path)
     return 0
 
 
 def cmd_emit(args) -> int:
-    library = OperatorLibrary.from_json(json.loads(Path(args.library).read_text()))
+    library = _load_library(args.library)
     domain = pddl.emit_domain(library, args.name)
     Path(args.out).write_text(domain.text)
     print(args.out)
     if args.goal:
-        registry = _registry(args.registry)
-        problem = PlanningProblem(
-            registry, planner.tabletop_init(registry), _load_goal(args.goal)
-        )
+        problem = _problem(_registry(args.registry), _load_goal(args.goal))
         doc = pddl.emit_problem(problem, name=args.problem_name, domain=args.name)
         Path(args.problem_out).write_text(doc.text)
         print(args.problem_out)
     return 0
 
 
-def _plan_once(library, registry, goal, args):
-    problem = PlanningProblem(registry, planner.tabletop_init(registry), goal)
-    actions = planner.ground(library, registry)
-    mode = {"cost": "min_cost", "length": "min_length", "greedy": "greedy"}[args.mode]
-    plan = planner.solve(problem, actions, mode, args.max_expansions)
-    return problem, actions, plan
-
-
 def cmd_plan(args) -> int:
-    library = OperatorLibrary.from_json(json.loads(Path(args.library).read_text()))
-    registry = _registry(args.registry)
-    goal = _load_goal(args.goal)
-    problem, _, plan = _plan_once(library, registry, goal, args)
+    library = _load_library(args.library)
+    problem = _problem(_registry(args.registry), _load_goal(args.goal))
+    plan = _solve(library, problem, args)
     if args.export_pddl:
-        export = Path(args.export_pddl)
-        export.mkdir(parents=True, exist_ok=True)
-        (export / "domain.pddl").write_text(pddl.emit_domain(library).text)
-        (export / "problem.pddl").write_text(pddl.emit_problem(problem).text)
+        _export_pddl(library, problem, Path(args.export_pddl))
     if plan is None:
         print("unsolvable")
         return 3
@@ -213,14 +221,12 @@ def _rebuild_plan(plan_doc: dict, actions) -> planner.Plan:
 
 
 def cmd_validate(args) -> int:
-    library = OperatorLibrary.from_json(json.loads(Path(args.library).read_text()))
-    registry = _registry(args.registry)
-    goal = _load_goal(args.goal)
-    problem = PlanningProblem(registry, planner.tabletop_init(registry), goal)
-    actions = planner.ground(library, registry)
+    library = _load_library(args.library)
+    problem = _problem(_registry(args.registry), _load_goal(args.goal))
+    actions = planner.ground(library, problem.registry)
     plan = _rebuild_plan(json.loads(Path(args.plan).read_text()), actions)
     report = planner.validate(problem, plan, mutex=args.mutex)
-    print(json.dumps({"valid": report.valid, "failing_step": report.failing_step, "reason": report.reason}))
+    print(json.dumps(planner.report_to_json(report)))
     return 0 if report.valid else 4
 
 
@@ -241,37 +247,21 @@ def cmd_pipeline(args) -> int:
         trace_paths = [Path(p) for p in args.traces]
     print(f"traces: {len(trace_paths)}")
 
-    library = OperatorLibrary()
-    seg_dir = out / "segments"
-    seg_dir.mkdir(parents=True, exist_ok=True)
-    for path in trace_paths:
-        trace = read_trace(path, demo_registry)
-        states, segments = _segments_for(trace, config, args.debounce)
-        segmentation.write_segments(segments, seg_dir / f"{path.stem}.segments.json")
-        oplearn.learn_from_demo(states, segments, library, demo_registry, trace)
-    oplearn.assign_costs(library)
-    if args.repair:
-        library = oplearn.repair_exclusivity(library)
+    segment_dir = out / "segments"
+    segment_dir.mkdir(parents=True, exist_ok=True)
+    library = _learn(OperatorLibrary(), trace_paths, demo_registry, config, args, segment_dir)
     _write_json(out / "library.json", library.to_json())
     print(f"library: {len(library)} operators")
 
-    goal = _load_goal(args.goal)
-    problem = PlanningProblem(exec_registry, planner.tabletop_init(exec_registry), goal)
-    (out / "domain.pddl").write_text(pddl.emit_domain(library).text)
-    (out / "problem.pddl").write_text(pddl.emit_problem(problem).text)
-
-    actions = planner.ground(library, exec_registry)
-    mode = {"cost": "min_cost", "length": "min_length", "greedy": "greedy"}[args.mode]
-    plan = planner.solve(problem, actions, mode, args.max_expansions)
+    problem = _problem(exec_registry, _load_goal(args.goal))
+    _export_pddl(library, problem, out)
+    plan = _solve(library, problem, args)
     if plan is None:
         print("unsolvable")
         return 3
     report = planner.validate(problem, plan, mutex=args.mutex_validate)
     _write_json(out / "plan.json", planner.plan_to_json(plan, report))
-    _write_json(
-        out / "validation.json",
-        {"valid": report.valid, "failing_step": report.failing_step, "reason": report.reason},
-    )
+    _write_json(out / "validation.json", planner.report_to_json(report))
     print(f"plan: {plan.total_length} steps, cost {plan.total_cost}")
     if not report.valid:
         print(f"validation failed: {report.reason}", file=sys.stderr)
@@ -333,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", required=True)
     p.add_argument("--goal", required=True)
     p.add_argument("--registry", default="exec")
-    p.add_argument("--mode", choices=("cost", "length", "greedy"), default="cost")
+    p.add_argument("--mode", choices=PLANNER_MODES, default="cost")
     p.add_argument("--mutex-validate", action="store_true")
     p.add_argument("--export-pddl", help="directory for domain.pddl/problem.pddl")
     p.add_argument("--max-expansions", type=int)
@@ -358,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exec-registry", default="exec")
     p.add_argument("--debounce", type=int, default=segmentation.DEFAULT_DEBOUNCE)
     p.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--mode", choices=("cost", "length", "greedy"), default="cost")
+    p.add_argument("--mode", choices=PLANNER_MODES, default="cost")
     p.add_argument("--mutex-validate", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--max-expansions", type=int)
     _add_grounding_flags(p)

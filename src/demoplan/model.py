@@ -35,6 +35,10 @@ SCHEMAS: dict[str, PredicateSchema] = {
     )
 }
 
+# A hand acts on, and can grasp, at most one cube at a time. Repair,
+# mutex validation and the PDDL revocations all follow this declaration.
+SINGLE_VALUED = frozenset({"actedOn", "graspable"})
+
 
 class ModelError(Exception):
     """Structurally invalid literal, operator, or action."""
@@ -91,6 +95,10 @@ class Revocation:
     pred: str
     hand: str
     keep: str
+
+    def __post_init__(self) -> None:
+        if self.pred not in SINGLE_VALUED:
+            raise ModelError(f"only single-valued predicates can be revoked, not {self.pred!r}")
 
 
 @dataclass(frozen=True)
@@ -242,8 +250,8 @@ class OperatorLibrary:
                     "activity": op.activity.value,
                     "config_index": op.config_index,
                     "params": [list(p) for p in op.params],
-                    "preconditions": [_literal_json(l) for l in sorted(op.preconditions)],
-                    "effects": [_literal_json(l) for l in sorted(op.effects)],
+                    "preconditions": [literal_to_json(l) for l in sorted(op.preconditions)],
+                    "effects": [literal_to_json(l) for l in sorted(op.effects)],
                     "count": op.count,
                     "cost": op.cost,
                     "revokes": [
@@ -264,8 +272,8 @@ class OperatorLibrary:
                     activity=ActivityLabel(item["activity"]),
                     config_index=item["config_index"],
                     params=tuple((n, t) for n, t in item["params"]),
-                    preconditions=frozenset(_literal_from_json(l) for l in item["preconditions"]),
-                    effects=frozenset(_literal_from_json(l) for l in item["effects"]),
+                    preconditions=frozenset(map(literal_from_json, item["preconditions"])),
+                    effects=frozenset(map(literal_from_json, item["effects"])),
                     count=item.get("count"),
                     cost=item.get("cost"),
                     revokes=tuple(
@@ -277,9 +285,23 @@ class OperatorLibrary:
         return OperatorLibrary(ops, repaired=bool(doc.get("repaired", False)))
 
 
-def _literal_json(lit: Literal) -> dict:
+def literal_to_json(lit: Literal) -> dict:
     return {"pred": lit.pred, "args": list(lit.args), "positive": lit.positive}
 
 
-def _literal_from_json(doc: dict) -> Literal:
-    return Literal(doc["pred"], tuple(doc["args"]), bool(doc.get("positive", True)))
+def literal_from_json(doc) -> Literal:
+    """The literal of a JSON object; ``positive`` defaults to true.
+
+    ``pred`` must be a string, ``args`` a list of strings and
+    ``positive`` a JSON boolean, or ModelError says which is not.
+    """
+    if not isinstance(doc, dict):
+        raise ModelError(f"a literal must be a JSON object, got {doc!r}")
+    pred, args, positive = doc.get("pred"), doc.get("args"), doc.get("positive", True)
+    if not isinstance(pred, str):
+        raise ModelError(f"literal pred must be a string, got {pred!r}")
+    if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
+        raise ModelError(f"{pred}: args must be a list of strings, got {args!r}")
+    if not isinstance(positive, bool):
+        raise ModelError(f"{pred}{tuple(args)}: positive must be true or false, got {positive!r}")
+    return Literal(pred, tuple(args), positive)

@@ -21,6 +21,7 @@ import numpy as np
 from .grounding import EnvSymState, HandSymState, SymbolicState
 from .model import (
     NEQ,
+    SINGLE_VALUED,
     Atom,
     Literal,
     OperatorLibrary,
@@ -29,8 +30,6 @@ from .model import (
 from .ontology import CUBE, EnvironmentRegistry
 from .segmentation import ActivityLabel, ActivitySegment
 from .trace import DemoTrace
-
-REPAIRED_PREDICATES = ("actedOn", "graspable")
 
 
 class AttributionError(Exception):
@@ -319,8 +318,8 @@ def assign_costs(library: OperatorLibrary) -> OperatorLibrary:
 def repair_exclusivity(library: OperatorLibrary) -> OperatorLibrary:
     """Make single-valued predicates safe under replay.
 
-    An operator that newly asserts actedOn or graspable for a hand also
-    revokes every other cube bound to that hand through the predicate.
+    An operator that newly asserts a single-valued predicate for a hand
+    also revokes every other cube bound to that hand through it.
     """
     repaired = []
     for op in library.operators:
@@ -329,7 +328,7 @@ def repair_exclusivity(library: OperatorLibrary) -> OperatorLibrary:
         for lit in sorted(op.effects):
             if (
                 lit.positive
-                and lit.pred in REPAIRED_PREDICATES
+                and lit.pred in SINGLE_VALUED
                 and pre_signs.get(lit.atom) is False
             ):
                 revokes.append(Revocation(lit.pred, lit.args[0], lit.args[1]))

@@ -16,15 +16,15 @@ from .model import (
     SCHEMAS,
     LearnedOperator,
     Literal,
+    ModelError,
     OperatorLibrary,
     PlanningProblem,
     Revocation,
     WorldState,
 )
 from .ontology import (
+    BUILTIN_TYPES,
     CUBE,
-    HAND,
-    TABLE,
     EnvironmentRegistry,
     ObjectInstance,
 )
@@ -73,7 +73,7 @@ def _literal_str(lit: Literal) -> str:
 
 def _revocation_str(rev: Revocation) -> str:
     return (
-        f"(forall (?x - Wooden_cube) (when (not (= ?x {rev.keep})) "
+        f"(forall (?x - {CUBE}) (when (not (= ?x {rev.keep})) "
         f"(not ({rev.pred} {rev.hand} ?x))))"
     )
 
@@ -231,9 +231,9 @@ def _atoms(expr) -> list[_Token]:
     return out
 
 
-def _typed_pairs(tokens: list[_Token]) -> list[tuple[str, str]]:
-    """A PDDL typed list ``a b - T c - U`` as (name, type) pairs."""
-    pairs: list[tuple[str, str]] = []
+def _typed_pairs(tokens: list[_Token]) -> list[tuple[_Token, str]]:
+    """A PDDL typed list ``a b - T c - U`` as (name token, type) pairs."""
+    pairs: list[tuple[_Token, str]] = []
     pending: list[_Token] = []
     i = 0
     while i < len(tokens):
@@ -242,7 +242,7 @@ def _typed_pairs(tokens: list[_Token]) -> list[tuple[str, str]]:
             if not pending or i + 1 >= len(tokens):
                 raise PddlSyntaxError("dangling '-' in typed list", tok.line, tok.col)
             type_name = tokens[i + 1].text
-            pairs.extend((p.text, type_name) for p in pending)
+            pairs.extend((p, type_name) for p in pending)
             pending = []
             i += 2
         else:
@@ -315,20 +315,18 @@ def _parse_revocation(expr) -> Revocation:
     when = items[2]
     if len(var_pairs) != 1 or var_pairs[0][1] != CUBE or _head(when) != "when":
         raise bad
-    var = var_pairs[0][0]
+    var = var_pairs[0][0].text
     if len(when[1]) != 3:
         raise bad
     guard = _parse_literal(when[1][1])
     body = _parse_literal(when[1][2])
-    if (
-        guard.pred != NEQ
-        or guard.args[0] != var
-        or body.positive
-        or body.pred not in ("actedOn", "graspable")
-        or body.args[1] != var
-    ):
+    if guard.pred != NEQ or guard.args[0] != var or body.positive or body.args[-1] != var:
         raise bad
-    return Revocation(body.pred, body.args[0], guard.args[1])
+    try:
+        return Revocation(body.pred, body.args[0], guard.args[1])
+    except ModelError as exc:
+        tok = when[1][2][0]
+        raise PddlSyntaxError(str(exc), tok.line, tok.col) from exc
 
 
 def _parse_action(expr) -> LearnedOperator:
@@ -352,7 +350,7 @@ def _parse_action(expr) -> LearnedOperator:
     params_expr = sections.get(":parameters")
     if params_expr is None or not _is_list(params_expr):
         raise PddlSyntaxError("action needs :parameters", expr[0].line, expr[0].col)
-    params = tuple(_typed_pairs(_atoms(params_expr)))
+    params = tuple((tok.text, type_name) for tok, type_name in _typed_pairs(_atoms(params_expr)))
 
     preconditions = []
     if ":precondition" in sections:
@@ -439,13 +437,20 @@ def _parse_domain(expr) -> OperatorLibrary:
 
 
 def _parse_problem(expr) -> PlanningProblem:
-    objects: list[tuple[str, str]] = []
+    objects: list[ObjectInstance] = []
     init: set = set()
     goal: list[Literal] = []
     for section in expr[1][2:]:
         head = _head(section)
         if head == ":objects":
-            objects = _typed_pairs(_atoms(section)[1:])
+            for tok, type_name in _typed_pairs(_atoms(section)[1:]):
+                if type_name not in BUILTIN_TYPES:
+                    raise PddlSyntaxError(
+                        f"object {tok.text!r} has undeclared type {type_name!r}",
+                        tok.line,
+                        tok.col,
+                    )
+                objects.append(ObjectInstance(tok.text, type_name))
         elif head == ":init":
             for item in section[1][1:]:
                 if _is_list(item) and _head(item) == "=":
@@ -468,10 +473,8 @@ def _parse_problem(expr) -> PlanningProblem:
         else:
             tok = section[0]
             raise PddlSyntaxError(f"unsupported section {head!r}", tok.line, tok.col)
-    registry = EnvironmentRegistry(
-        "execution", [ObjectInstance(name, type_name) for name, type_name in objects]
-    )
     try:
+        registry = EnvironmentRegistry("execution", objects)
         return PlanningProblem(registry, frozenset(init), tuple(goal))
     except Exception as exc:
         tok = expr[0]

@@ -9,8 +9,8 @@ preconditions hold: each hand's candidates are cached under the hand's
 part of the state and come out in (name, args) order, so every mode
 generates exactly the successors a scan over all actions would.
 Validation replays a plan step by step, optionally under mutex world
-semantics where a newly acquired actedOn or graspable displaces the
-hand's previous one.
+semantics where a newly acquired single-valued atom (``SINGLE_VALUED``)
+displaces the hand's previous one.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .model import (
     NEQ,
+    SINGLE_VALUED,
     Atom,
     GroundAction,
     Literal,
@@ -31,8 +32,6 @@ from .model import (
     apply_action,
 )
 from .ontology import EnvironmentRegistry
-
-MUTEX_PREDICATES = ("actedOn", "graspable")
 
 MODES = ("min_cost", "min_length", "greedy")
 
@@ -281,8 +280,8 @@ def validate(
         state = apply_action(state, step)
         if mutex:
             revoked = set()
-            for pred, args in step.add:
-                if pred in MUTEX_PREDICATES and (pred, args) not in before:
+            for pred, args in step.add - before:
+                if pred in SINGLE_VALUED:
                     hand, kept = args
                     revoked |= {
                         (p, a)
@@ -350,9 +349,9 @@ def plan_to_json(plan: Plan, report: ValidationReport | None = None) -> dict:
         "total_length": plan.total_length,
     }
     if report is not None:
-        doc["validation"] = {
-            "valid": report.valid,
-            "failing_step": report.failing_step,
-            "reason": report.reason,
-        }
+        doc["validation"] = report_to_json(report)
     return doc
+
+
+def report_to_json(report: ValidationReport) -> dict:
+    return {"valid": report.valid, "failing_step": report.failing_step, "reason": report.reason}

@@ -101,22 +101,6 @@ def segment(
     return segments
 
 
-def labels_per_state(
-    segments: list[ActivitySegment], n_states: int
-) -> dict[str, list[ActivityLabel]]:
-    """Expand segments back into one label per state index per hand."""
-    out: dict[str, list[ActivityLabel]] = {}
-    for seg in segments:
-        lane = out.setdefault(seg.hand, [None] * n_states)  # type: ignore[list-item]
-        for i in range(seg.start, seg.end + 1):
-            lane[i] = seg.label
-    for hand, lane in out.items():
-        missing = [i for i, v in enumerate(lane) if v is None]
-        if missing:
-            raise ValueError(f"segments for {hand} do not cover states {missing[:5]}")
-    return out
-
-
 # Sidecar files index segments by trace frame; state k describes frame k+1.
 
 def segments_to_json(segments: list[ActivitySegment]) -> list[dict]:

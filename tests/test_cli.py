@@ -5,23 +5,27 @@ out. Exit codes are the contract: 0 success, 2 bad input, 3 unsolvable,
 4 failed validation.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from demoplan import segmentation, synthgen
+from demoplan import planner, segmentation, synthgen
 from demoplan.cli import main
-from demoplan.model import OperatorLibrary
+from demoplan.model import OperatorLibrary, literal_from_json
 from demoplan.ontology import (
     EnvironmentRegistry,
     ObjectInstance,
     demonstration_registry,
+    execution_registry,
     save_registry,
 )
 from demoplan.trace import DemoFrame, DemoTrace, HandSample, write_trace
 
 GOAL1 = [{"pred": "onTop", "args": ["Cube_green3", "Cube_blue3"], "positive": True}]
+ROOT = Path(__file__).parent.parent
+GOALS = ROOT / "goals"
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +41,18 @@ def goal_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("goals") / "goal1.json"
     path.write_text(json.dumps(GOAL1))
     return path
+
+
+@pytest.fixture(scope="module")
+def seed7_run(tmp_path_factory):
+    """The one-shot experiment on the 2-tower goal: its output directory
+    and exit code."""
+    out = tmp_path_factory.mktemp("seed7") / "run"
+    code = main(
+        ["pipeline", "--out", str(out), "--goal", str(GOALS / "goal2.json"),
+         "--synth-corpus", "--seed", "7"]
+    )
+    return out, code
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +293,25 @@ def test_validate_mutex_flags_double_reach(tmp_path, combined_library, capsys):
     assert report["failing_step"] == 2
 
 
+@pytest.mark.parametrize(
+    "literal",
+    [
+        {"pred": "onTop", "args": ["Cube_green3", "Cube_blue3"], "positive": "false"},
+        {"pred": "onTop", "args": [1, 2]},
+        {"pred": "onTop", "args": "ab"},
+    ],
+    ids=["string-positive", "number-args", "string-args"],
+)
+def test_malformed_goal_literal_is_bad_input(tmp_path, library_file, literal, capsys):
+    goal = tmp_path / "goal.json"
+    goal.write_text(json.dumps([literal]))
+    out = tmp_path / "plan.json"
+    code = main(["plan", "--library", str(library_file), "--goal", str(goal), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: onTop")
+    assert not out.exists()
+
+
 def test_missing_goal_file_is_config_error(tmp_path, library_file, capsys):
     code = main(
         ["plan", "--library", str(library_file),
@@ -337,14 +372,9 @@ def test_pipeline_from_traces(tmp_path, trace_dir, goal_file):
     assert ":conditional-effects" in (out / "domain.pddl").read_text()
 
 
-def test_pipeline_synth_corpus(tmp_path):
+def test_pipeline_synth_corpus(seed7_run):
     """The one-shot experiment: synthesize, learn, plan the 2-tower goal."""
-    out = tmp_path / "run"
-    goal2 = Path(__file__).parent.parent / "goals" / "goal2.json"
-    code = main(
-        ["pipeline", "--out", str(out), "--goal", str(goal2),
-         "--synth-corpus", "--seed", "7"]
-    )
+    out, code = seed7_run
     assert code == 0
     assert len(list((out / "traces").glob("trace_*.jsonl"))) == 12
     assert len(list((out / "segments").glob("*.segments.json"))) == 12
@@ -357,3 +387,47 @@ def test_pipeline_needs_input(tmp_path, goal_file, capsys):
     code = main(["pipeline", "--out", str(tmp_path / "run"), "--goal", str(goal_file)])
     assert code == 2
     assert "needs --synth-corpus or --traces" in capsys.readouterr().err
+
+
+def test_seed7_artifacts_are_pinned(seed7_run, tmp_path):
+    """library.json and domain.pddl hash to the benchmark's reference,
+    the goal files are the standard goals, and cost mode finds the
+    reference optimum for each of them."""
+    out, code = seed7_run
+    assert code == 0
+    reference = json.loads((ROOT / "perfbench" / "reference_seed7.json").read_text())
+    for name, digest in reference["digests"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    costs = []
+    for name, goal in planner.standard_goals(execution_registry()).items():
+        goal_file = GOALS / f"{name}.json"
+        assert tuple(map(literal_from_json, json.loads(goal_file.read_text()))) == goal
+        plan = tmp_path / f"{name}.json"
+        args = ["plan", "--library", str(out / "library.json"), "--goal", str(goal_file)]
+        assert main(args + ["--mode", "cost", "--out", str(plan)]) == 0
+        cost = json.loads(plan.read_text())["total_cost"]
+        assert cost == reference["optimal"][f"repaired/exec4/{name}"]["min_cost"]
+        costs.append(cost)
+    assert costs == [180, 399, 618, 399]
+
+
+def test_stages_equal_the_pipeline(seed7_run, tmp_path):
+    """gen, learn --repair and plan --mutex-validate write the bytes
+    pipeline writes."""
+    out, code = seed7_run
+    assert code == 0
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--out", str(corpus), "--seed", "7"]) == 0
+    traces = sorted(corpus.glob("trace_*.jsonl"))
+    for trace in traces:
+        assert trace.read_bytes() == (out / "traces" / trace.name).read_bytes()
+    library = tmp_path / "library.json"
+    assert main(["learn", *map(str, traces), "--library", str(library), "--repair"]) == 0
+    assert library.read_bytes() == (out / "library.json").read_bytes()
+    plan = tmp_path / "plan.json"
+    assert main(
+        ["plan", "--library", str(library), "--goal", str(GOALS / "goal2.json"),
+         "--mutex-validate", "--out", str(plan)]
+    ) == 0
+    assert plan.read_bytes() == (out / "plan.json").read_bytes()

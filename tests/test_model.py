@@ -3,18 +3,26 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from demoplan import pddl, planner
 from demoplan.model import (
+    NEQ,
+    SCHEMAS,
     GroundAction,
     LearnedOperator,
     Literal,
     ModelError,
     OperatorLibrary,
     PlanningProblem,
+    Revocation,
     applicable,
     apply_action,
+    literal_from_json,
 )
 from demoplan.ontology import CUBE, HAND, execution_registry
+from demoplan.oplearn import repair_exclusivity
 from demoplan.segmentation import ActivityLabel
 
 
@@ -201,3 +209,133 @@ def test_library_json_round_trip():
     assert again.operators[0].signature() == library.operators[0].signature()
     assert again.operators[0].count == 2
     assert again.to_json() == library.to_json()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"pred": "onTop", "args": ["a", "b"], "positive": "false"}, "positive must be true or false"),
+        ({"pred": "onTop", "args": ["a", "b"], "positive": 0}, "positive must be true or false"),
+        ({"pred": "onTop", "args": ["a", "b"], "positive": None}, "positive must be true or false"),
+        ({"pred": "onTop", "args": [1, 2]}, "args must be a list of strings"),
+        ({"pred": "onTop", "args": "ab"}, "args must be a list of strings"),
+        ({"pred": "onTop"}, "args must be a list of strings"),
+        ({"args": ["a", "b"]}, "pred must be a string"),
+        ({"pred": ["onTop"], "args": ["a", "b"]}, "pred must be a string"),
+        (["onTop", "a", "b"], "must be a JSON object"),
+    ],
+)
+def test_literal_codec_rejects_malformed_documents(doc, message):
+    with pytest.raises(ModelError, match=message):
+        literal_from_json(doc)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_LITERAL_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "pred": st.sampled_from(sorted(SCHEMAS)) | _JSON,
+        "args": st.lists(st.text(max_size=4), max_size=3) | _JSON,
+        "positive": st.booleans() | _JSON,
+    },
+)
+
+
+@given(_LITERAL_DOCS | _JSON)
+def test_literal_from_json_raises_only_model_errors(doc):
+    try:
+        literal = literal_from_json(doc)
+    except ModelError:
+        return
+    assert literal.pred == doc["pred"]
+    assert literal.args == tuple(doc["args"])
+    assert literal.positive is doc.get("positive", True)
+
+
+# A hand acts on and can grasp one cube at a time; nothing else is single-valued.
+SINGLE_VALUED_CASES = [(pred, pred in {"actedOn", "graspable"}) for pred in sorted(SCHEMAS)]
+BINARY = {pred for pred, schema in SCHEMAS.items() if len(schema.arg_types) == 2 and pred != NEQ}
+
+
+def _library_doc(pred: str) -> dict:
+    return {
+        "repaired": True,
+        "operators": [
+            {
+                "activity": "Reach",
+                "config_index": 1,
+                "params": [["?Hand1", HAND], ["?Wooden_cube1", CUBE]],
+                "preconditions": [],
+                "effects": [],
+                "cost": 1,
+                "revokes": [{"pred": pred, "hand": "?Hand1", "keep": "?Wooden_cube1"}],
+            }
+        ],
+    }
+
+
+_REVOKING_DOMAIN = """(define (domain d)
+  (:requirements :strips :typing :conditional-effects)
+  (:action Reach
+    :parameters (?Hand1 - Hand ?Wooden_cube1 - Wooden_cube)
+    :precondition (and)
+    :effect (and
+      (forall (?x - Wooden_cube) (when (not (= ?x ?Wooden_cube1)) (not ({pred} ?Hand1 ?x))))
+      (increase (total-cost) 1))))
+"""
+
+
+@pytest.mark.parametrize("pred, single_valued", SINGLE_VALUED_CASES)
+def test_revocations_follow_the_single_valued_declaration(pred, single_valued):
+    """Code, library.json and PDDL accept a revocation exactly for the
+    single-valued predicates."""
+    pddl_text = _REVOKING_DOMAIN.format(pred=pred)
+    if single_valued:
+        rev = Revocation(pred, "?Hand1", "?Wooden_cube1")
+        assert OperatorLibrary.from_json(_library_doc(pred)).operators[0].revokes == (rev,)
+        assert pddl.parse(pddl_text).operators[0].revokes == (rev,)
+    else:
+        with pytest.raises(ModelError, match="single-valued"):
+            Revocation(pred, "?Hand1", "?Wooden_cube1")
+        with pytest.raises(ModelError, match="single-valued"):
+            OperatorLibrary.from_json(_library_doc(pred))
+        with pytest.raises(pddl.PddlSyntaxError) as info:
+            pddl.parse(pddl_text)
+        assert info.value.line == 7
+        if pred in BINARY:  # the others already fail as literals
+            assert "single-valued" in str(info.value)
+            assert info.value.col == pddl_text.splitlines()[6].rindex("(not (") + 1
+
+
+@pytest.mark.parametrize("pred, single_valued", [c for c in SINGLE_VALUED_CASES if c[0] in BINARY])
+def test_acquiring_a_single_valued_atom_displaces_the_previous_one(pred, single_valued):
+    """Repair revokes, and mutex validation displaces, the hand's other
+    atom of the predicate exactly when the predicate is single-valued."""
+    op = LearnedOperator(
+        activity=ActivityLabel.REACH,
+        config_index=1,
+        params=(("?Hand1", HAND), ("?Wooden_cube1", CUBE)),
+        preconditions=frozenset({lit(pred, "?Hand1", "?Wooden_cube1", positive=False)}),
+        effects=frozenset({lit(pred, "?Hand1", "?Wooden_cube1")}),
+        count=1,
+        cost=1,
+    )
+    repaired = repair_exclusivity(OperatorLibrary([op])).operators[0]
+    assert bool(repaired.revokes) == single_valued
+
+    registry = execution_registry()
+    hand, (old, new) = "Robot_gripper", registry.cubes[:2]
+    step = GroundAction(
+        "Reach", ActivityLabel.REACH, (hand, new),
+        pre_pos=frozenset(), pre_neg=frozenset({(pred, (hand, new))}),
+        add=frozenset({(pred, (hand, new))}), delete=frozenset(), cost=1,
+    )
+    plan = planner.Plan((step,), 1, 1)
+    kept = (lit(pred, hand, old), lit(pred, hand, new))
+    problem = PlanningProblem(registry, frozenset({(pred, (hand, old))}), kept)
+    assert planner.validate(problem, plan, mutex=False).valid
+    assert planner.validate(problem, plan, mutex=True).valid != single_valued

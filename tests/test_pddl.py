@@ -8,6 +8,7 @@ from demoplan.model import (
     OperatorLibrary,
     PlanningProblem,
 )
+from demoplan.ontology import CUBE, EnvironmentRegistry, ObjectInstance, ObjectType, TypeHierarchy
 from demoplan.oplearn import repair_exclusivity
 from demoplan.pddl import (
     PddlError,
@@ -393,3 +394,29 @@ def test_problem_error_messages():
             "(define (problem p) (:domain d) (:objects h)"
             " (:init) (:goal (and (handOpen h))))"
         )
+
+    with pytest.raises(PddlSyntaxError, match="exactly one Table"):
+        parse(
+            "(define (problem p) (:domain d) (:objects h - Hand)"
+            " (:init) (:goal (and (handOpen h))))"
+        )
+
+
+def test_undeclared_object_type_is_a_syntax_error():
+    """The domain header declares only the built-in types, so a problem
+    over a registry subtype does not parse; the error names the object."""
+    registry = EnvironmentRegistry(
+        "execution",
+        [
+            ObjectInstance("Robot_gripper", "Hand"),
+            ObjectInstance("a", "Small_cube"),
+            ObjectInstance("high_table", "Table"),
+        ],
+        TypeHierarchy([ObjectType("Small_cube", CUBE)]),
+    )
+    goal = (Literal("onTop", ("a", "high_table")),)
+    text = emit_problem(PlanningProblem(registry, tabletop_init(registry), goal)).text
+    line = text.splitlines().index("    a - Small_cube") + 1
+    with pytest.raises(PddlSyntaxError, match="object 'a' has undeclared type 'Small_cube'") as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (line, 5)

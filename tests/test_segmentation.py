@@ -10,7 +10,6 @@ from demoplan.segmentation import (
     ActivitySegment,
     classify,
     debounce_labels,
-    labels_per_state,
     read_segments,
     segment,
     segments_from_json,
@@ -134,16 +133,6 @@ def test_segment_splits_per_hand():
 def test_debounce_window_validation():
     with pytest.raises(ValueError):
         debounce_labels([I], 0)
-
-
-def test_labels_per_state_inverts_segments():
-    segments = [
-        ActivitySegment("h", I, 0, 1),
-        ActivitySegment("h", R, 2, 4),
-    ]
-    assert labels_per_state(segments, 5) == {"h": [I, I, R, R, R]}
-    with pytest.raises(ValueError, match="do not cover"):
-        labels_per_state(segments, 6)
 
 
 def test_segment_bounds_validated():
