@@ -81,9 +81,13 @@ def _problem(registry, goal: tuple[Literal, ...]) -> PlanningProblem:
     return PlanningProblem(registry, planner.tabletop_init(registry), goal)
 
 
-def _write_json(path: Path, doc) -> None:
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(text)
+
+
+def _write_json(path: Path, doc) -> None:
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _segments_for(trace, config, debounce):
@@ -107,9 +111,8 @@ def _learn(library, trace_paths, registry, config, args, segment_dir=None) -> Op
 
 
 def _export_pddl(library, problem, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "domain.pddl").write_text(pddl.emit_domain(library).text)
-    (directory / "problem.pddl").write_text(pddl.emit_problem(problem).text)
+    _write_text(directory / "domain.pddl", pddl.emit_domain(library).text)
+    _write_text(directory / "problem.pddl", pddl.emit_problem(problem).text)
 
 
 def _solve(library, problem, args) -> planner.Plan | None:
@@ -181,12 +184,12 @@ def cmd_learn(args) -> int:
 def cmd_emit(args) -> int:
     library = _load_library(args.library)
     domain = pddl.emit_domain(library, args.name)
-    Path(args.out).write_text(domain.text)
+    _write_text(Path(args.out), domain.text)
     print(args.out)
     if args.goal:
         problem = _problem(_registry(args.registry), _load_goal(args.goal))
         doc = pddl.emit_problem(problem, name=args.problem_name, domain=args.name)
-        Path(args.problem_out).write_text(doc.text)
+        _write_text(Path(args.problem_out), doc.text)
         print(args.problem_out)
     return 0
 

@@ -69,9 +69,6 @@ class Literal:
     def atom(self) -> "Atom":
         return (self.pred, self.args)
 
-    def negated(self) -> "Literal":
-        return replace(self, positive=not self.positive)
-
     def substitute(self, binding: dict[str, str]) -> "Literal":
         return replace(self, args=tuple(binding.get(a, a) for a in self.args))
 
@@ -264,25 +261,58 @@ class OperatorLibrary:
         }
 
     @staticmethod
-    def from_json(doc: dict) -> "OperatorLibrary":
-        ops = []
-        for item in doc.get("operators", []):
-            ops.append(
-                LearnedOperator(
-                    activity=ActivityLabel(item["activity"]),
-                    config_index=item["config_index"],
-                    params=tuple((n, t) for n, t in item["params"]),
-                    preconditions=frozenset(map(literal_from_json, item["preconditions"])),
-                    effects=frozenset(map(literal_from_json, item["effects"])),
-                    count=item.get("count"),
-                    cost=item.get("cost"),
-                    revokes=tuple(
-                        Revocation(r["pred"], r["hand"], r["keep"])
-                        for r in item.get("revokes", [])
-                    ),
-                )
-            )
-        return OperatorLibrary(ops, repaired=bool(doc.get("repaired", False)))
+    def from_json(doc) -> "OperatorLibrary":
+        """The library of a ``library.json`` document; a field of the wrong
+        JSON type raises ModelError."""
+        operators = doc.get("operators", []) if isinstance(doc, dict) else None
+        if not isinstance(operators, list):
+            raise ModelError("a library must be a JSON object with a list of operators")
+        repaired = doc.get("repaired", False)
+        if not isinstance(repaired, bool):
+            raise ModelError(f"repaired must be true or false, got {repaired!r}")
+        return OperatorLibrary([_operator_from_json(item) for item in operators], repaired)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON boolean is not
+
+
+def _operator_from_json(item) -> LearnedOperator:
+    if not isinstance(item, dict):
+        raise ModelError(f"an operator must be a JSON object, got {item!r}")
+    get = item.get
+    if not _is_int(get("config_index")):
+        raise ModelError(f"config_index must be an integer, got {get('config_index')!r}")
+    for key in ("count", "cost"):
+        if get(key) is not None and not _is_int(get(key)):
+            raise ModelError(f"{key} must be an integer or null, got {get(key)!r}")
+    params, revokes = get("params"), get("revokes", [])
+    if not isinstance(params, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p) for p in params
+    ):
+        raise ModelError(f"params must be a list of [name, type] string pairs, got {params!r}")
+    if not isinstance(revokes, list) or not all(
+        isinstance(r, dict) and all(isinstance(r.get(k), str) for k in ("pred", "hand", "keep"))
+        for r in revokes
+    ):
+        raise ModelError(f"revokes must be a list of pred/hand/keep strings, got {revokes!r}")
+    for key in ("preconditions", "effects"):
+        if not isinstance(get(key), list):
+            raise ModelError(f"{key} must be a list of literals, got {get(key)!r}")
+    try:
+        activity = ActivityLabel(get("activity"))
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None
+    return LearnedOperator(
+        activity=activity,
+        config_index=get("config_index"),
+        params=tuple(map(tuple, params)),
+        preconditions=frozenset(map(literal_from_json, get("preconditions"))),
+        effects=frozenset(map(literal_from_json, get("effects"))),
+        count=get("count"),
+        cost=get("cost"),
+        revokes=tuple(Revocation(r["pred"], r["hand"], r["keep"]) for r in revokes),
+    )
 
 
 def literal_to_json(lit: Literal) -> dict:

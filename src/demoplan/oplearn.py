@@ -94,8 +94,13 @@ def extract(
     trace: DemoTrace | None = None,
 ) -> list[OperatorDraft]:
     """Build one draft per non-initial segment and attribute environment
-    changes. A trace, when given, resolves ambiguous attribution by hand
-    proximity; without one ambiguity raises AttributionError."""
+    changes.
+
+    The candidates for a change are the hands holding or acting on an
+    involved cube or, when there are none, the hands that are not idle.
+    A single candidate gets the change; among several, a trace, when
+    given, picks the nearest hand. Anything else raises AttributionError.
+    """
     if not states:
         return []
     n = len(states)
@@ -149,37 +154,28 @@ def extract(
                 if states[k].hands[h].inHand in involved
                 or states[k].hands[h].actedOn in involved
             ]
-            hand: str | None = None
-            if len(qualifying) == 1:
-                hand = qualifying[0]
+            candidates = qualifying or [
+                h
+                for h in hands
+                if by_hand[h][seg_of_state[h][k]].label is not ActivityLabel.IDLE
+            ]
+            if len(candidates) == 1:
+                hand = candidates[0]
+            elif candidates and trace is not None and involved:
+                frame = trace.frames[k + 1]
+                anchor = np.asarray(frame.objects[involved[0]])
+                hand = min(
+                    candidates,
+                    key=lambda h: (
+                        float(np.linalg.norm(np.asarray(frame.hands[h].pos) - anchor)),
+                        h,
+                    ),
+                )
             else:
-                candidates = qualifying
-                if not qualifying:
-                    non_idle = [
-                        h
-                        for h in hands
-                        if by_hand[h][seg_of_state[h][k]].label is not ActivityLabel.IDLE
-                    ]
-                    if len(non_idle) == 1:
-                        hand = non_idle[0]
-                    else:
-                        candidates = non_idle or hands
-                if hand is None:
-                    if trace is not None and involved:
-                        frame = trace.frames[k + 1]
-                        anchor = np.asarray(frame.objects[involved[0]])
-                        hand = min(
-                            candidates,
-                            key=lambda h: (
-                                float(np.linalg.norm(np.asarray(frame.hands[h].pos) - anchor)),
-                                h,
-                            ),
-                        )
-                    else:
-                        raise AttributionError(
-                            k + 1,
-                            f"cannot attribute {atom[0]}{atom[1]} change to one hand",
-                        )
+                raise AttributionError(
+                    k + 1,
+                    f"cannot attribute {atom[0]}{atom[1]} change to one hand",
+                )
             draft = draft_at[hand][seg_of_state[hand][k]]
             if draft is None:
                 raise AttributionError(

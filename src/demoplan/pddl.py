@@ -9,7 +9,9 @@ byte-identical.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .model import (
     NEQ,
@@ -20,13 +22,13 @@ from .model import (
     OperatorLibrary,
     PlanningProblem,
     Revocation,
-    WorldState,
 )
 from .ontology import (
     BUILTIN_TYPES,
     CUBE,
     EnvironmentRegistry,
     ObjectInstance,
+    OntologyError,
 )
 from .segmentation import ActivityLabel
 
@@ -91,391 +93,328 @@ def emit_domain(library: OperatorLibrary, name: str = "stacking") -> PddlDocumen
     return PddlDocument("domain", "\n".join(out) + "\n")
 
 
+def _block(head: str, items: list[str], indent: str, close: str) -> list[str]:
+    """``head`` and then one item per line at ``indent``; ``close`` ends
+    the last item, or the head itself when there are no items."""
+    if not items:
+        return [head + close]
+    return [head, *(indent + s for s in items[:-1]), indent + items[-1] + close]
+
+
 def _emit_action(op: LearnedOperator) -> str:
     if op.cost is None:
         raise PddlError(f"operator {op.name} has no cost assigned")
     params = " ".join(f"{name} - {type_name}" for name, type_name in op.params)
-    lines = [f"  (:action {op.name}", f"    :parameters ({params})"]
-
     pre = [_literal_str(l) for l in sorted(op.preconditions)]
-    if pre:
-        lines.append("    :precondition (and")
-        lines.extend(f"      {s}" for s in pre[:-1])
-        lines.append(f"      {pre[-1]})")
-    else:
-        lines.append("    :precondition (and)")
-
     eff = [_literal_str(l) for l in sorted(op.effects)]
     eff.extend(_revocation_str(r) for r in sorted(op.revokes, key=lambda r: (r.pred, r.keep)))
     eff.append(f"(increase (total-cost) {op.cost})")
-    lines.append("    :effect (and")
-    lines.extend(f"      {s}" for s in eff[:-1])
-    lines.append(f"      {eff[-1]}))")
-    return "\n".join(lines)
+    return "\n".join(
+        [
+            f"  (:action {op.name}",
+            f"    :parameters ({params})",
+            *_block("    :precondition (and", pre, "      ", ")"),
+            *_block("    :effect (and", eff, "      ", "))"),
+        ]
+    )
 
 
 def emit_problem(
-    problem: PlanningProblem,
-    goal_literals: tuple[Literal, ...] | None = None,
-    name: str = "stacking-task",
-    domain: str = "stacking",
+    problem: PlanningProblem, name: str = "stacking-task", domain: str = "stacking"
 ) -> PddlDocument:
-    goals = goal_literals if goal_literals is not None else problem.goal
-    if not goals:
+    if not problem.goal:
         raise PddlError("a problem needs at least one goal literal")
     registry = problem.registry
-    out = [f"(define (problem {name})", f"  (:domain {domain})"]
-
-    out.append("  (:objects")
-    objects = sorted(
-        ((registry.type_of(inst.name), inst.name) for inst in registry.instances)
-    )
-    for i, (type_name, obj) in enumerate(objects):
-        close = ")" if i == len(objects) - 1 else ""
-        out.append(f"    {obj} - {type_name}{close}")
-
-    out.append("  (:init")
-    out.append("    (= (total-cost) 0)")
-    atoms = sorted(Literal(pred, args) for pred, args in problem.init)
-    for i, lit in enumerate(atoms):
-        close = ")" if i == len(atoms) - 1 else ""
-        out.append(f"    {_literal_str(lit)}{close}")
-    if not atoms:
-        out[-1] += ")"
-
-    out.append("  (:goal (and")
-    goal_strs = [_literal_str(l) for l in sorted(goals)]
-    out.extend(f"    {s}" for s in goal_strs[:-1])
-    out.append(f"    {goal_strs[-1]}))")
-    out.append("  (:metric minimize (total-cost)))")
+    typed = sorted((registry.type_of(inst.name), inst.name) for inst in registry.instances)
+    objects = [f"{obj} - {type_name}" for type_name, obj in typed]
+    init = [_literal_str(Literal(pred, args)) for pred, args in sorted(problem.init)]
+    goal = [_literal_str(l) for l in sorted(problem.goal)]
+    out = [
+        f"(define (problem {name})",
+        f"  (:domain {domain})",
+        *_block("  (:objects", objects, "    ", ")"),
+        *_block("  (:init", ["(= (total-cost) 0)", *init], "    ", ")"),
+        *_block("  (:goal (and", goal, "    ", "))"),
+        "  (:metric minimize (total-cost)))",
+    ]
     return PddlDocument("problem", "\n".join(out) + "\n")
 
 
 # --- parsing ---------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
+# A line break, a comment, a parenthesis or a word; other whitespace
+# separates tokens and matches nothing.
+_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
+class _Word(str):
+    """A word of the text with the 1-based line and column it starts at."""
+
+    def __new__(cls, text: str, line: int, col: int) -> "_Word":
+        word = super().__new__(cls, text)
+        word.line, word.col = line, col
+        return word
+
+
+class _List(list):
+    """A parenthesised list with the 1-based line and column of its '('."""
+
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int, col: int) -> None:
+        super().__init__()
+        self.line, self.col = line, col
+
+
+def _error(node: _Word | _List, message: str) -> NoReturn:
+    raise PddlSyntaxError(message, node.line, node.col)
+
+
+def _make(node: _Word | _List, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a model, registry or number error
+    raised as a syntax error at ``node``."""
+    try:
+        return make(*args, **kwargs)
+    except (ModelError, OntologyError, ValueError) as exc:
+        _error(node, str(exc))
+
+
+def _read(text: str) -> _Word | _List:
+    """The one expression that makes up ``text``."""
+    root = _List(1, 1)
+    stack = [root]
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        tok = match.group()
+        if tok == "\n":
+            line, line_start = line + 1, match.end()
+            continue
+        if tok[0] == ";":
+            continue
+        word = _Word(tok, line, match.start() - line_start + 1)
+        if root and len(stack) == 1:
+            _error(word, "trailing text after document")
+        if tok == "(":
+            node = _List(word.line, word.col)
+            stack[-1].append(node)
+            stack.append(node)
+        elif tok == ")":
+            if len(stack) == 1:
+                _error(word, "unexpected ')'")
+            stack.pop()
         else:
-            start = i
-            start_col = col
-            while i < len(text) and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
+            stack[-1].append(word)
+    if len(stack) > 1:
+        _error(stack[-1], "unclosed '('")
+    if not root:
+        _error(root, "unexpected end of input")
+    return root[0]
 
 
-def _read_sexpr(tokens: list[_Token], pos: int):
-    if pos >= len(tokens):
-        last = tokens[-1] if tokens else _Token("", 1, 1)
-        raise PddlSyntaxError("unexpected end of input", last.line, last.col)
-    tok = tokens[pos]
-    if tok.text == ")":
-        raise PddlSyntaxError("unexpected ')'", tok.line, tok.col)
-    if tok.text != "(":
-        return tok, pos + 1
-    items = []
-    pos += 1
-    while True:
-        if pos >= len(tokens):
-            raise PddlSyntaxError("unclosed '('", tok.line, tok.col)
-        if tokens[pos].text == ")":
-            return (tok, items), pos + 1
-        item, pos = _read_sexpr(tokens, pos)
-        items.append(item)
+def _head(node: _Word | _List) -> str:
+    """The lower-cased keyword a list starts with."""
+    if not isinstance(node, _List) or not node or not isinstance(node[0], _Word):
+        _error(node, "expected a keyword list")
+    return node[0].lower()
 
 
-def _is_list(expr) -> bool:
-    return isinstance(expr, tuple) and isinstance(expr[1], list)
+def _words(items: list) -> list[_Word]:
+    for item in items:
+        if isinstance(item, _List):
+            _error(item, "expected a flat list")
+    return items
 
 
-def _head(expr) -> str:
-    if not _is_list(expr) or not expr[1] or _is_list(expr[1][0]):
-        tok = expr[0] if isinstance(expr, tuple) else expr
-        raise PddlSyntaxError("expected a keyword list", tok.line, tok.col)
-    return expr[1][0].text.lower()
-
-
-def _atoms(expr) -> list[_Token]:
-    out = []
-    for item in expr[1]:
-        if _is_list(item):
-            raise PddlSyntaxError("expected a flat list", item[0].line, item[0].col)
-        out.append(item)
-    return out
-
-
-def _typed_pairs(tokens: list[_Token]) -> list[tuple[_Token, str]]:
-    """A PDDL typed list ``a b - T c - U`` as (name token, type) pairs."""
-    pairs: list[tuple[_Token, str]] = []
-    pending: list[_Token] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.text == "-":
-            if not pending or i + 1 >= len(tokens):
-                raise PddlSyntaxError("dangling '-' in typed list", tok.line, tok.col)
-            type_name = tokens[i + 1].text
-            pairs.extend((p, type_name) for p in pending)
-            pending = []
-            i += 2
-        else:
-            pending.append(tok)
-            i += 1
+def _typed_pairs(items: list) -> list[tuple[_Word, str]]:
+    """A PDDL typed list ``a b - T c - U`` as (name, type) pairs."""
+    pairs: list[tuple[_Word, str]] = []
+    pending: list[_Word] = []
+    words = iter(_words(items))
+    for word in words:
+        if word != "-":
+            pending.append(word)
+            continue
+        type_name = next(words, None)
+        if not pending or type_name is None:
+            _error(word, "dangling '-' in typed list")
+        pairs.extend((p, str(type_name)) for p in pending)
+        pending = []
     if pending:
-        tok = pending[0]
-        raise PddlSyntaxError(f"object {tok.text!r} has no type", tok.line, tok.col)
+        _error(pending[0], f"object {pending[0]!r} has no type")
     return pairs
 
 
 _CANONICAL_PRED = {name.lower(): name for name in SCHEMAS if name != NEQ}
 
 
-def _parse_literal(expr) -> Literal:
-    if not _is_list(expr):
-        raise PddlSyntaxError("expected a literal", expr.line, expr.col)
-    head = _head(expr)
+def _literal(node: _Word | _List) -> Literal:
+    if not isinstance(node, _List):
+        _error(node, "expected a literal")
+    head = _head(node)
     positive = True
     if head == "not":
-        if len(expr[1]) != 2 or not _is_list(expr[1][1]):
-            raise PddlSyntaxError("malformed (not ...)", expr[0].line, expr[0].col)
+        if len(node) != 2 or not isinstance(node[1], _List):
+            _error(node, "malformed (not ...)")
         positive = False
-        expr = expr[1][1]
-        head = _head(expr)
-    args = [t.text for t in _atoms(expr)[1:]]
+        node = node[1]
+        head = _head(node)
+    args = tuple(map(str, _words(node[1:])))
     if head == "=":
         if positive:
-            raise PddlSyntaxError(
-                "bare equality is not supported", expr[0].line, expr[0].col
-            )
-        return Literal(NEQ, tuple(args))
+            _error(node, "bare equality is not supported")
+        return _make(node, Literal, NEQ, args)
     pred = _CANONICAL_PRED.get(head)
     if pred is None:
-        raise PddlSyntaxError(f"unknown predicate {head!r}", expr[0].line, expr[0].col)
-    try:
-        return Literal(pred, tuple(args), positive)
-    except Exception as exc:
-        raise PddlSyntaxError(str(exc), expr[0].line, expr[0].col) from exc
+        _error(node, f"unknown predicate {head!r}")
+    return _make(node, Literal, pred, args, positive)
 
 
-def _parse_conjunction(expr) -> list:
-    if _is_list(expr) and expr[1] and not _is_list(expr[1][0]) and _head(expr) == "and":
-        return expr[1][1:]
-    return [expr]
+def _conjuncts(node: _Word | _List) -> list:
+    """The items of an ``(and ...)``; any other node is a conjunction of one."""
+    if isinstance(node, _List) and node and isinstance(node[0], _Word):
+        if node[0].lower() == "and":
+            return node[1:]
+    return [node]
 
 
 _LABELS = sorted(ActivityLabel, key=lambda l: -len(l.value))
 
 
-def _action_identity(name: str, line: int, col: int) -> tuple[ActivityLabel, int]:
+def _action_identity(name: _Word) -> tuple[ActivityLabel, int]:
     for label in _LABELS:
         if name.lower().startswith(label.value.lower()):
             rest = name[len(label.value):]
             if rest == "":
                 return label, 1
-            if rest.isdigit():
-                return label, int(rest)
-    raise PddlSyntaxError(f"action name {name!r} matches no activity", line, col)
+            if rest.isdecimal():
+                return label, _make(name, int, rest)
+    _error(name, f"action name {name!r} matches no activity")
 
 
-def _parse_revocation(expr) -> Revocation:
-    bad = PddlSyntaxError(
-        "unsupported quantified effect", expr[0].line, expr[0].col
-    )
-    items = expr[1]
-    if len(items) != 3 or not _is_list(items[1]) or not _is_list(items[2]):
-        raise bad
-    var_pairs = _typed_pairs(_atoms(items[1]))
-    when = items[2]
-    if len(var_pairs) != 1 or var_pairs[0][1] != CUBE or _head(when) != "when":
-        raise bad
-    var = var_pairs[0][0].text
-    if len(when[1]) != 3:
-        raise bad
-    guard = _parse_literal(when[1][1])
-    body = _parse_literal(when[1][2])
+def _revocation(node: _List) -> Revocation:
+    bad = "unsupported quantified effect"
+    if len(node) != 3 or not isinstance(node[1], _List) or not isinstance(node[2], _List):
+        _error(node, bad)
+    var_pairs = _typed_pairs(node[1])
+    when = node[2]
+    if len(var_pairs) != 1 or var_pairs[0][1] != CUBE or _head(when) != "when" or len(when) != 3:
+        _error(node, bad)
+    var = var_pairs[0][0]
+    guard, body = _literal(when[1]), _literal(when[2])
     if guard.pred != NEQ or guard.args[0] != var or body.positive or body.args[-1] != var:
-        raise bad
-    try:
-        return Revocation(body.pred, body.args[0], guard.args[1])
-    except ModelError as exc:
-        tok = when[1][2][0]
-        raise PddlSyntaxError(str(exc), tok.line, tok.col) from exc
+        _error(node, bad)
+    return _make(when[2], Revocation, body.pred, body.args[0], guard.args[1])
 
 
-def _parse_action(expr) -> LearnedOperator:
-    items = expr[1]
-    name_tok = items[1]
-    if _is_list(name_tok):
-        raise PddlSyntaxError("action name expected", expr[0].line, expr[0].col)
-    activity, config_index = _action_identity(
-        name_tok.text, name_tok.line, name_tok.col
-    )
-    sections: dict[str, object] = {}
-    i = 2
-    while i < len(items):
-        key = items[i]
-        if _is_list(key) or not key.text.startswith(":") or i + 1 >= len(items):
-            tok = key[0] if _is_list(key) else key
-            raise PddlSyntaxError("malformed action body", tok.line, tok.col)
-        sections[key.text.lower()] = items[i + 1]
-        i += 2
+def _action(node: _List) -> LearnedOperator:
+    if len(node) < 2 or not isinstance(node[1], _Word):
+        _error(node, "action name expected")
+    activity, config_index = _action_identity(node[1])
+    sections: dict[str, _Word | _List] = {}
+    for i in range(2, len(node), 2):
+        key = node[i]
+        if not isinstance(key, _Word) or not key.startswith(":") or i + 1 >= len(node):
+            _error(key, "malformed action body")
+        sections[key.lower()] = node[i + 1]
 
-    params_expr = sections.get(":parameters")
-    if params_expr is None or not _is_list(params_expr):
-        raise PddlSyntaxError("action needs :parameters", expr[0].line, expr[0].col)
-    params = tuple((tok.text, type_name) for tok, type_name in _typed_pairs(_atoms(params_expr)))
+    params_node = sections.get(":parameters")
+    if not isinstance(params_node, _List):
+        _error(node, "action needs :parameters")
+    params = tuple((str(name), type_name) for name, type_name in _typed_pairs(params_node))
 
     preconditions = []
     if ":precondition" in sections:
-        for lit_expr in _parse_conjunction(sections[":precondition"]):
-            preconditions.append(_parse_literal(lit_expr))
+        preconditions = [_literal(n) for n in _conjuncts(sections[":precondition"])]
 
     effects: list[Literal] = []
     revokes: list[Revocation] = []
     cost = None
-    if ":effect" in sections:
-        for eff_expr in _parse_conjunction(sections[":effect"]):
-            head = _head(eff_expr) if _is_list(eff_expr) else ""
-            if head == "increase":
-                cost_tok = eff_expr[1][2]
-                if _is_list(cost_tok) or not cost_tok.text.isdigit():
-                    tok = eff_expr[0]
-                    raise PddlSyntaxError("malformed cost increase", tok.line, tok.col)
-                cost = int(cost_tok.text)
-            elif head == "forall":
-                revokes.append(_parse_revocation(eff_expr))
-            else:
-                effects.append(_parse_literal(eff_expr))
+    for eff in _conjuncts(sections[":effect"]) if ":effect" in sections else ():
+        head = _head(eff) if isinstance(eff, _List) else ""
+        if head == "increase":
+            if len(eff) < 3 or not isinstance(eff[2], _Word) or not eff[2].isdecimal():
+                _error(eff, "malformed cost increase")
+            cost = _make(eff, int, eff[2])
+        elif head == "forall":
+            revokes.append(_revocation(eff))
+        else:
+            effects.append(_literal(eff))
 
-    try:
-        return LearnedOperator(
-            activity=activity,
-            config_index=config_index,
-            params=params,
-            preconditions=frozenset(preconditions),
-            effects=frozenset(effects),
-            cost=cost,
-            revokes=tuple(revokes),
-        )
-    except Exception as exc:
-        raise PddlSyntaxError(str(exc), expr[0].line, expr[0].col) from exc
+    return _make(
+        node,
+        LearnedOperator,
+        activity=activity,
+        config_index=config_index,
+        params=params,
+        preconditions=frozenset(preconditions),
+        effects=frozenset(effects),
+        cost=cost,
+        revokes=tuple(revokes),
+    )
 
 
 SUPPORTED_REQUIREMENTS = set(BASE_REQUIREMENTS) | set(REPAIR_REQUIREMENTS)
 
 
 def parse(doc: PddlDocument | str):
-    """Parse emitted PDDL text back into a library or a problem."""
-    text = doc.text if isinstance(doc, PddlDocument) else doc
-    tokens = _tokenize(text)
-    expr, pos = _read_sexpr(tokens, 0)
-    if pos < len(tokens):
-        tok = tokens[pos]
-        raise PddlSyntaxError("trailing text after document", tok.line, tok.col)
-    if not _is_list(expr) or _head(expr) != "define":
-        tok = expr[0] if _is_list(expr) else expr
-        raise PddlSyntaxError("expected (define ...)", tok.line, tok.col)
-    kind_expr = expr[1][1]
-    kind = _head(kind_expr)
+    """Parse emitted PDDL text back into a library or a problem.
+
+    Malformed text raises PddlSyntaxError, and nothing else.
+    """
+    root = _read(doc.text if isinstance(doc, PddlDocument) else doc)
+    if not isinstance(root, _List) or _head(root) != "define":
+        _error(root, "expected (define ...)")
+    if len(root) < 2:
+        _error(root, "expected (define (domain ...) ...) or (define (problem ...) ...)")
+    kind = _head(root[1])
     if kind == "domain":
-        return _parse_domain(expr)
+        return _parse_domain(root)
     if kind == "problem":
-        return _parse_problem(expr)
-    raise PddlSyntaxError(
-        f"unknown document kind {kind!r}", kind_expr[0].line, kind_expr[0].col
-    )
+        return _parse_problem(root)
+    _error(root[1], f"unknown document kind {kind!r}")
 
 
-def _parse_domain(expr) -> OperatorLibrary:
+def _parse_domain(root: _List) -> OperatorLibrary:
     operators = []
     repaired = False
-    for section in expr[1][2:]:
+    for section in root[2:]:
         head = _head(section)
         if head == ":requirements":
-            for req in _atoms(section)[1:]:
-                if req.text.lower() not in SUPPORTED_REQUIREMENTS:
-                    raise PddlSyntaxError(
-                        f"unsupported requirement {req.text}", req.line, req.col
-                    )
-                if req.text.lower() == ":conditional-effects":
-                    repaired = True
+            for req in _words(section[1:]):
+                if req.lower() not in SUPPORTED_REQUIREMENTS:
+                    _error(req, f"unsupported requirement {req}")
+                repaired = repaired or req.lower() == ":conditional-effects"
         elif head == ":action":
-            operators.append(_parse_action(section))
-        elif head in (":types", ":predicates", ":functions", ":constants"):
-            continue
-        else:
-            tok = section[0]
-            raise PddlSyntaxError(f"unsupported section {head!r}", tok.line, tok.col)
+            operators.append(_action(section))
+        elif head not in (":types", ":predicates", ":functions", ":constants"):
+            _error(section, f"unsupported section {head!r}")
     return OperatorLibrary(operators, repaired=repaired)
 
 
-def _parse_problem(expr) -> PlanningProblem:
+def _parse_problem(root: _List) -> PlanningProblem:
     objects: list[ObjectInstance] = []
     init: set = set()
     goal: list[Literal] = []
-    for section in expr[1][2:]:
+    for section in root[2:]:
         head = _head(section)
         if head == ":objects":
-            for tok, type_name in _typed_pairs(_atoms(section)[1:]):
+            for name, type_name in _typed_pairs(section[1:]):
                 if type_name not in BUILTIN_TYPES:
-                    raise PddlSyntaxError(
-                        f"object {tok.text!r} has undeclared type {type_name!r}",
-                        tok.line,
-                        tok.col,
-                    )
-                objects.append(ObjectInstance(tok.text, type_name))
+                    _error(name, f"object {name!r} has undeclared type {type_name!r}")
+                objects.append(ObjectInstance(str(name), type_name))
         elif head == ":init":
-            for item in section[1][1:]:
-                if _is_list(item) and _head(item) == "=":
+            for item in section[1:]:
+                if isinstance(item, _List) and _head(item) == "=":
                     continue
-                lit = _parse_literal(item)
+                lit = _literal(item)
                 if not lit.positive:
-                    raise PddlSyntaxError(
-                        "negative init atoms are not supported",
-                        item[0].line,
-                        item[0].col,
-                    )
+                    _error(item, "negative init atoms are not supported")
                 init.add(lit.atom)
         elif head == ":goal":
-            if len(section[1]) != 2:
-                tok = section[0]
-                raise PddlSyntaxError("malformed :goal", tok.line, tok.col)
-            goal = [_parse_literal(e) for e in _parse_conjunction(section[1][1])]
-        elif head in (":domain", ":metric"):
-            continue
-        else:
-            tok = section[0]
-            raise PddlSyntaxError(f"unsupported section {head!r}", tok.line, tok.col)
-    try:
-        registry = EnvironmentRegistry("execution", objects)
-        return PlanningProblem(registry, frozenset(init), tuple(goal))
-    except Exception as exc:
-        tok = expr[0]
-        raise PddlSyntaxError(str(exc), tok.line, tok.col) from exc
+            if len(section) != 2:
+                _error(section, "malformed :goal")
+            goal = [_literal(n) for n in _conjuncts(section[1])]
+        elif head not in (":domain", ":metric"):
+            _error(section, f"unsupported section {head!r}")
+    registry = _make(root, EnvironmentRegistry, "execution", objects)
+    return _make(root, PlanningProblem, registry, frozenset(init), tuple(goal))

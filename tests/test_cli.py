@@ -163,6 +163,33 @@ def test_emit_is_deterministic(tmp_path, library_file, goal_file):
     assert first.startswith(b"(define (domain stacking)")
 
 
+def test_emit_creates_output_directories(tmp_path, library_file, goal_file):
+    domain, problem = tmp_path / "new" / "dir" / "domain.pddl", tmp_path / "p" / "problem.pddl"
+    args = ["emit", "--library", str(library_file), "--out", str(domain),
+            "--goal", str(goal_file), "--problem-out", str(problem)]
+    assert main(args) == 0
+    assert domain.read_text().startswith("(define (domain stacking)")
+    assert problem.read_text().startswith("(define (problem stacking-task)")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("config_index", "1"), ("config_index", True), ("cost", "5"), ("count", "2")],
+)
+def test_mistyped_library_field_is_bad_input(
+    tmp_path, library_file, goal_file, field, value, capsys
+):
+    doc = json.loads(library_file.read_text())
+    doc["operators"][0][field] = value
+    library = tmp_path / "library.json"
+    library.write_text(json.dumps(doc))
+    out = tmp_path / "plan.json"
+    code = main(["plan", "--library", str(library), "--goal", str(goal_file), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be an integer")
+    assert not out.exists()
+
+
 def test_plan_writes_plan_and_pddl(tmp_path, library_file, goal_file):
     out = tmp_path / "plan.json"
     export = tmp_path / "pddl"
@@ -345,7 +372,7 @@ def test_unattributable_change_is_bad_input(tmp_path, capsys):
     write_trace(DemoTrace(frames, registry, 10.0), path)
     code = main(["learn", str(path), "--library", str(tmp_path / "library.json")])
     assert code == 2
-    assert "changed during the opening segment" in capsys.readouterr().err
+    assert "frame 10: cannot attribute" in capsys.readouterr().err
     assert not (tmp_path / "library.json").exists()
 
 

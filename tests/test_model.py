@@ -256,6 +256,65 @@ def test_literal_from_json_raises_only_model_errors(doc):
     assert literal.positive is doc.get("positive", True)
 
 
+def _operator_doc(**overrides) -> dict:
+    doc = OperatorLibrary([reach_operator(count=2, cost=5)]).to_json()["operators"][0]
+    return {**doc, **overrides}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"config_index": "1"}, "config_index must be an integer"),
+        ({"config_index": True}, "config_index must be an integer"),
+        ({"config_index": 1.0}, "config_index must be an integer"),
+        ({"cost": "5"}, "cost must be an integer or null"),
+        ({"cost": False}, "cost must be an integer or null"),
+        ({"count": "2"}, "count must be an integer or null"),
+        ({"count": True}, "count must be an integer or null"),
+        ({"params": [["?Hand1", HAND, "extra"]]}, "params must be a list of"),
+        ({"params": [["?Hand1", 1]]}, "params must be a list of"),
+        ({"params": "?Hand1"}, "params must be a list of"),
+        ({"revokes": [{"pred": ["actedOn"], "hand": "?Hand1", "keep": "?Hand1"}]}, "revokes must be"),
+        ({"revokes": [{"pred": "actedOn", "hand": "?Hand1"}]}, "revokes must be"),
+        ({"preconditions": {}}, "preconditions must be a list"),
+        ({"activity": "Juggle"}, "not a valid ActivityLabel"),
+    ],
+)
+def test_library_loader_rejects_mistyped_operator_fields(overrides, message):
+    with pytest.raises(ModelError, match=message):
+        OperatorLibrary.from_json({"operators": [_operator_doc(**overrides)]})
+
+
+@pytest.mark.parametrize("doc", [{"repaired": "no"}, {"repaired": 0}, {"operators": {}}, []])
+def test_library_loader_rejects_mistyped_documents(doc):
+    with pytest.raises(ModelError, match="repaired must be|a library must be"):
+        OperatorLibrary.from_json(doc)
+
+
+_OPERATOR_DOCS = st.builds(
+    lambda overrides: _operator_doc(**overrides),
+    st.dictionaries(
+        st.sampled_from(sorted(_operator_doc())),
+        _JSON,
+        max_size=2,
+    ),
+)
+
+
+@given(
+    st.fixed_dictionaries(
+        {}, optional={"operators": st.lists(_OPERATOR_DOCS | _JSON, max_size=2) | _JSON}
+    )
+    | _JSON
+)
+def test_library_from_json_raises_only_model_errors(doc):
+    try:
+        library = OperatorLibrary.from_json(doc)
+    except ModelError:
+        return
+    assert OperatorLibrary.from_json(library.to_json()).to_json() == library.to_json()
+
+
 # A hand acts on and can grasp one cube at a time; nothing else is single-valued.
 SINGLE_VALUED_CASES = [(pred, pred in {"actedOn", "graspable"}) for pred in sorted(SCHEMAS)]
 BINARY = {pred for pred, schema in SCHEMAS.items() if len(schema.arg_types) == 2 and pred != NEQ}

@@ -38,6 +38,19 @@ def segs(hand, *rows):
     return [ActivitySegment(hand, label, start, end) for label, start, end in rows]
 
 
+def still_trace(right_pos, left_pos, objects, frames=3):
+    """Open, motionless hands and objects at fixed positions, at 10 Hz."""
+    hands = {
+        "Right_hand": HandSample(right_pos, True, None),
+        "Left_hand": HandSample(left_pos, True, None),
+    }
+    return DemoTrace(
+        [DemoFrame(i / 10, hands, objects, frozenset()) for i in range(frames)],
+        demonstration_registry(),
+        10.0,
+    )
+
+
 # --- cost formula ---------------------------------------------------------
 
 def test_cost_examples():
@@ -195,6 +208,39 @@ def test_ambiguous_environment_change_raises():
     assert err.value.frame == 2
 
 
+def test_change_while_every_hand_is_idle_raises_even_with_a_trace():
+    """Proximity only chooses among candidate hands, and a hand that is
+    idle and holds or acts on no involved cube is not one."""
+    objects = {"Cube_red1": (0.2, 0.2, 0.775), "Cube_green1": (0.25, 0.2, 0.775)}
+    trace = still_trace((0.25, 0.2, 0.8), (0.9, 0.9, 0.9), objects, frames=5)
+    changed = env(("Cube_red1", "Cube_green1"))
+
+    # The scene above, both hands idle from the start.
+    states = [state(0.0, IDLE_HAND, IDLE_HAND), state(0.1, IDLE_HAND, IDLE_HAND, changed)]
+    segments = segs("Right_hand", (ActivityLabel.IDLE, 0, 1))
+    segments += segs("Left_hand", (ActivityLabel.IDLE, 0, 1))
+    with pytest.raises(AttributionError, match="frame 2: cannot attribute"):
+        extract(states, segments, demonstration_registry(), trace)
+
+    # The right hand reaches and rests before the cubes start touching:
+    # the change must not become an effect of its IdleMotion.
+    states = [
+        state(0.0, IDLE_HAND, IDLE_HAND),
+        state(0.1, MOVING_HAND, IDLE_HAND),
+        state(0.2, IDLE_HAND, IDLE_HAND),
+        state(0.3, IDLE_HAND, IDLE_HAND, changed),
+    ]
+    segments = segs(
+        "Right_hand",
+        (ActivityLabel.IDLE, 0, 0),
+        (ActivityLabel.REACH, 1, 1),
+        (ActivityLabel.IDLE, 2, 3),
+    )
+    segments += segs("Left_hand", (ActivityLabel.IDLE, 0, 3))
+    with pytest.raises(AttributionError, match="frame 4: cannot attribute"):
+        extract(states, segments, demonstration_registry(), trace)
+
+
 def test_change_during_opening_segment_raises():
     holding = HandSymState(False, False, "Cube_red1", None, None)
     changed = env(("Cube_red1", "table1"))
@@ -219,25 +265,8 @@ def test_trace_proximity_breaks_attribution_ties():
     segments += segs("Left_hand", (ActivityLabel.IDLE, 0, 0), (ActivityLabel.PUT, 1, 1))
 
     registry = demonstration_registry()
-    cube_at = (0.2, 0.2, 0.775)
-
-    def frame(t, right_pos, left_pos):
-        return DemoFrame(
-            t,
-            {
-                "Right_hand": HandSample(right_pos, True, None),
-                "Left_hand": HandSample(left_pos, True, None),
-            },
-            {"Cube_red1": cube_at, "table1": (0.5, 0.5, 0.37)},
-            frozenset(),
-        )
-
-    far, near = (0.9, 0.9, 0.9), (0.25, 0.2, 0.8)
-    trace = DemoTrace(
-        [frame(0.0, far, near), frame(0.1, far, near), frame(0.2, far, near)],
-        registry,
-        10.0,
-    )
+    objects = {"Cube_red1": (0.2, 0.2, 0.775), "table1": (0.5, 0.5, 0.37)}
+    trace = still_trace((0.9, 0.9, 0.9), (0.25, 0.2, 0.8), objects)
     drafts = extract(states, segments, registry, trace)
     blamed = {d.hand: d.env_pairs for d in drafts}
     assert blamed["Left_hand"]

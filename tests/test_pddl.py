@@ -1,6 +1,10 @@
 """Tests for pddl.py."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoplan.model import (
     LearnedOperator,
@@ -420,3 +424,73 @@ def test_undeclared_object_type_is_a_syntax_error():
     with pytest.raises(PddlSyntaxError, match="object 'a' has undeclared type 'Small_cube'") as info:
         parse(text)
     assert (info.value.line, info.value.col) == (line, 5)
+
+
+COST_1 = "(and (increase (total-cost) 1))"
+
+
+def _reach(effect: str, precondition: str = "(and)") -> str:
+    return (
+        "(define (domain d) (:action Reach :parameters (?Hand1 - Hand)"
+        f" :precondition {precondition} :effect {effect}))"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message, at",
+    [
+        ("(define)", "expected (define (domain", "(define"),
+        ("(define (domain x) (:action))", "action name expected", "(:action"),
+        (_reach("(and (increase (total-cost)))"), "malformed cost increase", "(increase"),
+        (_reach("(and (increase (total-cost) ²))"), "malformed cost increase", "(increase"),
+        (_reach(COST_1, "(and (not (= ?a)))"), "neq takes 2 arguments", "(= ?a"),
+        (_reach(COST_1).replace("Reach", "Reach²"), "matches no activity", "Reach²"),
+    ],
+)
+def test_malformed_text_raises_a_positioned_syntax_error(text, message, at):
+    """Inputs that used to escape as IndexError, ModelError or ValueError."""
+    with pytest.raises(PddlSyntaxError, match=re.escape(message)) as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (1, text.index(at) + 1)
+
+
+_FUZZ_WORDS = [
+    "define", "domain", "problem", ":requirements", ":conditional-effects", ":action",
+    "Reach", "Put2", "Reach0", "Reach²", ":parameters", "?Hand1", "?x", "-", "Hand",
+    "Wooden_cube", ":precondition", ":effect", "and", "not", "=", "increase", "(total-cost)",
+    "forall", "when", "handOpen", "actedOn", "1", "²", ":objects", ":init", ":goal", "h", "t",
+]
+# Random expressions, alone and in the slots of a domain and a problem.
+_SEXPR = st.recursive(
+    st.sampled_from(_FUZZ_WORDS),
+    lambda inner: st.lists(inner, max_size=4).map(lambda xs: f"({' '.join(xs)})"),
+    max_leaves=10,
+)
+_FUZZ_TEXT = (
+    _SEXPR
+    | st.builds(
+        "(define (domain d) (:requirements :strips {}) (:action {} :parameters {}"
+        " :precondition {} :effect {}))".format,
+        _SEXPR, _SEXPR, _SEXPR | st.just("(?Hand1 - Hand ?x - Wooden_cube)"), _SEXPR, _SEXPR,
+    )
+    | st.builds(
+        "(define (problem p) (:domain d) (:objects h - Hand t - Table {})"
+        " (:init {}) (:goal {}))".format,
+        _SEXPR, _SEXPR, _SEXPR,
+    )
+    | st.builds(
+        lambda at, cut, insert: HAND_WRITTEN_DOMAIN[:at] + insert + HAND_WRITTEN_DOMAIN[at + cut:],
+        st.integers(0, len(HAND_WRITTEN_DOMAIN)),
+        st.integers(0, 40),
+        st.text(alphabet="()-=;?:² \nab1", max_size=8),
+    )
+)
+
+
+@settings(max_examples=400)
+@given(_FUZZ_TEXT)
+def test_parse_raises_only_syntax_errors(text):
+    try:
+        parse(text)
+    except PddlSyntaxError as exc:
+        assert exc.line >= 1 and exc.col >= 1
