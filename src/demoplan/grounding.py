@@ -14,15 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .ontology import CUBE, TABLE, EnvironmentRegistry
-from .trace import DemoFrame, DemoTrace, TraceError
+from .ontology import CUBE, TABLE
+from .trace import DemoFrame, DemoTrace, _is_number
 
 # A hand sitting essentially on an object has no usable approach
 # direction; treat it as moving toward the object.
 _ZERO_DIST = 1e-9
-
-# Position of a cube missing from a frame; masked out before any rule.
-_ABSENT = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -34,11 +31,17 @@ class GroundingConfig:
     move_speed: float = 0.10
     approach_cosine: float = 0.5
 
+    def __post_init__(self) -> None:
+        for name, value in self.__dict__.items():
+            if not _is_number(value):
+                raise ValueError(f"grounding config {name} must be a finite number, got {value!r}")
+
     @staticmethod
     def from_file(path: str | Path) -> "GroundingConfig":
         doc = json.loads(Path(path).read_text())
-        known = {f for f in GroundingConfig.__dataclass_fields__}
-        bad = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ValueError(f"grounding config {path} must be a JSON object")
+        bad = doc.keys() - GroundingConfig.__dataclass_fields__.keys()
         if bad:
             raise ValueError(f"unknown grounding config keys: {sorted(bad)}")
         return GroundingConfig(**doc)
@@ -76,28 +79,6 @@ class SymbolicState:
     hands: dict[str, HandSymState]
     env: EnvSymState
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymbolicState):
-            return NotImplemented
-        return self.t == other.t and self.hands == other.hands and self.env == other.env
-
-
-def ground_env(frame_objects, contacts, registry: EnvironmentRegistry) -> EnvSymState:
-    """Contact and support relations over cubes and tables only."""
-    things = set(registry.of_type(CUBE)).union(registry.of_type(TABLE))
-    present = things.intersection(frame_objects)
-    for name in frame_objects.keys() - present:
-        registry.type_of(name)  # unknown instances raise RegistryError
-    in_touch = frozenset(pair for pair in contacts if pair <= present)
-    on_top = set()
-    for a, b in in_touch:
-        za, zb = frame_objects[a][2], frame_objects[b][2]
-        if za > zb:
-            on_top.add((a, b))
-        elif zb > za:
-            on_top.add((b, a))
-    return EnvSymState(in_touch, frozenset(on_top))
-
 
 def _norm(v: np.ndarray) -> np.ndarray:
     # np.vecdot reduces like np.dot, so these norms are bit-identical to
@@ -111,31 +92,28 @@ def _ground_hand(
     hand: str,
     cubes: list[str],
     cube_pos: np.ndarray,
-    cube_present: np.ndarray,
     config: GroundingConfig,
 ) -> list[HandSymState]:
-    """The hand's states at frames[1:]; it is present in every one of ``frames``."""
+    """The hand's states at frames[1:]."""
     samples = [frame.hands[hand] for frame in frames]
     pos = np.array([sample.pos for sample in samples], dtype=float).reshape(-1, 3)
-    n = len(samples) - 1
-    velocity = (pos[1:] - pos[:-1]) / dt[:n, None]
+    velocity = (pos[1:] - pos[:-1]) / dt[:, None]
     speed = _norm(velocity)
     moving = speed > config.move_speed
     column = {name: j for j, name in enumerate(cubes)}
     held = np.array([column.get(s.held, -1) for s in samples[1:]])
 
-    offset = cube_pos[:n] - pos[1:, None, :]
+    offset = cube_pos - pos[1:, None, :]
     dist = _norm(offset)
     with np.errstate(divide="ignore", invalid="ignore"):
         cosine = np.vecdot(velocity[:, None, :], offset) / (speed[:, None] * dist)
     approached = (
-        cube_present[:n]
-        & moving[:, None]
+        moving[:, None]
         & (np.arange(len(cubes)) != held[:, None])
         & (dist < config.acted_on_dist)
         & ((dist < _ZERO_DIST) | (cosine > config.approach_cosine))
     )
-    within = cube_present[:n] & (dist < config.graspable_dist)
+    within = dist < config.graspable_dist
 
     return [
         HandSymState(
@@ -162,69 +140,43 @@ def _nearest(mask: np.ndarray, dist: np.ndarray) -> list[int | None]:
     return [j if hit else None for j, hit in zip(best.tolist(), mask.any(axis=1).tolist())]
 
 
-def _ground_frames(
-    frames: list[DemoFrame],
-    registry: EnvironmentRegistry,
-    config: GroundingConfig,
-    first_index: int,
-) -> list[SymbolicState]:
-    """Ground frames[1:], where frames[0] is trace frame ``first_index``.
-
-    The velocity at a frame is the backward difference to the frame
-    before it, so every hand of a frame must also be in the frame before.
-    """
-    for k in range(1, len(frames)):
-        before = frames[k - 1].hands
-        for hand in frames[k].hands:
-            if hand not in before:
-                raise TraceError(
-                    f"hand {hand} missing around frame index {first_index + k}"
-                )
-
-    cubes = registry.of_type(CUBE)
-    grounded = frames[1:]
-    cube_pos = np.array(
-        [[frame.objects.get(name, _ABSENT) for name in cubes] for frame in grounded],
-        dtype=float,
-    ).reshape(len(grounded), len(cubes), 3)
-    cube_present = np.array(
-        [[name in frame.objects for name in cubes] for frame in grounded], dtype=bool
-    ).reshape(len(grounded), len(cubes))
-    times = np.array([frame.t for frame in frames], dtype=float)
-    dt = times[1:] - times[:-1]
-
-    # A hand in frames[k] is, by the check above, in every frame before it.
-    last = {hand: k for k, frame in enumerate(grounded, start=1) for hand in frame.hands}
-    per_hand = {
-        hand: _ground_hand(frames[: k + 1], dt, hand, cubes, cube_pos, cube_present, config)
-        for hand, k in last.items()
-    }
-
-    return [
-        SymbolicState(
-            frame.t,
-            {hand: per_hand[hand][i] for hand in frame.hands},
-            ground_env(frame.objects, frame.contacts, registry),
-        )
-        for i, frame in enumerate(grounded)
-    ]
-
-
-def ground_frame(
-    trace: DemoTrace, index: int, config: GroundingConfig | None = None
-) -> SymbolicState:
-    """Ground one frame; needs index >= 1 for the velocity estimate."""
-    if index < 1 or index >= len(trace.frames):
-        raise ValueError(f"frame index {index} cannot be grounded (need 1..{len(trace.frames) - 1})")
-    frames = trace.frames[index - 1 : index + 1]
-    return _ground_frames(frames, trace.registry, config or GroundingConfig(), index - 1)[0]
-
-
 def ground_trace(
     trace: DemoTrace, config: GroundingConfig | None = None
 ) -> list[SymbolicState]:
-    """Ground every frame from index 1 onward."""
-    return _ground_frames(trace.frames, trace.registry, config or GroundingConfig(), 0)
+    """Ground every frame from index 1 onward.
+
+    The velocity at a frame is the backward difference to the frame
+    before it. The reader guarantees that every frame tracks the same
+    hands and positions every cube and table.
+    """
+    config = config or GroundingConfig()
+    frames = trace.frames
+    cubes = trace.registry.of_type(CUBE)
+    things = frozenset(cubes).union(trace.registry.of_type(TABLE))
+    grounded = frames[1:]
+    cube_pos = np.array(
+        [[frame.objects[name] for name in cubes] for frame in grounded], dtype=float
+    ).reshape(len(grounded), len(cubes), 3)
+    times = np.array([frame.t for frame in frames], dtype=float)
+    dt = times[1:] - times[:-1]
+    per_hand = {
+        hand: _ground_hand(frames, dt, hand, cubes, cube_pos, config) for hand in frames[0].hands
+    }
+
+    states = []
+    for i, frame in enumerate(grounded):
+        # Contact and support relations over cubes and tables only.
+        in_touch = frozenset(pair for pair in frame.contacts if pair <= things)
+        on_top = set()
+        for a, b in in_touch:
+            za, zb = frame.objects[a][2], frame.objects[b][2]
+            if za > zb:
+                on_top.add((a, b))
+            elif zb > za:
+                on_top.add((b, a))
+        hands = {hand: per_hand[hand][i] for hand in frame.hands}
+        states.append(SymbolicState(frame.t, hands, EnvSymState(in_touch, frozenset(on_top))))
+    return states
 
 
 def states_to_json(states: list[SymbolicState]) -> list[dict]:

@@ -185,6 +185,9 @@ class PlanningProblem:
                     raise ModelError(f"goal literal {lit} is not ground")
                 if term not in self.registry:
                     raise ModelError(f"goal names unknown instance {term}")
+        unknown = {term for _, args in self.init for term in args if term not in self.registry}
+        if unknown:
+            raise ModelError(f"init names unknown instance {min(unknown)}")
 
     def satisfied(self, state: WorldState) -> bool:
         return all(

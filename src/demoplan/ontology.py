@@ -112,6 +112,8 @@ class EnvironmentRegistry:
             raise RegistryError(
                 f"registry must contain exactly one Table instance, found {len(tables)}"
             )
+        # What every trace frame gives a position for.
+        self.non_hands = frozenset(self._type_of).difference(self.of_type(HAND))
 
     def __contains__(self, name: str) -> bool:
         try:
@@ -180,17 +182,23 @@ def registry_from_json(doc: dict) -> EnvironmentRegistry:
     for key in ("role", "instances"):
         if key not in doc:
             raise RegistryError(f"registry document missing {key!r}")
-    extra = [
-        ObjectType(t.get("name", ""), t.get("parent"))
-        for t in doc.get("types", [])
-    ]
-    hierarchy = TypeHierarchy(extra)
-    instances = []
-    for item in doc["instances"]:
-        if not isinstance(item, dict) or "name" not in item or "type" not in item:
-            raise RegistryError(f"malformed instance entry: {item!r}")
-        instances.append(ObjectInstance(item["name"], item["type"]))
-    return EnvironmentRegistry(doc["role"], instances, hierarchy)
+    types = doc.get("types", [])
+    if not isinstance(types, list):
+        raise RegistryError(f"registry 'types' must be a JSON list, got {types!r}")
+    if not isinstance(doc["instances"], list):
+        raise RegistryError(f"registry 'instances' must be a JSON list, got {doc['instances']!r}")
+    extra = [ObjectType(*_strings(t, "name", "parent", "type")) for t in types]
+    instances = [ObjectInstance(*_strings(i, "name", "type", "instance")) for i in doc["instances"]]
+    return EnvironmentRegistry(doc["role"], instances, TypeHierarchy(extra))
+
+
+def _strings(item, first: str, second: str, what: str) -> tuple[str, str]:
+    """The two string fields of a type or instance entry."""
+    if isinstance(item, dict):
+        a, b = item.get(first), item.get(second)
+        if isinstance(a, str) and isinstance(b, str):
+            return a, b
+    raise RegistryError(f"malformed {what} entry: {item!r}")
 
 
 def save_registry(registry: EnvironmentRegistry, path: str | Path) -> None:

@@ -332,8 +332,15 @@ def _action(node: _List) -> LearnedOperator:
     for eff in _conjuncts(sections[":effect"]) if ":effect" in sections else ():
         head = _head(eff) if isinstance(eff, _List) else ""
         if head == "increase":
-            if len(eff) < 3 or not isinstance(eff[2], _Word) or not eff[2].isdecimal():
-                _error(eff, "malformed cost increase")
+            target = eff[1] if len(eff) == 3 else None
+            if (
+                not isinstance(target, _List)
+                or len(target) != 1
+                or _head(target) != "total-cost"
+                or not isinstance(eff[2], _Word)
+                or not eff[2].isdecimal()
+            ):
+                _error(eff, "malformed cost increase: expected (increase (total-cost) N)")
             cost = _make(eff, int, eff[2])
         elif head == "forall":
             revokes.append(_revocation(eff))

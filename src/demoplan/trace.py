@@ -6,6 +6,10 @@ Traces are stored as JSON Lines, one frame per line:
      "hands": {"Right_hand": {"pos": [x, y, z], "open": true, "held": null}},
      "objects": {"Cube_red1": [x, y, z], "table1": [x, y, z]},
      "contacts": [["Cube_red1", "table1"]]}
+
+Every frame tracks the same hands as the frame before it and gives a
+position for every non-hand instance of the registry; ``read_trace``
+rejects a trace that does not.
 """
 
 from __future__ import annotations
@@ -120,6 +124,9 @@ def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None =
         if name not in registry:
             raise TraceError(f"unknown object instance: {name}", line)
         objects[name] = _as_vec(pos, f"object {name} pos", line)
+    missing = registry.non_hands.difference(objects)
+    if missing:
+        raise TraceError(f"objects lacks a position for {', '.join(sorted(missing))}", line)
 
     contacts: set[frozenset[str]] = set()
     for pair in doc["contacts"]:
@@ -151,9 +158,14 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
             except json.JSONDecodeError as exc:
                 raise TraceError(f"invalid JSON: {exc.msg}", lineno) from exc
             frame = frame_from_json(doc, registry, lineno)
-            if frames and frame.t <= frames[-1].t:
+            before = frames[-1] if frames else None
+            if before and frame.t <= before.t:
+                raise TraceError(f"timestamp {frame.t} does not increase over {before.t}", lineno)
+            if before and frame.hands.keys() != before.hands.keys():
                 raise TraceError(
-                    f"timestamp {frame.t} does not increase over {frames[-1].t}", lineno
+                    f"frame tracks hands {sorted(frame.hands)},"
+                    f" the frame before tracks {sorted(before.hands)}",
+                    lineno,
                 )
             frames.append(frame)
     if len(frames) < 2:

@@ -357,11 +357,11 @@ def test_unattributable_change_is_bad_input(tmp_path, capsys):
         "Right_hand": HandSample((0.9, 0.2, 1.2), True, None),
         "Left_hand": HandSample((0.1, 0.2, 1.2), True, None),
     }
-    objects = {
-        "Cube_red1": (0.45, 0.5, 0.775),
-        "Cube_green1": (0.5, 0.5, 0.775),
-        "table1": (0.5, 0.5, 0.37),
-    }
+    # Every cube is positioned; those not in the scene stand far away.
+    objects = {name: (10.0 + j, 10.0, 0.775) for j, name in enumerate(registry.cubes)}
+    objects.update(
+        {"Cube_red1": (0.45, 0.5, 0.775), "Cube_green1": (0.5, 0.5, 0.775), "table1": (0.5, 0.5, 0.37)}
+    )
     on_table = {frozenset(("Cube_red1", "table1")), frozenset(("Cube_green1", "table1"))}
     touching = on_table | {frozenset(("Cube_red1", "Cube_green1"))}
     frames = [
@@ -374,6 +374,58 @@ def test_unattributable_change_is_bad_input(tmp_path, capsys):
     assert code == 2
     assert "frame 10: cannot attribute" in capsys.readouterr().err
     assert not (tmp_path / "library.json").exists()
+
+
+def _edited_trace(src: Path, dst: Path, line: int, edit) -> Path:
+    """``src`` with every frame from ``line`` on passed through ``edit``."""
+    frames = [json.loads(raw) for raw in src.read_text().splitlines()]
+    for doc in frames[line - 1:]:
+        edit(doc)
+    dst.write_text("".join(json.dumps(doc) + "\n" for doc in frames))
+    return dst
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["hands"].pop("Left_hand"), "line 7: frame tracks hands ['Right_hand']"),
+        (lambda doc: doc["objects"].pop("Cube_blue2"), "line 7: objects lacks a position for Cube_blue2"),
+    ],
+    ids=["hand-leaves", "cube-missing"],
+)
+def test_incomplete_frames_fail_at_the_reader(tmp_path, trace_dir, goal_file, capsys, edit, message):
+    """Every stage that reads the trace exits 2 naming the line."""
+    trace = str(_edited_trace(trace_dir / "trace_00.jsonl", tmp_path / "trace.jsonl", 7, edit))
+    for argv in (
+        ["ground", trace, "--out", str(tmp_path / "states.json")],
+        ["segment", trace, "--out", str(tmp_path / "segments.json")],
+        ["learn", trace, "--library", str(tmp_path / "library.json")],
+        ["pipeline", "--out", str(tmp_path / "run"), "--goal", str(goal_file), "--traces", trace],
+    ):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    assert not (tmp_path / "library.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text", ['{"move_speed": "fast"}', "5", '"abc"'], ids=["string-value", "number", "string"]
+)
+def test_malformed_grounding_config_is_bad_input(tmp_path, trace_dir, capsys, text):
+    config = tmp_path / "grounding.json"
+    config.write_text(text)
+    trace = str(trace_dir / "trace_00.jsonl")
+    code = main(["ground", trace, "--grounding-config", str(config), "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "error: grounding config" in capsys.readouterr().err
+
+
+def test_non_finite_grounding_flag_is_bad_input(tmp_path, trace_dir, capsys):
+    """A NaN threshold used to ground every hand as not moving."""
+    trace = str(trace_dir / "trace_00.jsonl")
+    code = main(["ground", trace, "--move-speed", "nan", "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "error: grounding config move_speed must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_pipeline_from_traces(tmp_path, trace_dir, goal_file):

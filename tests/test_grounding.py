@@ -17,7 +17,6 @@ from demoplan.grounding import (
     EnvSymState,
     GroundingConfig,
     HandSymState,
-    ground_frame,
     ground_trace,
     states_to_json,
 )
@@ -31,17 +30,21 @@ from demoplan.ontology import (
     execution_registry,
 )
 from demoplan.ontology import TABLE as TABLE_TYPE
-from demoplan.trace import DemoFrame, DemoTrace, HandSample, TraceError
+from demoplan.trace import DemoFrame, DemoTrace, HandSample
 
 DT = 0.1
 TABLE = (0.5, 0.5, 0.37)
+# Every execution cube, each too far from the tests' hands to be acted
+# on or grasped; a test moves the cubes of its geometry into reach.
+FAR_CUBES = {
+    name: (10.0 + j, 10.0, 0.775) for j, name in enumerate(execution_registry().cubes)
+}
 
 
 def make_trace(p0, p1, held=None, open_=True, cubes=None, contacts=()):
     """Two frames with the gripper moving p0 -> p1 over 0.1 s."""
     cubes = cubes or {"Cube_red3": (0.5, 0.5, 0.775)}
-    objects = dict(cubes)
-    objects["high_table"] = TABLE
+    objects = {**FAR_CUBES, **cubes, "high_table": TABLE}
     frames = [
         DemoFrame(t, {"Robot_gripper": HandSample(p, open_, held)}, objects,
                   frozenset(frozenset(pair) for pair in contacts))
@@ -51,7 +54,7 @@ def make_trace(p0, p1, held=None, open_=True, cubes=None, contacts=()):
 
 
 def gripper(trace, config=None):
-    return ground_frame(trace, 1, config).hands["Robot_gripper"]
+    return ground_trace(trace, config)[0].hands["Robot_gripper"]
 
 
 def test_config_defaults():
@@ -71,6 +74,25 @@ def test_config_file_round_trip(tmp_path):
 
     path.write_text(json.dumps({"acted_on": 0.2}))
     with pytest.raises(ValueError, match="unknown grounding config keys"):
+        GroundingConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"move_speed": "fast"}', "move_speed must be a finite number"),
+        ('{"move_speed": NaN}', "move_speed must be a finite number"),
+        ('{"acted_on_dist": true}', "acted_on_dist must be a finite number"),
+        ('{"graspable_dist": null}', "graspable_dist must be a finite number"),
+        ("5", "must be a JSON object"),
+        ('"abc"', "must be a JSON object"),
+        ("[]", "must be a JSON object"),
+    ],
+)
+def test_config_file_rejects_values_that_are_not_finite_numbers(tmp_path, text, message):
+    path = tmp_path / "grounding.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
         GroundingConfig.from_file(path)
 
 
@@ -180,7 +202,7 @@ def test_env_contacts_and_support():
             ("Cube_red3", "Robot_gripper"),
         ),
     )
-    env = ground_frame(trace, 1).env
+    env = ground_trace(trace)[0].env
     # Hand contact is ignored; both object pairs remain.
     assert env.in_touch == frozenset(
         {
@@ -198,13 +220,9 @@ def test_on_top_needs_contact():
         EnvSymState(frozenset(), frozenset({("a", "b")}))
 
 
-def test_frame_index_bounds():
+def test_grounding_starts_at_frame_one():
     trace = make_trace((0.5, 0.5, 1.0), (0.5, 0.5, 1.0))
-    with pytest.raises(ValueError):
-        ground_frame(trace, 0)
-    with pytest.raises(ValueError):
-        ground_frame(trace, 2)
-    assert len(ground_trace(trace)) == 1
+    assert [state.t for state in ground_trace(trace)] == [DT]
 
 
 @given(
@@ -232,57 +250,6 @@ def test_hand_speed_is_a_backward_difference():
     trace = make_trace((0.0, 0.0, 1.0), (0.3, 0.0, 1.0))
     assert gripper(trace, GroundingConfig(move_speed=2.999)).handMove
     assert not gripper(trace, GroundingConfig(move_speed=3.001)).handMove
-
-
-def _two_hand_registry():
-    return EnvironmentRegistry(
-        "demonstration",
-        [
-            ObjectInstance("Right_hand", HAND),
-            ObjectInstance("Left_hand", HAND),
-            ObjectInstance("Cube_red1", CUBE),
-            ObjectInstance("table1", TABLE_TYPE),
-        ],
-    )
-
-
-def _hands_trace(hands_per_frame):
-    """Frames 0.1 s apart holding the given hands at rest."""
-    frames = [
-        DemoFrame(
-            0.1 * i,
-            {hand: HandSample((0.5, 0.5, 1.0), True, None) for hand in hands},
-            {"Cube_red1": (0.5, 0.5, 0.775), "table1": TABLE},
-            frozenset(),
-        )
-        for i, hands in enumerate(hands_per_frame)
-    ]
-    return DemoTrace(frames, _two_hand_registry(), 10.0)
-
-
-def test_velocity_needs_the_hand_in_the_previous_frame():
-    trace = _hands_trace([["Right_hand"], ["Right_hand", "Left_hand"]])
-    with pytest.raises(TraceError, match="hand Left_hand missing around frame index 1"):
-        ground_frame(trace, 1)
-    with pytest.raises(TraceError, match="hand Left_hand missing around frame index 1"):
-        ground_trace(trace)
-
-
-def test_hand_dropout_rejects_the_trace():
-    """A hand missing from the middle frame cannot be grounded when it returns."""
-    trace = _hands_trace([["Right_hand"], [], ["Right_hand"]])
-    assert ground_frame(trace, 1).hands == {}
-    with pytest.raises(TraceError, match="hand Right_hand missing around frame index 2"):
-        ground_frame(trace, 2)
-    with pytest.raises(TraceError, match="hand Right_hand missing around frame index 2"):
-        ground_trace(trace)
-
-
-def test_a_hand_may_leave_the_trace():
-    trace = _hands_trace([["Right_hand", "Left_hand"], ["Right_hand", "Left_hand"], ["Right_hand"]])
-    states = ground_trace(trace)
-    assert [list(state.hands) for state in states] == [["Right_hand", "Left_hand"], ["Right_hand"]]
-    assert states == grounding_oracle.ground_trace(trace)
 
 
 def test_seed7_corpus_matches_the_per_frame_oracle(corpus):
@@ -325,23 +292,23 @@ def _near(point):
 @st.composite
 def scenes(draw):
     n_frames = draw(st.integers(2, 6))
-    left_frames = draw(st.integers(0, n_frames))  # the left hand leaves after these
     held = draw(st.sampled_from((None, *SCENE_CUBES)))
     t = 0.0
     frames = []
     right = draw(POINT)
-    for i in range(n_frames):
+    for _ in range(n_frames):
         right = draw(st.one_of(POINT, _near(right)))
         objects = {}
         for cube in draw(st.permutations(SCENE_CUBES)):
             if cube == held:
                 objects[cube] = right
-            elif draw(st.booleans()) or draw(st.booleans()):
+            else:
                 objects[cube] = draw(st.one_of(POINT, _near(right)))
         objects["table1"] = TABLE
-        hands = {"Right_hand": HandSample(right, held is None, held)}
-        if i < left_frames:
-            hands["Left_hand"] = HandSample(draw(POINT), True, None)
+        hands = {
+            "Right_hand": HandSample(right, held is None, held),
+            "Left_hand": HandSample(draw(POINT), True, None),
+        }
         touching = sorted(objects) + sorted(hands)
         contacts = draw(st.sets(st.sampled_from(touching).flatmap(
             lambda a: st.sampled_from([b for b in touching if b != a]).map(
@@ -368,8 +335,6 @@ def test_generated_traces_match_the_per_frame_oracle(trace, config):
     assert states_to_json(states) == states_to_json(expected)
     assert states == expected
     assert [list(s.hands) for s in states] == [list(s.hands) for s in expected]
-    for i in range(1, len(trace.frames)):
-        assert ground_frame(trace, i, config) == expected[i - 1]
 
 
 def test_distances_speeds_and_cosines_are_numpys_to_the_bit():

@@ -180,6 +180,13 @@ def test_problem_goals_must_be_ground_and_known():
         PlanningProblem(reg, frozenset(), (lit("handOpen", "Left_claw"),))
 
 
+def test_problem_init_names_only_known_instances():
+    reg = execution_registry()
+    init = frozenset({("handOpen", ("Robot_gripper",)), ("inTouch", ("Cube_red3", "nobody"))})
+    with pytest.raises(ModelError, match="init names unknown instance nobody"):
+        PlanningProblem(reg, init, (lit("handOpen", "Robot_gripper"),))
+
+
 def test_problem_satisfaction_honours_negative_goals():
     reg = execution_registry()
     goal = (

@@ -1,8 +1,11 @@
 """Tests for ontology.py."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from demoplan.ontology import (
+    OntologyError,
     CUBE,
     HAND,
     TABLE,
@@ -120,3 +123,61 @@ def test_load_rejects_malformed_documents(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(RegistryError, match="not valid JSON"):
         load_registry(bad)
+
+
+_REGISTRY_DOC = {
+    "role": "execution",
+    "instances": [
+        {"name": "g", "type": HAND},
+        {"name": "b", "type": "Heavy_cube"},
+        {"name": "t", "type": TABLE},
+    ],
+    "types": [{"name": "Heavy_cube", "parent": CUBE}],
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"types": [1]}, "malformed type entry"),
+        ({"types": "ab"}, "'types' must be a JSON list"),
+        ({"types": [{"name": ["Heavy_cube"], "parent": CUBE}]}, "malformed type entry"),
+        ({"types": [{"name": "Heavy_cube", "parent": [CUBE]}]}, "malformed type entry"),
+        ({"instances": 5}, "'instances' must be a JSON list"),
+        ({"instances": [{"name": ["g"], "type": HAND}]}, "malformed instance entry"),
+        ({"instances": [{"name": "g", "type": [HAND]}]}, "malformed instance entry"),
+    ],
+)
+def test_loader_rejects_mistyped_fields(overrides, message):
+    with pytest.raises(RegistryError, match=message):
+        registry_from_json({**_REGISTRY_DOC, **overrides})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([HAND, CUBE, TABLE, THING, "Heavy_cube", "execution"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_ENTRIES = st.fixed_dictionaries(
+    {}, optional={"name": _JSON, "type": _JSON, "parent": _JSON}
+) | _JSON
+
+
+@given(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "role": st.sampled_from(["execution", "demonstration"]) | _JSON,
+            "instances": st.lists(_ENTRIES, max_size=4) | _JSON,
+            "types": st.lists(_ENTRIES, max_size=2) | _JSON,
+        },
+    )
+    | _JSON
+)
+def test_registry_from_json_raises_only_ontology_errors(doc):
+    try:
+        registry = registry_from_json(doc)
+    except OntologyError:
+        return
+    assert registry_from_json(registry.to_json()).to_json() == registry.to_json()

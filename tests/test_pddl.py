@@ -405,6 +405,12 @@ def test_problem_error_messages():
             " (:init) (:goal (and (handOpen h))))"
         )
 
+    with pytest.raises(PddlSyntaxError, match="init names unknown instance nobody"):
+        parse(
+            "(define (problem p) (:domain d) (:objects h - Hand t - Table)"
+            " (:init (handOpen nobody)) (:goal (and (handOpen h))))"
+        )
+
 
 def test_undeclared_object_type_is_a_syntax_error():
     """The domain header declares only the built-in types, so a problem
@@ -443,12 +449,18 @@ def _reach(effect: str, precondition: str = "(and)") -> str:
         ("(define (domain x) (:action))", "action name expected", "(:action"),
         (_reach("(and (increase (total-cost)))"), "malformed cost increase", "(increase"),
         (_reach("(and (increase (total-cost) ²))"), "malformed cost increase", "(increase"),
+        (_reach("(and (increase (foo bar) 5 junk))"), "malformed cost increase", "(increase"),
+        (_reach("(and (increase (foo) 5))"), "malformed cost increase", "(increase"),
+        (_reach("(and (increase (total-cost) 5 junk))"), "malformed cost increase", "(increase"),
+        (_reach("(and (increase total-cost 5))"), "malformed cost increase", "(increase"),
+        (_reach("(and (increase (total-cost x) 5))"), "malformed cost increase", "(increase"),
         (_reach(COST_1, "(and (not (= ?a)))"), "neq takes 2 arguments", "(= ?a"),
         (_reach(COST_1).replace("Reach", "Reach²"), "matches no activity", "Reach²"),
     ],
 )
 def test_malformed_text_raises_a_positioned_syntax_error(text, message, at):
-    """Inputs that used to escape as IndexError, ModelError or ValueError."""
+    """Inputs that used to escape as IndexError, ModelError or ValueError,
+    and cost effects other than (increase (total-cost) N) that used to parse."""
     with pytest.raises(PddlSyntaxError, match=re.escape(message)) as info:
         parse(text)
     assert (info.value.line, info.value.col) == (1, text.index(at) + 1)

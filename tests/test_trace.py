@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demoplan.ontology import execution_registry
+from demoplan.ontology import (
+    CUBE,
+    HAND,
+    TABLE,
+    EnvironmentRegistry,
+    ObjectInstance,
+    execution_registry,
+)
 from demoplan.trace import (
     DemoFrame,
     DemoTrace,
@@ -18,10 +25,18 @@ from demoplan.trace import (
 
 
 def _frame(t, pos, held=None, open_=True, cube_pos=(0.5, 0.5, 0.775)):
+    """The gripper at ``pos`` with Cube_red3 on the table and the other
+    three execution cubes far out of reach."""
     return DemoFrame(
         t=t,
         hands={"Robot_gripper": HandSample(pos, open_, held)},
-        objects={"Cube_red3": cube_pos, "high_table": (0.5, 0.5, 0.37)},
+        objects={
+            "Cube_red3": cube_pos,
+            "Cube_green3": (10.0, 10.0, 0.775),
+            "Cube_yellow3": (11.0, 10.0, 0.775),
+            "Cube_blue3": (12.0, 10.0, 0.775),
+            "high_table": (0.5, 0.5, 0.37),
+        },
         contacts=frozenset({frozenset({"Cube_red3", "high_table"})}),
     )
 
@@ -139,6 +154,9 @@ def _write_with_second_frame_edited(trace, path, edit):
         (_set(("hands", "Robot_gripper", "open"), "no"), HAND_OPEN),
         (_set(("hands", "Robot_gripper", "open"), 1), HAND_OPEN),
         (_drop(("hands", "Robot_gripper", "open")), HAND_OPEN),
+        (_drop(("objects", "Cube_blue3")), "objects lacks a position for Cube_blue3"),
+        (_set(("objects",), {}), "objects lacks a position for Cube_blue3, Cube_green3,"),
+        (_drop(("objects", "high_table")), "objects lacks a position for high_table"),
     ],
     ids=[
         "nan-coordinate",
@@ -153,12 +171,68 @@ def _write_with_second_frame_edited(trace, path, edit):
         "string-open",
         "number-open",
         "missing-open",
+        "missing-cube",
+        "empty-objects",
+        "missing-table",
     ],
 )
 def test_read_rejects_bad_values_with_the_line(tmp_path, registry, two_frames, edit, message):
     path = tmp_path / "trace.jsonl"
     _write_with_second_frame_edited(two_frames, path, edit)
     with pytest.raises(TraceError, match=f"^line 2: {message}"):
+        read_trace(path, registry)
+
+
+def test_read_accepts_hands_in_objects_and_hand_contacts(tmp_path, registry, two_frames):
+    path = tmp_path / "trace.jsonl"
+
+    def edit(doc):
+        doc["objects"]["Robot_gripper"] = doc["hands"]["Robot_gripper"]["pos"]
+        doc["contacts"].append(["Robot_gripper", "Cube_red3"])
+
+    _write_with_second_frame_edited(two_frames, path, edit)
+    frame = read_trace(path, registry).frames[1]
+    assert frame.objects["Robot_gripper"] == (0.3, 0.0, 1.0)
+    assert frozenset(("Robot_gripper", "Cube_red3")) in frame.contacts
+
+
+def _two_hand_registry():
+    return EnvironmentRegistry(
+        "demonstration",
+        [
+            ObjectInstance("Right_hand", HAND),
+            ObjectInstance("Left_hand", HAND),
+            ObjectInstance("Cube_red1", CUBE),
+            ObjectInstance("table1", TABLE),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "hands_per_frame, line",
+    [
+        ([["Right_hand"], ["Right_hand", "Left_hand"]], 2),
+        ([["Right_hand", "Left_hand"], ["Right_hand", "Left_hand"], ["Right_hand"]], 3),
+        ([["Right_hand"], [], ["Right_hand"]], 2),
+    ],
+    ids=["appears", "leaves", "returns"],
+)
+def test_read_rejects_a_change_of_hands_with_the_line(tmp_path, hands_per_frame, line):
+    """A hand's velocity is the backward difference to the frame before,
+    so every frame tracks the hands of the frame before it."""
+    registry = _two_hand_registry()
+    frames = [
+        DemoFrame(
+            0.1 * i,
+            {hand: HandSample((0.5, 0.5, 1.0), True, None) for hand in hands},
+            {"Cube_red1": (0.5, 0.5, 0.775), "table1": (0.5, 0.5, 0.37)},
+            frozenset(),
+        )
+        for i, hands in enumerate(hands_per_frame)
+    ]
+    path = tmp_path / "trace.jsonl"
+    write_trace(DemoTrace(frames, registry, 10.0), path)
+    with pytest.raises(TraceError, match=f"^line {line}: frame tracks hands"):
         read_trace(path, registry)
 
 
