@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -26,8 +25,6 @@ from .ontology import (
     save_registry,
 )
 from .trace import TraceError, read_trace
-
-GROUNDING_ENV = "DEMOPLAN_GROUNDING"
 
 PLANNER_MODES = {"cost": "min_cost", "length": "min_length", "greedy": "greedy"}
 
@@ -43,26 +40,13 @@ def _registry(spec: str):
 
 
 def _grounding_config(args) -> grounding.GroundingConfig:
-    path = getattr(args, "grounding_config", None) or os.environ.get(GROUNDING_ENV)
-    config = grounding.GroundingConfig.from_file(path) if path else grounding.GroundingConfig()
-    overrides = {
-        name: value
-        for name in ("acted_on_dist", "graspable_dist", "move_speed", "approach_cosine")
-        if (value := getattr(args, name, None)) is not None
-    }
-    if overrides:
-        config = grounding.GroundingConfig(
-            **{**config.__dict__, **overrides}
-        )
-    return config
+    """The thresholds of ``--grounding-config`` when given, else the defaults."""
+    path = args.grounding_config
+    return grounding.GroundingConfig.from_file(path) if path else grounding.GroundingConfig()
 
 
-def _add_grounding_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grounding-config", help="JSON file with threshold overrides")
-    p.add_argument("--acted-on-dist", type=float, dest="acted_on_dist")
-    p.add_argument("--graspable-dist", type=float, dest="graspable_dist")
-    p.add_argument("--move-speed", type=float, dest="move_speed")
-    p.add_argument("--approach-cosine", type=float, dest="approach_cosine")
+def _add_grounding_config(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--grounding-config", help="JSON file of grounding thresholds")
 
 
 def _load_goal(path: str | Path) -> tuple[Literal, ...]:
@@ -123,30 +107,7 @@ def _solve(library, problem, args) -> planner.Plan | None:
 def cmd_gen(args) -> int:
     registry = _registry(args.registry)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.script:
-        doc = json.loads(Path(args.script).read_text())
-        script = synthgen.DemoScript(
-            seed=doc["seed"],
-            hand=doc["hand"],
-            cubes_to_stack=tuple(doc["cubes_to_stack"]),
-            **{
-                k: doc[k]
-                for k in (
-                    "pause_at_take",
-                    "approach_speed",
-                    "noise_sigma",
-                    "false_starts",
-                    "hover_frames",
-                    "take_frames",
-                )
-                if k in doc
-            },
-        )
-        demos = [synthgen.generate(script, registry)]
-    else:
-        demos = synthgen.generate_corpus(args.seed, registry)
-    paths = synthgen.write_corpus(demos, out)
+    paths = synthgen.write_corpus(synthgen.generate_corpus(args.seed, registry), out)
     save_registry(registry, out / "registry.json")
     for path in paths:
         print(path)
@@ -212,22 +173,11 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _rebuild_plan(plan_doc: dict, actions) -> planner.Plan:
-    by_key = {(a.name, tuple(a.args)): a for a in actions}
-    steps = []
-    for step in plan_doc["steps"]:
-        key = (step["name"], tuple(step["args"]))
-        if key not in by_key:
-            raise ValueError(f"plan step {key} does not exist in the grounded library")
-        steps.append(by_key[key])
-    return planner.Plan(tuple(steps), sum(s.cost for s in steps), len(steps))
-
-
 def cmd_validate(args) -> int:
     library = _load_library(args.library)
     problem = _problem(_registry(args.registry), _load_goal(args.goal))
     actions = planner.ground(library, problem.registry)
-    plan = _rebuild_plan(json.loads(Path(args.plan).read_text()), actions)
+    plan = planner.plan_from_json(json.loads(Path(args.plan).read_text()), actions)
     report = planner.validate(problem, plan, mutex=args.mutex)
     print(json.dumps(planner.report_to_json(report)))
     return 0 if report.valid else 4
@@ -284,14 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=synthgen.DEFAULT_CORPUS_SEED)
     p.add_argument("--registry", default="demo")
-    p.add_argument("--script", help="single script JSON instead of the full corpus")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ground", help="ground a trace into symbolic states")
     p.add_argument("trace")
     p.add_argument("--registry", default="demo")
     p.add_argument("--out", required=True)
-    _add_grounding_flags(p)
+    _add_grounding_config(p)
     p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("segment", help="segment a trace into activities")
@@ -299,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", default="demo")
     p.add_argument("--out", required=True)
     p.add_argument("--debounce", type=int, default=segmentation.DEFAULT_DEBOUNCE)
-    _add_grounding_flags(p)
+    _add_grounding_config(p)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("learn", help="learn operators from traces")
@@ -309,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", default="demo")
     p.add_argument("--debounce", type=int, default=segmentation.DEFAULT_DEBOUNCE)
     p.add_argument("--repair", action="store_true", help="add exclusivity revocations")
-    _add_grounding_flags(p)
+    _add_grounding_config(p)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("emit", help="serialize a library to PDDL")
@@ -354,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=PLANNER_MODES, default="cost")
     p.add_argument("--mutex-validate", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--max-expansions", type=int)
-    _add_grounding_flags(p)
+    _add_grounding_config(p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -375,8 +324,6 @@ def main(argv: list[str] | None = None) -> int:
         pddl.PddlError,
         ValueError,
         OSError,
-        json.JSONDecodeError,
-        KeyError,
         oplearn.AttributionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -188,6 +188,12 @@ class PlanningProblem:
         unknown = {term for _, args in self.init for term in args if term not in self.registry}
         if unknown:
             raise ModelError(f"init names unknown instance {min(unknown)}")
+        twice = [
+            Literal(*atom) for atom in (*self.init, *(lit.atom for lit in self.goal))
+            if len(set(atom[1])) < len(atom[1])
+        ]
+        if twice:
+            raise ModelError(f"{min(twice)} names one instance twice")
 
     def satisfied(self, state: WorldState) -> bool:
         return all(

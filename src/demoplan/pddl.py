@@ -218,6 +218,13 @@ def _head(node: _Word | _List) -> str:
     return node[0].lower()
 
 
+def _text(node: _Word | _List) -> str:
+    """``node`` as one line of lower-case text, to match a fixed form."""
+    if isinstance(node, _Word):
+        return node.lower()
+    return "(" + " ".join(map(_text, node)) + ")"
+
+
 def _words(items: list) -> list[_Word]:
     for item in items:
         if isinstance(item, _List):
@@ -332,11 +339,9 @@ def _action(node: _List) -> LearnedOperator:
     for eff in _conjuncts(sections[":effect"]) if ":effect" in sections else ():
         head = _head(eff) if isinstance(eff, _List) else ""
         if head == "increase":
-            target = eff[1] if len(eff) == 3 else None
             if (
-                not isinstance(target, _List)
-                or len(target) != 1
-                or _head(target) != "total-cost"
+                len(eff) != 3
+                or _text(eff[1]) != "(total-cost)"
                 or not isinstance(eff[2], _Word)
                 or not eff[2].isdecimal()
             ):
@@ -412,6 +417,8 @@ def _parse_problem(root: _List) -> PlanningProblem:
         elif head == ":init":
             for item in section[1:]:
                 if isinstance(item, _List) and _head(item) == "=":
+                    if _text(item) != "(= (total-cost) 0)":
+                        _error(item, "malformed cost init: expected (= (total-cost) 0)")
                     continue
                 lit = _literal(item)
                 if not lit.positive:
@@ -421,7 +428,10 @@ def _parse_problem(root: _List) -> PlanningProblem:
             if len(section) != 2:
                 _error(section, "malformed :goal")
             goal = [_literal(n) for n in _conjuncts(section[1])]
-        elif head not in (":domain", ":metric"):
+        elif head == ":metric":
+            if _text(section) != "(:metric minimize (total-cost))":
+                _error(section, "unsupported metric: expected (:metric minimize (total-cost))")
+        elif head != ":domain":
             _error(section, f"unsupported section {head!r}")
     registry = _make(root, EnvironmentRegistry, "execution", objects)
     return _make(root, PlanningProblem, registry, frozenset(init), tuple(goal))

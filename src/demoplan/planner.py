@@ -25,6 +25,7 @@ from .model import (
     Atom,
     GroundAction,
     Literal,
+    ModelError,
     OperatorLibrary,
     PlanningProblem,
     WorldState,
@@ -70,7 +71,7 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
     actions: list[GroundAction] = []
     for op in library:
         if op.cost is None:
-            raise PlannerError(f"operator {op.name} has no cost; assign costs first")
+            raise ModelError(f"operator {op.name} has no cost; assign costs first")
         domains = [registry.of_type(type_name) for _, type_name in op.params]
         names = [name for name, _ in op.params]
         for combo in itertools.product(*domains):
@@ -351,6 +352,31 @@ def plan_to_json(plan: Plan, report: ValidationReport | None = None) -> dict:
     if report is not None:
         doc["validation"] = report_to_json(report)
     return doc
+
+
+def plan_from_json(doc, actions: list[GroundAction]) -> Plan:
+    """The plan a ``plan_to_json`` document names, built from ``actions``.
+
+    ``doc`` must be an object with a list of ``steps``, each an object
+    with a string ``name`` and a list of string ``args``, or ValueError
+    says which is not. A step's ``cost`` and the totals are not read:
+    they come from the actions.
+    """
+    steps = doc.get("steps") if isinstance(doc, dict) else None
+    if not isinstance(steps, list):
+        raise ValueError(f"a plan must be a JSON object with a list of steps, got {doc!r}")
+    by_key = {(a.name, a.args): a for a in actions}
+    plan = []
+    for step in steps:
+        named = isinstance(step, dict) and isinstance(step.get("name"), str)
+        args = step.get("args") if named else None
+        if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
+            raise ValueError(f"a plan step needs a string name and a list of string args: {step!r}")
+        key = (step["name"], tuple(args))
+        if key not in by_key:
+            raise ValueError(f"plan step {key} does not exist in the grounded library")
+        plan.append(by_key[key])
+    return Plan(tuple(plan), sum(s.cost for s in plan), len(plan))
 
 
 def report_to_json(report: ValidationReport) -> dict:

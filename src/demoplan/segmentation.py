@@ -8,14 +8,11 @@ rejects label blips shorter than the window.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .grounding import HandSymState, SymbolicState
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_DEBOUNCE = 3
 
@@ -31,12 +28,10 @@ class ActivityLabel(str, Enum):
 def classify(hand: HandSymState) -> ActivityLabel:
     """Activity of one hand state.
 
-    actedOn implies a moving hand; the stationary combination cannot be
-    produced by the grounding rules and is classified as if moving.
+    actedOn implies a moving hand (``HandSymState`` enforces it), so it
+    alone separates Reach and Stack from Put, Take and IdleMotion.
     """
     if hand.actedOn is not None:
-        if not hand.handMove:
-            logger.warning("actedOn with a stationary hand, treating as moving")
         return ActivityLabel.STACK if hand.inHand is not None else ActivityLabel.REACH
     if hand.inHand is not None:
         return ActivityLabel.PUT if hand.handMove else ActivityLabel.TAKE

@@ -368,6 +368,8 @@ def corpus_scripts(
     """Twelve scripts: three movement styles by four stacking tasks."""
     registry = registry or demonstration_registry()
     hands = registry.hands
+    if not hands:
+        raise ValueError(f"the {registry.role} registry has no Hand instances to demonstrate with")
     tasks = [(1, hands[-1]), (1, hands[0]), (2, hands[-1]), (2, hands[0])]
     scripts = []
     for s, style in enumerate(_STYLES):

@@ -5,6 +5,7 @@ out. Exit codes are the contract: 0 success, 2 bad input, 3 unsolvable,
 4 failed validation.
 """
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from demoplan import planner, segmentation, synthgen
-from demoplan.cli import main
+from demoplan.cli import build_parser, main
 from demoplan.model import OperatorLibrary, literal_from_json
 from demoplan.ontology import (
     EnvironmentRegistry,
@@ -95,23 +96,15 @@ def test_ground_writes_states(tmp_path, trace_dir, corpus):
     assert set(states[0]["hands"]) == {"Left_hand", "Right_hand"}
 
 
-def test_grounding_config_env_var(tmp_path, trace_dir, monkeypatch):
-    """An absurd movement threshold from the env config freezes every hand."""
+def test_grounding_config_file(tmp_path, trace_dir):
+    """An absurd movement threshold from the config file freezes every hand."""
     config = tmp_path / "grounding.json"
     config.write_text(json.dumps({"move_speed": 99.0}))
-    monkeypatch.setenv("DEMOPLAN_GROUNDING", str(config))
     out = tmp_path / "states.json"
     trace = str(trace_dir / "trace_00.jsonl")
-    assert main(["ground", trace, "--out", str(out)]) == 0
+    assert main(["ground", trace, "--grounding-config", str(config), "--out", str(out)]) == 0
     states = json.loads(out.read_text())
     assert not any(
-        hand["handMove"] for state in states for hand in state["hands"].values()
-    )
-
-    # an explicit flag beats the env config
-    assert main(["ground", trace, "--out", str(out), "--move-speed", "0.1"]) == 0
-    states = json.loads(out.read_text())
-    assert any(
         hand["handMove"] for state in states for hand in state["hands"].values()
     )
 
@@ -226,7 +219,7 @@ def test_plan_mode_length(tmp_path, library_file, goal_file):
 
 
 def test_plan_unsolvable_writes_nothing(tmp_path, library_file, capsys):
-    """A cube stacked on itself can never hold."""
+    """Two cubes each on top of the other can never hold."""
     registry = tmp_path / "registry.json"
     save_registry(
         EnvironmentRegistry(
@@ -242,7 +235,12 @@ def test_plan_unsolvable_writes_nothing(tmp_path, library_file, capsys):
     )
     goal = tmp_path / "impossible.json"
     goal.write_text(
-        json.dumps([{"pred": "onTop", "args": ["Cube_blue3", "Cube_blue3"]}])
+        json.dumps(
+            [
+                {"pred": "onTop", "args": ["Cube_blue3", "Cube_green3"]},
+                {"pred": "onTop", "args": ["Cube_green3", "Cube_blue3"]},
+            ]
+        )
     )
     out = tmp_path / "plan.json"
     code = main(
@@ -326,8 +324,9 @@ def test_validate_mutex_flags_double_reach(tmp_path, combined_library, capsys):
         {"pred": "onTop", "args": ["Cube_green3", "Cube_blue3"], "positive": "false"},
         {"pred": "onTop", "args": [1, 2]},
         {"pred": "onTop", "args": "ab"},
+        {"pred": "onTop", "args": ["Cube_blue3", "Cube_blue3"]},
     ],
-    ids=["string-positive", "number-args", "string-args"],
+    ids=["string-positive", "number-args", "string-args", "one-cube-twice"],
 )
 def test_malformed_goal_literal_is_bad_input(tmp_path, library_file, literal, capsys):
     goal = tmp_path / "goal.json"
@@ -408,7 +407,9 @@ def test_incomplete_frames_fail_at_the_reader(tmp_path, trace_dir, goal_file, ca
 
 
 @pytest.mark.parametrize(
-    "text", ['{"move_speed": "fast"}', "5", '"abc"'], ids=["string-value", "number", "string"]
+    "text",
+    ['{"move_speed": "fast"}', '{"move_speed": NaN}', "5", '"abc"'],
+    ids=["string-value", "nan-value", "number", "string"],
 )
 def test_malformed_grounding_config_is_bad_input(tmp_path, trace_dir, capsys, text):
     config = tmp_path / "grounding.json"
@@ -419,13 +420,107 @@ def test_malformed_grounding_config_is_bad_input(tmp_path, trace_dir, capsys, te
     assert "error: grounding config" in capsys.readouterr().err
 
 
-def test_non_finite_grounding_flag_is_bad_input(tmp_path, trace_dir, capsys):
-    """A NaN threshold used to ground every hand as not moving."""
-    trace = str(trace_dir / "trace_00.jsonl")
-    code = main(["ground", trace, "--move-speed", "nan", "--out", str(tmp_path / "s.json")])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "a plan must be a JSON object with a list of steps"),
+        ({"total_cost": 0}, "a plan must be a JSON object with a list of steps"),
+        ({"steps": [3]}, "a plan step needs a string name and a list of string args"),
+        ({"steps": [{"name": "Reach", "args": 5}]}, "a plan step needs a string name"),
+        (
+            {"steps": [{"name": "Reach", "args": ["Nobody"]}]},
+            "plan step ('Reach', ('Nobody',)) does not exist",
+        ),
+    ],
+    ids=["list", "no-steps", "number-step", "number-args", "unknown-step"],
+)
+def test_malformed_plan_file_is_bad_input(tmp_path, library_file, goal_file, capsys, doc, message):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    code = main(
+        ["validate", "--library", str(library_file), "--plan", str(plan), "--goal", str(goal_file)]
+    )
     assert code == 2
-    assert "error: grounding config move_speed must be a finite number" in capsys.readouterr().err
-    assert not (tmp_path / "s.json").exists()
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_library_without_costs_is_bad_input(tmp_path, library_file, goal_file, capsys):
+    """Every command that grounds or emits the library exits 2 the same way."""
+    doc = json.loads(library_file.read_text())
+    doc["operators"][0]["cost"] = None
+    library = tmp_path / "library.json"
+    library.write_text(json.dumps(doc))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"steps": []}))
+    common = ["--library", str(library), "--goal", str(goal_file)]
+    for argv in (
+        ["emit", *common, "--out", str(tmp_path / "d.pddl"),
+         "--problem-out", str(tmp_path / "p.pddl")],
+        ["plan", *common, "--out", str(tmp_path / "out.json")],
+        ["validate", *common, "--plan", str(plan)],
+    ):
+        assert main(argv) == 2, argv
+        assert "has no cost" in capsys.readouterr().err, argv
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_gen_needs_a_registry_with_hands(tmp_path, capsys):
+    registry = EnvironmentRegistry(
+        "demonstration",
+        [ObjectInstance("table1", "Table"), ObjectInstance("a", "Wooden_cube"),
+         ObjectInstance("b", "Wooden_cube")],
+    )
+    save_registry(registry, tmp_path / "registry.json")
+    argv = ["gen", "--out", str(tmp_path / "corpus"), "--registry", str(tmp_path / "registry.json")]
+    code = main(argv)
+    assert code == 2
+    assert "error: the demonstration registry has no Hand instances" in capsys.readouterr().err
+
+
+# Every option of every subcommand. A new knob shows up here as a test change.
+CLI_SURFACE = {
+    "": ["--help", "--verbose", "-h", "-v"],
+    "gen": ["--help", "--out", "--registry", "--seed", "-h"],
+    "ground": ["--grounding-config", "--help", "--out", "--registry", "-h"],
+    "segment": ["--debounce", "--grounding-config", "--help", "--out", "--registry", "-h"],
+    "learn": [
+        "--append", "--debounce", "--grounding-config", "--help", "--library", "--registry",
+        "--repair", "-h",
+    ],
+    "emit": [
+        "--goal", "--help", "--library", "--name", "--out", "--problem-name", "--problem-out",
+        "--registry", "-h",
+    ],
+    "plan": [
+        "--export-pddl", "--goal", "--help", "--library", "--max-expansions", "--mode",
+        "--mutex-validate", "--out", "--registry", "-h",
+    ],
+    "validate": ["--goal", "--help", "--library", "--mutex", "--plan", "--registry", "-h"],
+    "pipeline": [
+        "--debounce", "--demo-registry", "--exec-registry", "--goal", "--grounding-config",
+        "--help", "--max-expansions", "--mode", "--mutex-validate", "--no-mutex-validate",
+        "--no-repair", "--out", "--repair", "--seed", "--synth-corpus", "--traces", "-h",
+    ],
+}
+
+
+def _options(parser: argparse.ArgumentParser) -> list[str]:
+    return sorted(opt for action in parser._actions for opt in action.option_strings)
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {"": _options(parser)}
+    surface.update({name: _options(sub) for name, sub in commands.choices.items()})
+    assert surface == CLI_SURFACE
+
+
+def test_src_reads_no_environment():
+    """Files and flags are the only inputs: no module reads environment variables."""
+    for path in sorted((ROOT / "src" / "demoplan").glob("*.py")):
+        text = path.read_text()
+        assert "os.environ" not in text and "getenv" not in text, path
 
 
 def test_pipeline_from_traces(tmp_path, trace_dir, goal_file):

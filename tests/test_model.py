@@ -187,6 +187,17 @@ def test_problem_init_names_only_known_instances():
         PlanningProblem(reg, init, (lit("handOpen", "Robot_gripper"),))
 
 
+def test_problem_atoms_name_each_instance_once():
+    reg = execution_registry()
+    hand = frozenset({("handOpen", ("Robot_gripper",))})
+    init = hand | {("inTouch", ("Cube_red3", "Cube_red3"))}
+    with pytest.raises(ModelError, match=r"inTouch\(Cube_red3, Cube_red3\) names one instance"):
+        PlanningProblem(reg, init, (lit("handOpen", "Robot_gripper"),))
+    goal = (lit("onTop", "Cube_red3", "Cube_red3", positive=False),)
+    with pytest.raises(ModelError, match=r"onTop\(Cube_red3, Cube_red3\) names one instance"):
+        PlanningProblem(reg, hand, goal)
+
+
 def test_problem_satisfaction_honours_negative_goals():
     reg = execution_registry()
     goal = (

@@ -442,6 +442,13 @@ def _reach(effect: str, precondition: str = "(and)") -> str:
     )
 
 
+def _problem(init: str, metric: str = "") -> str:
+    return (
+        "(define (problem p) (:domain d) (:objects h - Hand t - Table)"
+        f" (:init {init}) (:goal (and (handOpen h))) {metric})"
+    )
+
+
 @pytest.mark.parametrize(
     "text, message, at",
     [
@@ -456,11 +463,17 @@ def _reach(effect: str, precondition: str = "(and)") -> str:
         (_reach("(and (increase (total-cost x) 5))"), "malformed cost increase", "(increase"),
         (_reach(COST_1, "(and (not (= ?a)))"), "neq takes 2 arguments", "(= ?a"),
         (_reach(COST_1).replace("Reach", "Reach²"), "matches no activity", "Reach²"),
+        (_problem("(= (foo bar) 7) (handOpen h)"), "malformed cost init", "(= (foo"),
+        (_problem("(= (total-cost) 5)"), "malformed cost init", "(= (total"),
+        (_problem("", "(:metric maximize (nothing))"), "unsupported metric", "(:metric"),
+        (_problem("", "(:metric minimize (total-cost) 1)"), "unsupported metric", "(:metric"),
+        (_problem("(onTop h h)"), "onTop(h, h) names one instance twice", "(define"),
     ],
 )
 def test_malformed_text_raises_a_positioned_syntax_error(text, message, at):
     """Inputs that used to escape as IndexError, ModelError or ValueError,
-    and cost effects other than (increase (total-cost) N) that used to parse."""
+    and cost effects, cost inits, metrics and atoms naming one instance
+    twice that used to parse."""
     with pytest.raises(PddlSyntaxError, match=re.escape(message)) as info:
         parse(text)
     assert (info.value.line, info.value.col) == (1, text.index(at) + 1)

@@ -12,6 +12,7 @@ from demoplan.model import (
     NEQ,
     LearnedOperator,
     Literal,
+    ModelError,
     OperatorLibrary,
     PlanningProblem,
 )
@@ -23,6 +24,7 @@ from demoplan.planner import (
     PlannerError,
     compare_cost_modes,
     ground,
+    plan_from_json,
     plan_to_json,
     solve,
     standard_goals,
@@ -88,7 +90,7 @@ def test_ground_requires_costs(exec_registry):
             )
         ]
     )
-    with pytest.raises(PlannerError, match="has no cost"):
+    with pytest.raises(ModelError, match="has no cost"):
         ground(library, exec_registry)
 
 
@@ -101,7 +103,8 @@ def test_satisfied_goal_yields_empty_plan(exec_actions, exec_registry):
 
 
 def test_unreachable_goal_returns_none(combined_library):
-    """A cube on itself; two cubes keep the exhaustive search instant."""
+    """Two cubes each on top of the other; two cubes keep the exhaustive
+    search instant."""
     registry = EnvironmentRegistry(
         "execution",
         [
@@ -111,7 +114,11 @@ def test_unreachable_goal_returns_none(combined_library):
             ObjectInstance("high_table", "Table"),
         ],
     )
-    problem = goal_problem(registry, Literal("onTop", ("Cube_blue3", "Cube_blue3")))
+    problem = goal_problem(
+        registry,
+        Literal("onTop", ("Cube_blue3", "Cube_green3")),
+        Literal("onTop", ("Cube_green3", "Cube_blue3")),
+    )
     assert solve(problem, ground(combined_library, registry)) is None
 
 
@@ -191,8 +198,9 @@ def test_cost_mode_comparison():
     _, _, flat = compare_cost_modes(problem, ground(balanced, registry))
     assert flat == 0.0
 
+    # no Put adds onTop
     impossible = PlanningProblem(
-        registry, frozenset(), (Literal("onTop", ("Cube_red3", "Cube_red3")),)
+        registry, frozenset(), (Literal("onTop", ("Cube_red3", "high_table")),)
     )
     with pytest.raises(PlannerError, match="needs a solvable problem"):
         compare_cost_modes(impossible, ground(skewed, registry))
@@ -298,6 +306,8 @@ def test_plan_to_json(exec_actions, exec_registry):
         "failing_step": None,
         "reason": "ok",
     }
+    assert plan_from_json(doc, exec_actions) == plan
+    assert plan_from_json(with_report, exec_actions) == plan
 
 
 # --- equivalence with the full-scan oracle ---------------------------------
@@ -362,8 +372,8 @@ def test_solve_matches_the_scan_on_larger_tables(
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_solve_matches_the_scan_on_random_goals(libraries, data):
-    """Random onTop goals, some negated, over a random subset of cubes
-    on one or two grippers; a small budget bounds the search, and both
+    """Random onTop goals between two things, some negated, over a random
+    subset of cubes on one or two grippers; a small budget bounds the search, and both
     solvers must then give up at the same point."""
     library = libraries[data.draw(st.sampled_from(["raw", "repaired"]))]
     hands = data.draw(st.sampled_from([(GRIPPER,), ("Left_gripper", "Right_gripper")]))
@@ -379,7 +389,7 @@ def test_solve_matches_the_scan_on_random_goals(libraries, data):
                 st.sampled_from(registry.cubes),
                 st.sampled_from(things),
                 st.booleans(),
-            ),
+            ).filter(lambda l: l.args[0] != l.args[1]),
             min_size=1,
             max_size=3,
             unique_by=lambda l: l.atom,
