@@ -325,12 +325,10 @@ def main(argv: list[str] | None = None) -> int:
         ValueError,
         OSError,
         oplearn.AttributionError,
+        planner.PlannerError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except planner.PlannerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

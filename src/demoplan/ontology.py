@@ -1,14 +1,14 @@
-"""Object type hierarchy and environment registries.
+"""Object types and environment registries.
 
-The tabletop world is described by a small type tree rooted at ``Thing``
-(hands, wooden cubes, tables) plus a registry of named object instances
-for one environment, either the demonstration side or the execution side.
+The tabletop world has one fixed set of types: hands, wooden cubes and
+tables, all under ``Thing``. A registry names the object instances of one
+environment, either the demonstration side or the execution side.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 THING = "Thing"
@@ -16,32 +16,21 @@ HAND = "Hand"
 CUBE = "Wooden_cube"
 TABLE = "Table"
 
-BUILTIN_TYPES: dict[str, str | None] = {
-    THING: None,
-    HAND: THING,
-    CUBE: THING,
-    TABLE: THING,
-}
+BUILTIN_TYPES = (THING, HAND, CUBE, TABLE)
 
 ROLES = ("demonstration", "execution")
 
 
 class OntologyError(Exception):
-    """Base error for type hierarchy and registry problems."""
+    """Base error for type and registry problems."""
 
 
 class UnknownTypeError(OntologyError):
-    """A type name that is not declared in the hierarchy."""
+    """A type name that is not one of ``BUILTIN_TYPES``."""
 
 
 class RegistryError(OntologyError):
     """A structurally invalid environment registry."""
-
-
-@dataclass(frozen=True)
-class ObjectType:
-    name: str
-    parent: str | None
 
 
 @dataclass(frozen=True)
@@ -50,47 +39,12 @@ class ObjectInstance:
     type_name: str
 
 
-class TypeHierarchy:
-    """Tree of object types rooted at ``Thing``.
-
-    User-declared types may extend the tree anywhere under the root, the
-    four built-in types are always present.
-    """
-
-    def __init__(self, extra_types: list[ObjectType] | None = None) -> None:
-        self._parent: dict[str, str | None] = dict(BUILTIN_TYPES)
-        for t in extra_types or []:
-            if t.name in self._parent:
-                raise RegistryError(f"duplicate type declaration: {t.name}")
-            if t.parent is None or t.parent not in self._parent:
-                raise UnknownTypeError(
-                    f"type {t.name} declares unknown parent {t.parent!r}"
-                )
-            self._parent[t.name] = t.parent
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._parent
-
-    def is_subtype(self, a: str, b: str) -> bool:
-        """True iff ``a`` equals ``b`` or ``b`` is an ancestor of ``a``."""
-        for name in (a, b):
-            if name not in self._parent:
-                raise UnknownTypeError(f"unknown type: {name}")
-        cur: str | None = a
-        while cur is not None:
-            if cur == b:
-                return True
-            cur = self._parent[cur]
-        return False
-
-
 @dataclass
 class EnvironmentRegistry:
-    """Named instances of one environment plus its type hierarchy."""
+    """Named instances of one environment, each of a built-in type."""
 
     role: str
     instances: list[ObjectInstance]
-    types: TypeHierarchy = field(default_factory=TypeHierarchy)
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
@@ -98,15 +52,17 @@ class EnvironmentRegistry:
         # Lookups read these tables, so the instance list is not to be
         # changed after construction.
         self._type_of: dict[str, str] = {}
-        self._of_type: dict[str, list[str]] = {}
         for inst in self.instances:
             if inst.name in self._type_of:
                 raise RegistryError(f"duplicate instance name: {inst.name}")
-            if inst.type_name not in self.types:
+            if inst.type_name not in BUILTIN_TYPES:
                 raise UnknownTypeError(
                     f"instance {inst.name} has unknown type {inst.type_name}"
                 )
             self._type_of[inst.name] = inst.type_name
+        names = sorted(self._type_of)
+        self._of_type = {t: [n for n in names if self._type_of[n] == t] for t in BUILTIN_TYPES}
+        self._of_type[THING] = names
         tables = self.of_type(TABLE)
         if len(tables) != 1:
             raise RegistryError(
@@ -128,15 +84,11 @@ class EnvironmentRegistry:
             raise RegistryError(f"unknown instance: {name}") from None
 
     def of_type(self, type_name: str) -> list[str]:
-        """Instance names whose type is a subtype of ``type_name``, sorted."""
-        names = self._of_type.get(type_name)
-        if names is None:
-            names = self._of_type[type_name] = sorted(
-                name
-                for name, inst_type in self._type_of.items()
-                if self.types.is_subtype(inst_type, type_name)
-            )
-        return list(names)
+        """Instance names of type ``type_name``, sorted; ``Thing`` names all."""
+        try:
+            return list(self._of_type[type_name])
+        except KeyError:
+            raise UnknownTypeError(f"unknown type: {type_name}") from None
 
     @property
     def hands(self) -> list[str]:
@@ -151,20 +103,12 @@ class EnvironmentRegistry:
         return self.of_type(TABLE)[0]
 
     def to_json(self) -> dict:
-        doc: dict = {
+        return {
             "role": self.role,
             "instances": [
                 {"name": i.name, "type": i.type_name} for i in self.instances
             ],
         }
-        extra = [
-            {"name": n, "parent": p}
-            for n, p in sorted(self.types._parent.items())
-            if n not in BUILTIN_TYPES
-        ]
-        if extra:
-            doc["types"] = extra
-        return doc
 
 
 def load_registry(path: str | Path) -> EnvironmentRegistry:
@@ -182,23 +126,18 @@ def registry_from_json(doc: dict) -> EnvironmentRegistry:
     for key in ("role", "instances"):
         if key not in doc:
             raise RegistryError(f"registry document missing {key!r}")
-    types = doc.get("types", [])
-    if not isinstance(types, list):
-        raise RegistryError(f"registry 'types' must be a JSON list, got {types!r}")
     if not isinstance(doc["instances"], list):
         raise RegistryError(f"registry 'instances' must be a JSON list, got {doc['instances']!r}")
-    extra = [ObjectType(*_strings(t, "name", "parent", "type")) for t in types]
-    instances = [ObjectInstance(*_strings(i, "name", "type", "instance")) for i in doc["instances"]]
-    return EnvironmentRegistry(doc["role"], instances, TypeHierarchy(extra))
+    return EnvironmentRegistry(doc["role"], [_instance(i) for i in doc["instances"]])
 
 
-def _strings(item, first: str, second: str, what: str) -> tuple[str, str]:
-    """The two string fields of a type or instance entry."""
+def _instance(item) -> ObjectInstance:
+    """An instance entry: an object whose name and type are strings."""
     if isinstance(item, dict):
-        a, b = item.get(first), item.get(second)
-        if isinstance(a, str) and isinstance(b, str):
-            return a, b
-    raise RegistryError(f"malformed {what} entry: {item!r}")
+        name, type_name = item.get("name"), item.get("type")
+        if isinstance(name, str) and isinstance(type_name, str):
+            return ObjectInstance(name, type_name)
+    raise RegistryError(f"malformed instance entry: {item!r}")
 
 
 def save_registry(registry: EnvironmentRegistry, path: str | Path) -> None:

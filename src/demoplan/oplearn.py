@@ -143,11 +143,7 @@ def extract(
         for atom, val_before, val_after, pair in _env_atom_changes(
             states[k - 1].env, states[k].env
         ):
-            involved = [
-                x
-                for x in pair
-                if registry.types.is_subtype(registry.type_of(x), CUBE)
-            ]
+            involved = [x for x in pair if registry.type_of(x) == CUBE]
             qualifying = [
                 h
                 for h in hands

@@ -190,6 +190,8 @@ def solve(
     """Search for a plan; None means the goal is unreachable."""
     if mode not in MODES:
         raise PlannerError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if max_expansions is not None and max_expansions < 0:
+        raise PlannerError(f"expansion budget must not be negative, got {max_expansions}")
     actions = sorted(actions, key=lambda a: (a.name, a.args))
 
     masks = _Masks()

@@ -52,14 +52,15 @@ class ActivitySegment:
             raise ValueError(f"segment start {self.start} after end {self.end}")
 
 
-def _runs(labels: list[ActivityLabel]) -> list[tuple[ActivityLabel, int, int]]:
-    runs = []
+def runs(labels: list) -> list[tuple]:
+    """Maximal runs of equal labels as (label, start, end), end inclusive."""
+    found = []
     start = 0
     for i in range(1, len(labels) + 1):
         if i == len(labels) or labels[i] != labels[start]:
-            runs.append((labels[start], start, i - 1))
+            found.append((labels[start], start, i - 1))
             start = i
-    return runs
+    return found
 
 
 def debounce_labels(labels: list[ActivityLabel], debounce: int) -> list[ActivityLabel]:
@@ -72,7 +73,7 @@ def debounce_labels(labels: list[ActivityLabel], debounce: int) -> list[Activity
         raise ValueError("debounce must be >= 1")
     smoothed: list[ActivityLabel] = []
     committed: ActivityLabel | None = None
-    for label, start, end in _runs(labels):
+    for label, start, end in runs(labels):
         length = end - start + 1
         if committed is None or length >= debounce:
             committed = label
@@ -91,7 +92,7 @@ def segment(
     for hand in sorted(states[0].hands):
         raw = [classify(state.hands[hand]) for state in states]
         smoothed = debounce_labels(raw, debounce)
-        for label, start, end in _runs(smoothed):
+        for label, start, end in runs(smoothed):
             segments.append(ActivitySegment(hand, label, start, end))
     return segments
 
@@ -110,21 +111,5 @@ def segments_to_json(segments: list[ActivitySegment]) -> list[dict]:
     ]
 
 
-def segments_from_json(doc: list[dict]) -> list[ActivitySegment]:
-    return [
-        ActivitySegment(
-            hand=item["hand"],
-            label=ActivityLabel(item["label"]),
-            start=item["start_frame"] - 1,
-            end=item["end_frame"] - 1,
-        )
-        for item in doc
-    ]
-
-
 def write_segments(segments: list[ActivitySegment], path: str | Path) -> None:
     Path(path).write_text(json.dumps(segments_to_json(segments), indent=2) + "\n")
-
-
-def read_segments(path: str | Path) -> list[ActivitySegment]:
-    return segments_from_json(json.loads(Path(path).read_text()))

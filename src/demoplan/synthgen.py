@@ -23,6 +23,7 @@ import numpy as np
 
 from .grounding import GroundingConfig
 from .ontology import EnvironmentRegistry, demonstration_registry
+from .segmentation import runs
 from .trace import DemoFrame, DemoTrace, HandSample, write_trace
 
 DT = 1.0 / 30.0
@@ -215,23 +216,6 @@ def _evaluate_labels(
     return labels
 
 
-def _label_rows(labels: list[str], hand: str) -> list[dict]:
-    rows = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            rows.append(
-                {
-                    "hand": hand,
-                    "label": labels[start],
-                    "start_frame": start,
-                    "end_frame": i - 1,
-                }
-            )
-            start = i
-    return rows
-
-
 def _noise_offsets(n_frames: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     if sigma == 0.0:
         return np.zeros((n_frames, 3))
@@ -312,7 +296,10 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
 
     clean = tl.frames
     labels = _evaluate_labels(clean, script.hand, GroundingConfig())
-    rows = _label_rows(labels, script.hand)
+    rows = [
+        {"hand": script.hand, "label": label, "start_frame": start, "end_frame": end}
+        for label, start, end in runs(labels)
+    ]
     for other in registry.hands:
         if other != script.hand:
             rows.append(
@@ -348,7 +335,7 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
                 contacts=frozenset(f.contacts),
             )
         )
-    trace = DemoTrace(frames, registry, 1.0 / DT)
+    trace = DemoTrace(frames, registry)
     return GeneratedDemo(script, trace, rows)
 
 

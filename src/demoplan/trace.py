@@ -59,7 +59,6 @@ class DemoFrame:
 class DemoTrace:
     frames: list[DemoFrame]
     registry: EnvironmentRegistry
-    sample_rate_hz: float
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -100,7 +99,7 @@ def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None =
 
     hands: dict[str, HandSample] = {}
     for name, sample in _as_dict(doc, "hands", line).items():
-        if name not in registry or not registry.types.is_subtype(registry.type_of(name), HAND):
+        if name not in registry or registry.type_of(name) != HAND:
             raise TraceError(f"unknown hand instance: {name}", line)
         if not isinstance(sample, dict):
             raise TraceError(f"hand sample for {name} must be an object", line)
@@ -109,7 +108,7 @@ def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None =
             raise TraceError(f"hand {name} open must be a JSON boolean, got {is_open!r}", line)
         held = sample.get("held")
         if held is not None:
-            if held not in registry or not registry.types.is_subtype(registry.type_of(held), CUBE):
+            if held not in registry or registry.type_of(held) != CUBE:
                 raise TraceError(f"held object {held!r} is not a known cube", line)
             if is_open:
                 raise TraceError(f"hand {name} cannot be open while holding {held}", line)
@@ -170,8 +169,7 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
             frames.append(frame)
     if len(frames) < 2:
         raise TraceError(f"trace has {len(frames)} frames, need at least 2")
-    rate = (len(frames) - 1) / (frames[-1].t - frames[0].t)
-    return DemoTrace(frames, registry, rate)
+    return DemoTrace(frames, registry)
 
 
 def write_trace(trace: DemoTrace, path: str | Path) -> None:

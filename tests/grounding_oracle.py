@@ -49,8 +49,7 @@ def ground_env(frame_objects, contacts, registry) -> EnvSymState:
     things = {
         name
         for name in frame_objects
-        if registry.types.is_subtype(registry.type_of(name), CUBE)
-        or registry.types.is_subtype(registry.type_of(name), TABLE)
+        if registry.type_of(name) in (CUBE, TABLE)
     }
     in_touch = frozenset(
         pair for pair in contacts if all(member in things for member in pair)
@@ -76,7 +75,7 @@ def ground_frame(trace: DemoTrace, index: int, config: GroundingConfig | None = 
     cube_pos = {
         name: np.asarray(pos)
         for name, pos in frame.objects.items()
-        if registry.types.is_subtype(registry.type_of(name), CUBE)
+        if registry.type_of(name) == CUBE
     }
 
     hands = {}

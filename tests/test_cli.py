@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from demoplan import planner, segmentation, synthgen
+from demoplan import grounding, planner, segmentation, synthgen
 from demoplan.cli import build_parser, main
 from demoplan.model import OperatorLibrary, literal_from_json
 from demoplan.ontology import (
@@ -22,7 +22,7 @@ from demoplan.ontology import (
     execution_registry,
     save_registry,
 )
-from demoplan.trace import DemoFrame, DemoTrace, HandSample, write_trace
+from demoplan.trace import DemoFrame, DemoTrace, HandSample, read_trace, write_trace
 
 GOAL1 = [{"pred": "onTop", "args": ["Cube_green3", "Cube_blue3"], "positive": True}]
 ROOT = Path(__file__).parent.parent
@@ -109,16 +109,17 @@ def test_grounding_config_file(tmp_path, trace_dir):
     )
 
 
-def test_segment_writes_segments(tmp_path, trace_dir):
+def test_segment_writes_segments(tmp_path, trace_dir, demo_registry):
     out = tmp_path / "segments.json"
-    assert main(["segment", str(trace_dir / "trace_01.jsonl"), "--out", str(out)]) == 0
-    segments = segmentation.read_segments(out)
-    assert segments
+    trace = trace_dir / "trace_01.jsonl"
+    assert main(["segment", str(trace), "--out", str(out)]) == 0
+    segments = segmentation.segment(grounding.ground_trace(read_trace(trace, demo_registry)))
+    assert json.loads(out.read_text()) == segmentation.segments_to_json(segments)
     assert {s.hand for s in segments} == {"Left_hand", "Right_hand"}
 
 
 def test_learn_matches_direct_api(trace_dir, library_file, corpus, demo_registry):
-    from demoplan import grounding, oplearn
+    from demoplan import oplearn
 
     states = grounding.ground_trace(corpus[2].trace)
     segments = segmentation.segment(states)
@@ -368,7 +369,7 @@ def test_unattributable_change_is_bad_input(tmp_path, capsys):
         for i in range(20)
     ]
     path = tmp_path / "trace.jsonl"
-    write_trace(DemoTrace(frames, registry, 10.0), path)
+    write_trace(DemoTrace(frames, registry), path)
     code = main(["learn", str(path), "--library", str(tmp_path / "library.json")])
     assert code == 2
     assert "frame 10: cannot attribute" in capsys.readouterr().err
@@ -475,6 +476,18 @@ def test_gen_needs_a_registry_with_hands(tmp_path, capsys):
     code = main(argv)
     assert code == 2
     assert "error: the demonstration registry has no Hand instances" in capsys.readouterr().err
+
+
+def test_gen_rejects_a_type_outside_the_builtins(tmp_path, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"role": "demonstration", "instances": [
+        {"name": "Right_hand", "type": "Hand"},
+        {"name": "Cube_small1", "type": "Small_cube"},
+        {"name": "table1", "type": "Table"},
+    ]}))
+    code = main(["gen", "--out", str(tmp_path / "corpus"), "--registry", str(registry)])
+    assert code == 2
+    assert "error: instance Cube_small1 has unknown type Small_cube" in capsys.readouterr().err
 
 
 # Every option of every subcommand. A new knob shows up here as a test change.
@@ -584,6 +597,24 @@ def test_seed7_artifacts_are_pinned(seed7_run, tmp_path):
         assert cost == reference["optimal"][f"repaired/exec4/{name}"]["min_cost"]
         costs.append(cost)
     assert costs == [180, 399, 618, 399]
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [("-3", "expansion budget must not be negative, got -3"), ("5", "gave up after 5 expansions")],
+    ids=["negative", "exhausted"],
+)
+def test_search_budget_is_bad_input(seed7_run, tmp_path, capsys, budget, message):
+    out, code = seed7_run
+    assert code == 0
+    plan = tmp_path / "plan.json"
+    code = main(
+        ["plan", "--library", str(out / "library.json"), "--goal", str(GOALS / "goal3.json"),
+         "--max-expansions", budget, "--out", str(plan)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not plan.exists()
 
 
 def test_stages_equal_the_pipeline(seed7_run, tmp_path):

@@ -25,8 +25,6 @@ from demoplan.ontology import (
     HAND,
     EnvironmentRegistry,
     ObjectInstance,
-    ObjectType,
-    TypeHierarchy,
     execution_registry,
 )
 from demoplan.ontology import TABLE as TABLE_TYPE
@@ -50,7 +48,7 @@ def make_trace(p0, p1, held=None, open_=True, cubes=None, contacts=()):
                   frozenset(frozenset(pair) for pair in contacts))
         for t, p in ((0.0, p0), (DT, p1))
     ]
-    return DemoTrace(frames, execution_registry(), 1.0 / DT)
+    return DemoTrace(frames, execution_registry())
 
 
 def gripper(trace, config=None):
@@ -265,19 +263,15 @@ def test_seed7_corpus_matches_the_per_frame_oracle(corpus):
 LATTICE = st.integers(0, 8).map(lambda k: k / 32)
 COORD = st.one_of(LATTICE, st.floats(0.0, 0.25, allow_nan=False))
 POINT = st.tuples(COORD, COORD, COORD)
-SCENE_CUBES = ("Cube_b", "Cube_a", "Cube_small", "Cube_c")
+SCENE_CUBES = ("Cube_b", "Cube_a", "Cube_d", "Cube_c")
 SCENE_HANDS = ("Right_hand", "Left_hand")
 
 
 def _scene_registry():
-    types = TypeHierarchy([ObjectType("Small_cube", CUBE)])
     instances = [ObjectInstance(hand, HAND) for hand in SCENE_HANDS]
-    instances += [
-        ObjectInstance(cube, "Small_cube" if cube == "Cube_small" else CUBE)
-        for cube in SCENE_CUBES
-    ]
+    instances += [ObjectInstance(cube, CUBE) for cube in SCENE_CUBES]
     instances.append(ObjectInstance("table1", TABLE_TYPE))
-    return EnvironmentRegistry("demonstration", instances, types)
+    return EnvironmentRegistry("demonstration", instances)
 
 
 def _near(point):
@@ -315,7 +309,7 @@ def scenes(draw):
                 lambda b: frozenset((a, b)))), max_size=4))
         frames.append(DemoFrame(t, hands, objects, frozenset(contacts)))
         t += draw(st.sampled_from((0.1, 0.125, 1 / 30)))
-    return DemoTrace(frames, _scene_registry(), 10.0)
+    return DemoTrace(frames, _scene_registry())
 
 
 CONFIGS = st.builds(

@@ -12,9 +12,7 @@ from demoplan.ontology import (
     THING,
     EnvironmentRegistry,
     ObjectInstance,
-    ObjectType,
     RegistryError,
-    TypeHierarchy,
     UnknownTypeError,
     demonstration_registry,
     execution_registry,
@@ -24,32 +22,23 @@ from demoplan.ontology import (
 )
 
 
-def test_builtin_hierarchy():
-    types = TypeHierarchy()
-    assert types.is_subtype(CUBE, THING)
-    assert types.is_subtype(HAND, THING)
-    assert types.is_subtype(TABLE, THING)
-    assert types.is_subtype(CUBE, CUBE)
-    assert not types.is_subtype(CUBE, HAND)
-    assert not types.is_subtype(THING, CUBE)
-    assert CUBE in types
-    assert "Sphere" not in types
-
-
-def test_extra_types_extend_the_tree():
-    types = TypeHierarchy([ObjectType("Heavy_cube", CUBE)])
-    assert types.is_subtype("Heavy_cube", CUBE)
-    assert types.is_subtype("Heavy_cube", THING)
-    assert not types.is_subtype(CUBE, "Heavy_cube")
-
-
-def test_bad_type_declarations():
-    with pytest.raises(RegistryError):
-        TypeHierarchy([ObjectType(CUBE, THING)])
-    with pytest.raises(UnknownTypeError):
-        TypeHierarchy([ObjectType("Heavy_cube", "Block")])
-    with pytest.raises(UnknownTypeError):
-        TypeHierarchy().is_subtype("Block", THING)
+def test_types_are_the_four_builtins():
+    """of_type matches exactly, Thing lists every instance, and any other
+    type name is unknown."""
+    table = ObjectInstance("t", TABLE)
+    reg = EnvironmentRegistry(
+        "execution",
+        [table, ObjectInstance("h", HAND), ObjectInstance("b", CUBE),
+         ObjectInstance("a", CUBE), ObjectInstance("x", THING)],
+    )
+    assert reg.of_type(CUBE) == ["a", "b"]
+    assert reg.of_type(HAND) == ["h"]
+    assert reg.of_type(TABLE) == ["t"]
+    assert reg.of_type(THING) == ["a", "b", "h", "t", "x"]
+    with pytest.raises(UnknownTypeError, match="unknown type: Heavy_cube"):
+        reg.of_type("Heavy_cube")
+    with pytest.raises(UnknownTypeError, match="instance c has unknown type Heavy_cube"):
+        EnvironmentRegistry("execution", [table, ObjectInstance("c", "Heavy_cube")])
 
 
 def test_registry_validation():
@@ -78,7 +67,6 @@ def test_registry_accessors():
     assert "Cube_red9" not in reg
     with pytest.raises(RegistryError):
         reg.type_of("Cube_red9")
-    # of_type follows the hierarchy, so Thing covers everything
     assert len(reg.of_type(THING)) == 6
 
 
@@ -96,15 +84,13 @@ def test_json_round_trip(tmp_path):
         "execution",
         [
             ObjectInstance("g", HAND),
-            ObjectInstance("b", "Heavy_cube"),
+            ObjectInstance("b", CUBE),
             ObjectInstance("t", TABLE),
         ],
-        TypeHierarchy([ObjectType("Heavy_cube", CUBE)]),
     )
     again = registry_from_json(reg.to_json())
     assert again.role == reg.role
     assert again.cubes == ["b"]
-    assert again.types.is_subtype("Heavy_cube", CUBE)
 
     path = tmp_path / "registry.json"
     save_registry(reg, path)
@@ -129,20 +115,15 @@ _REGISTRY_DOC = {
     "role": "execution",
     "instances": [
         {"name": "g", "type": HAND},
-        {"name": "b", "type": "Heavy_cube"},
+        {"name": "b", "type": CUBE},
         {"name": "t", "type": TABLE},
     ],
-    "types": [{"name": "Heavy_cube", "parent": CUBE}],
 }
 
 
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"types": [1]}, "malformed type entry"),
-        ({"types": "ab"}, "'types' must be a JSON list"),
-        ({"types": [{"name": ["Heavy_cube"], "parent": CUBE}]}, "malformed type entry"),
-        ({"types": [{"name": "Heavy_cube", "parent": [CUBE]}]}, "malformed type entry"),
         ({"instances": 5}, "'instances' must be a JSON list"),
         ({"instances": [{"name": ["g"], "type": HAND}]}, "malformed instance entry"),
         ({"instances": [{"name": "g", "type": [HAND]}]}, "malformed instance entry"),
@@ -160,7 +141,7 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _ENTRIES = st.fixed_dictionaries(
-    {}, optional={"name": _JSON, "type": _JSON, "parent": _JSON}
+    {}, optional={"name": _JSON, "type": _JSON}
 ) | _JSON
 
 
@@ -170,7 +151,6 @@ _ENTRIES = st.fixed_dictionaries(
         optional={
             "role": st.sampled_from(["execution", "demonstration"]) | _JSON,
             "instances": st.lists(_ENTRIES, max_size=4) | _JSON,
-            "types": st.lists(_ENTRIES, max_size=2) | _JSON,
         },
     )
     | _JSON

@@ -47,7 +47,6 @@ def still_trace(right_pos, left_pos, objects, frames=3):
     return DemoTrace(
         [DemoFrame(i / 10, hands, objects, frozenset()) for i in range(frames)],
         demonstration_registry(),
-        10.0,
     )
 
 

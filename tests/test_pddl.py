@@ -12,7 +12,6 @@ from demoplan.model import (
     OperatorLibrary,
     PlanningProblem,
 )
-from demoplan.ontology import CUBE, EnvironmentRegistry, ObjectInstance, ObjectType, TypeHierarchy
 from demoplan.oplearn import repair_exclusivity
 from demoplan.pddl import (
     PddlError,
@@ -412,26 +411,6 @@ def test_problem_error_messages():
         )
 
 
-def test_undeclared_object_type_is_a_syntax_error():
-    """The domain header declares only the built-in types, so a problem
-    over a registry subtype does not parse; the error names the object."""
-    registry = EnvironmentRegistry(
-        "execution",
-        [
-            ObjectInstance("Robot_gripper", "Hand"),
-            ObjectInstance("a", "Small_cube"),
-            ObjectInstance("high_table", "Table"),
-        ],
-        TypeHierarchy([ObjectType("Small_cube", CUBE)]),
-    )
-    goal = (Literal("onTop", ("a", "high_table")),)
-    text = emit_problem(PlanningProblem(registry, tabletop_init(registry), goal)).text
-    line = text.splitlines().index("    a - Small_cube") + 1
-    with pytest.raises(PddlSyntaxError, match="object 'a' has undeclared type 'Small_cube'") as info:
-        parse(text)
-    assert (info.value.line, info.value.col) == (line, 5)
-
-
 COST_1 = "(and (increase (total-cost) 1))"
 
 
@@ -468,12 +447,18 @@ def _problem(init: str, metric: str = "") -> str:
         (_problem("", "(:metric maximize (nothing))"), "unsupported metric", "(:metric"),
         (_problem("", "(:metric minimize (total-cost) 1)"), "unsupported metric", "(:metric"),
         (_problem("(onTop h h)"), "onTop(h, h) names one instance twice", "(define"),
+        (
+            "(define (problem p) (:domain d) (:objects h - Hand a - Small_cube t - Table)"
+            " (:init) (:goal (and (handOpen h))))",
+            "object 'a' has undeclared type 'Small_cube'",
+            "a - Small_cube",
+        ),
     ],
 )
 def test_malformed_text_raises_a_positioned_syntax_error(text, message, at):
     """Inputs that used to escape as IndexError, ModelError or ValueError,
-    and cost effects, cost inits, metrics and atoms naming one instance
-    twice that used to parse."""
+    cost effects, cost inits, metrics and atoms naming one instance twice
+    that used to parse, and an object of a type outside the header's."""
     with pytest.raises(PddlSyntaxError, match=re.escape(message)) as info:
         parse(text)
     assert (info.value.line, info.value.col) == (1, text.index(at) + 1)

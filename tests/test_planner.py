@@ -128,6 +128,13 @@ def test_expansion_budget(exec_actions, exec_registry):
         solve(problem, exec_actions, max_expansions=3)
 
 
+def test_negative_expansion_budget(exec_actions, exec_registry):
+    """Rejected before the search, even for a goal the initial state meets."""
+    problem = goal_problem(exec_registry, Literal("handOpen", (GRIPPER,)))
+    with pytest.raises(PlannerError, match="budget must not be negative, got -1"):
+        solve(problem, exec_actions, max_expansions=-1)
+
+
 def test_unknown_mode(exec_actions, exec_registry):
     problem = goal_problem(exec_registry, Literal("handOpen", (GRIPPER,)))
     with pytest.raises(PlannerError, match="unknown mode 'best'"):

@@ -1,5 +1,7 @@
 """Tests for segmentation.py."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,9 +12,7 @@ from demoplan.segmentation import (
     ActivitySegment,
     classify,
     debounce_labels,
-    read_segments,
     segment,
-    segments_from_json,
     segments_to_json,
     write_segments,
 )
@@ -137,17 +137,18 @@ def test_segment_bounds_validated():
         ActivitySegment("h", I, 3, 2)
 
 
-def test_json_round_trip(tmp_path):
+def test_sidecar_numbers_frames_from_one(tmp_path):
     segments = [
         ActivitySegment("Right_hand", R, 0, 3),
         ActivitySegment("Right_hand", T, 4, 9),
     ]
     doc = segments_to_json(segments)
     # Frame numbering in files is 1-based while states are 0-based.
-    assert doc[0]["start_frame"] == 1
-    assert doc[0]["end_frame"] == 4
-    assert segments_from_json(doc) == segments
+    assert doc == [
+        {"hand": "Right_hand", "label": "Reach", "start_frame": 1, "end_frame": 4},
+        {"hand": "Right_hand", "label": "Take", "start_frame": 5, "end_frame": 10},
+    ]
 
     path = tmp_path / "segments.json"
     write_segments(segments, path)
-    assert read_segments(path) == segments
+    assert json.loads(path.read_text()) == doc

@@ -49,7 +49,7 @@ def registry():
 @pytest.fixture
 def two_frames(registry):
     frames = [_frame(0.0, (0.0, 0.0, 1.0)), _frame(0.1, (0.3, 0.0, 1.0))]
-    return DemoTrace(frames, registry, 10.0)
+    return DemoTrace(frames, registry)
 
 
 def test_write_read_round_trip(tmp_path, registry, two_frames):
@@ -58,7 +58,6 @@ def test_write_read_round_trip(tmp_path, registry, two_frames):
     again = read_trace(path, registry)
     assert len(again) == 2
     assert again.frames == two_frames.frames
-    assert again.sample_rate_hz == pytest.approx(10.0)
 
 
 def test_read_reports_line_numbers(tmp_path, registry, two_frames):
@@ -231,7 +230,7 @@ def test_read_rejects_a_change_of_hands_with_the_line(tmp_path, hands_per_frame,
         for i, hands in enumerate(hands_per_frame)
     ]
     path = tmp_path / "trace.jsonl"
-    write_trace(DemoTrace(frames, registry, 10.0), path)
+    write_trace(DemoTrace(frames, registry), path)
     with pytest.raises(TraceError, match=f"^line {line}: frame tracks hands"):
         read_trace(path, registry)
 
@@ -257,7 +256,7 @@ def test_read_raises_only_trace_errors_on_fuzzed_values(tmp_path_factory, path, 
     registry = execution_registry()
     frames = [_frame(0.0, (0.0, 0.0, 1.0)), _frame(0.1, (0.3, 0.0, 1.0))]
     trace_path = tmp_path_factory.mktemp("fuzz") / "trace.jsonl"
-    _write_with_second_frame_edited(DemoTrace(frames, registry, 10.0), trace_path, _set(path, value))
+    _write_with_second_frame_edited(DemoTrace(frames, registry), trace_path, _set(path, value))
     try:
         read_trace(trace_path, registry)
     except TraceError as exc:
