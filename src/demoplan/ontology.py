@@ -126,6 +126,9 @@ def registry_from_json(doc: dict) -> EnvironmentRegistry:
     for key in ("role", "instances"):
         if key not in doc:
             raise RegistryError(f"registry document missing {key!r}")
+    extra = sorted(set(doc) - {"role", "instances"})
+    if extra:
+        raise RegistryError(f"registry document has unknown keys {extra}")
     if not isinstance(doc["instances"], list):
         raise RegistryError(f"registry 'instances' must be a JSON list, got {doc['instances']!r}")
     return EnvironmentRegistry(doc["role"], [_instance(i) for i in doc["instances"]])

@@ -1,5 +1,8 @@
 """Tests for ontology.py."""
 
+import json
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -134,6 +137,30 @@ def test_loader_rejects_mistyped_fields(overrides, message):
         registry_from_json({**_REGISTRY_DOC, **overrides})
 
 
+@pytest.mark.parametrize(
+    "instance_type", [CUBE, "Heavy_cube"], ids=["builtin-instances", "subtype-instance"]
+)
+def test_loader_rejects_the_removed_types_field(instance_type):
+    """A registry file that still declares its own types is refused by the
+    key, whatever its instances are, rather than loaded without it."""
+    doc = {
+        **_REGISTRY_DOC,
+        "instances": [{"name": "b", "type": instance_type}, {"name": "t", "type": TABLE}],
+        "types": [{"name": "Heavy_cube", "parent": CUBE}],
+    }
+    with pytest.raises(RegistryError, match=re.escape("unknown keys ['types']")):
+        registry_from_json(doc)
+
+
+def test_loader_rejects_an_instance_type_outside_the_builtins(tmp_path):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(
+        {**_REGISTRY_DOC, "instances": [*_REGISTRY_DOC["instances"], {"name": "s", "type": "Sphere"}]}
+    ))
+    with pytest.raises(UnknownTypeError, match="instance s has unknown type Sphere"):
+        load_registry(path)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
     | st.sampled_from([HAND, CUBE, TABLE, THING, "Heavy_cube", "execution"]),
@@ -151,6 +178,7 @@ _ENTRIES = st.fixed_dictionaries(
         optional={
             "role": st.sampled_from(["execution", "demonstration"]) | _JSON,
             "instances": st.lists(_ENTRIES, max_size=4) | _JSON,
+            "types": st.lists(_ENTRIES, max_size=2) | _JSON,
         },
     )
     | _JSON
