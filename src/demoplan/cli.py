@@ -79,24 +79,21 @@ def _segments_for(trace, config, debounce):
     return states, segmentation.segment(states, debounce)
 
 
-def _learn(library, trace_paths, registry, config, args, segment_dir=None) -> OperatorLibrary:
-    """Learn every trace into ``library``, assign costs and, with
-    ``args.repair``, repair it. Each trace's segments are also written
-    to ``segment_dir`` when one is given."""
+def _learn(trace_paths, registry, config, args, segment_dir=None) -> OperatorLibrary:
+    """The library learned from every trace, with costs assigned and,
+    with ``args.repair``, repaired. Each trace's segments are also
+    written to ``segment_dir`` when one is given."""
+    library = OperatorLibrary()
     for path in trace_paths:
         trace = read_trace(path, registry)
         states, segments = _segments_for(trace, config, args.debounce)
         if segment_dir is not None:
-            segmentation.write_segments(segments, segment_dir / f"{Path(path).stem}.segments.json")
+            sidecar = segment_dir / f"{Path(path).stem}.segments.json"
+            _write_json(sidecar, segmentation.segments_to_json(segments))
         oplearn.learn_from_demo(states, segments, library, registry, trace)
         log.info("learned %s: %d operators so far", path, len(library))
     oplearn.assign_costs(library)
     return oplearn.repair_exclusivity(library) if args.repair else library
-
-
-def _export_pddl(library, problem, directory: Path) -> None:
-    _write_text(directory / "domain.pddl", pddl.emit_domain(library).text)
-    _write_text(directory / "problem.pddl", pddl.emit_problem(problem).text)
 
 
 def _solve(library, problem, args) -> planner.Plan | None:
@@ -127,7 +124,7 @@ def cmd_segment(args) -> int:
     registry = _registry(args.registry)
     trace = read_trace(args.trace, registry)
     _, segments = _segments_for(trace, _grounding_config(args), args.debounce)
-    segmentation.write_segments(segments, args.out)
+    _write_json(Path(args.out), segmentation.segments_to_json(segments))
     print(args.out)
     return 0
 
@@ -135,8 +132,7 @@ def cmd_segment(args) -> int:
 def cmd_learn(args) -> int:
     registry = _registry(args.registry)
     lib_path = Path(args.library)
-    library = _load_library(lib_path) if args.append and lib_path.exists() else OperatorLibrary()
-    library = _learn(library, args.traces, registry, _grounding_config(args), args)
+    library = _learn(args.traces, registry, _grounding_config(args), args)
     _write_json(lib_path, library.to_json())
     print(lib_path)
     return 0
@@ -144,13 +140,11 @@ def cmd_learn(args) -> int:
 
 def cmd_emit(args) -> int:
     library = _load_library(args.library)
-    domain = pddl.emit_domain(library, args.name)
-    _write_text(Path(args.out), domain.text)
+    _write_text(Path(args.out), pddl.emit_domain(library).text)
     print(args.out)
     if args.goal:
         problem = _problem(_registry(args.registry), _load_goal(args.goal))
-        doc = pddl.emit_problem(problem, name=args.problem_name, domain=args.name)
-        _write_text(Path(args.problem_out), doc.text)
+        _write_text(Path(args.problem_out), pddl.emit_problem(problem).text)
         print(args.problem_out)
     return 0
 
@@ -159,8 +153,6 @@ def cmd_plan(args) -> int:
     library = _load_library(args.library)
     problem = _problem(_registry(args.registry), _load_goal(args.goal))
     plan = _solve(library, problem, args)
-    if args.export_pddl:
-        _export_pddl(library, problem, Path(args.export_pddl))
     if plan is None:
         print("unsolvable")
         return 3
@@ -200,14 +192,13 @@ def cmd_pipeline(args) -> int:
         trace_paths = [Path(p) for p in args.traces]
     print(f"traces: {len(trace_paths)}")
 
-    segment_dir = out / "segments"
-    segment_dir.mkdir(parents=True, exist_ok=True)
-    library = _learn(OperatorLibrary(), trace_paths, demo_registry, config, args, segment_dir)
+    library = _learn(trace_paths, demo_registry, config, args, out / "segments")
     _write_json(out / "library.json", library.to_json())
     print(f"library: {len(library)} operators")
 
     problem = _problem(exec_registry, _load_goal(args.goal))
-    _export_pddl(library, problem, out)
+    _write_text(out / "domain.pddl", pddl.emit_domain(library).text)
+    _write_text(out / "problem.pddl", pddl.emit_problem(problem).text)
     plan = _solve(library, problem, args)
     if plan is None:
         print("unsolvable")
@@ -254,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="learn operators from traces")
     p.add_argument("traces", nargs="+")
     p.add_argument("--library", required=True)
-    p.add_argument("--append", action="store_true", help="extend an existing library file")
     p.add_argument("--registry", default="demo")
     p.add_argument("--debounce", type=int, default=segmentation.DEFAULT_DEBOUNCE)
     p.add_argument("--repair", action="store_true", help="add exclusivity revocations")
@@ -264,11 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit", help="serialize a library to PDDL")
     p.add_argument("--library", required=True)
     p.add_argument("--out", default="domain.pddl")
-    p.add_argument("--name", default="stacking")
     p.add_argument("--goal", help="also emit a problem file for this goal")
     p.add_argument("--registry", default="exec")
     p.add_argument("--problem-out", default="problem.pddl")
-    p.add_argument("--problem-name", default="stacking-task")
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("plan", help="solve a goal with a learned library")
@@ -277,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", default="exec")
     p.add_argument("--mode", choices=PLANNER_MODES, default="cost")
     p.add_argument("--mutex-validate", action="store_true")
-    p.add_argument("--export-pddl", help="directory for domain.pddl/problem.pddl")
     p.add_argument("--max-expansions", type=int)
     p.add_argument("--out", default="plan.json")
     p.set_defaults(func=cmd_plan)

@@ -15,24 +15,16 @@ from .segmentation import ActivityLabel
 NEQ = "neq"
 
 
-@dataclass(frozen=True)
-class PredicateSchema:
-    name: str
-    arg_types: tuple[str, ...]
-
-
-SCHEMAS: dict[str, PredicateSchema] = {
-    s.name: s
-    for s in (
-        PredicateSchema("handMove", (HAND,)),
-        PredicateSchema("handOpen", (HAND,)),
-        PredicateSchema("inHand", (HAND, CUBE)),
-        PredicateSchema("actedOn", (HAND, CUBE)),
-        PredicateSchema("graspable", (HAND, CUBE)),
-        PredicateSchema("inTouch", (THING, THING)),
-        PredicateSchema("onTop", (THING, THING)),
-        PredicateSchema(NEQ, (THING, THING)),
-    )
+# Each predicate with the types of its arguments.
+SCHEMAS: dict[str, tuple[str, ...]] = {
+    "handMove": (HAND,),
+    "handOpen": (HAND,),
+    "inHand": (HAND, CUBE),
+    "actedOn": (HAND, CUBE),
+    "graspable": (HAND, CUBE),
+    "inTouch": (THING, THING),
+    "onTop": (THING, THING),
+    NEQ: (THING, THING),
 }
 
 # A hand acts on, and can grasp, at most one cube at a time. Repair,
@@ -57,13 +49,11 @@ class Literal:
     positive: bool = True
 
     def __post_init__(self) -> None:
-        schema = SCHEMAS.get(self.pred)
-        if schema is None:
+        arg_types = SCHEMAS.get(self.pred)
+        if arg_types is None:
             raise ModelError(f"unknown predicate: {self.pred}")
-        if len(self.args) != len(schema.arg_types):
-            raise ModelError(
-                f"{self.pred} takes {len(schema.arg_types)} arguments, got {self.args!r}"
-            )
+        if len(self.args) != len(arg_types):
+            raise ModelError(f"{self.pred} takes {len(arg_types)} arguments, got {self.args!r}")
 
     @property
     def atom(self) -> "Atom":
@@ -206,7 +196,11 @@ class OperatorLibrary:
     """Ordered collection of learned operators with observation counts."""
 
     operators: list[LearnedOperator] = field(default_factory=list)
-    repaired: bool = False
+
+    @property
+    def repaired(self) -> bool:
+        """Whether some operator carries exclusivity revocations."""
+        return any(op.revokes for op in self.operators)
 
     def __iter__(self):
         return iter(self.operators)
@@ -272,14 +266,15 @@ class OperatorLibrary:
     @staticmethod
     def from_json(doc) -> "OperatorLibrary":
         """The library of a ``library.json`` document; a field of the wrong
-        JSON type raises ModelError."""
+        JSON type raises ModelError. ``repaired`` is checked for type
+        only: the revocations decide it."""
         operators = doc.get("operators", []) if isinstance(doc, dict) else None
         if not isinstance(operators, list):
             raise ModelError("a library must be a JSON object with a list of operators")
         repaired = doc.get("repaired", False)
         if not isinstance(repaired, bool):
             raise ModelError(f"repaired must be true or false, got {repaired!r}")
-        return OperatorLibrary([_operator_from_json(item) for item in operators], repaired)
+        return OperatorLibrary([_operator_from_json(item) for item in operators])
 
 
 def _is_int(value) -> bool:

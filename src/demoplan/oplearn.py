@@ -325,4 +325,4 @@ def repair_exclusivity(library: OperatorLibrary) -> OperatorLibrary:
             ):
                 revokes.append(Revocation(lit.pred, lit.args[0], lit.args[1]))
         repaired.append(replace(op, revokes=tuple(revokes)))
-    return OperatorLibrary(repaired, repaired=True)
+    return OperatorLibrary(repaired)

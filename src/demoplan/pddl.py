@@ -80,11 +80,11 @@ def _revocation_str(rev: Revocation) -> str:
     )
 
 
-def emit_domain(library: OperatorLibrary, name: str = "stacking") -> PddlDocument:
+def emit_domain(library: OperatorLibrary) -> PddlDocument:
     requirements = BASE_REQUIREMENTS
     if library.repaired:
         requirements = BASE_REQUIREMENTS[:3] + REPAIR_REQUIREMENTS + BASE_REQUIREMENTS[3:]
-    out = [f"(define (domain {name})"]
+    out = ["(define (domain stacking)"]
     out.append(f"  (:requirements {' '.join(requirements)})")
     out.append(_HEADER.rstrip("\n"))
     for op in library:
@@ -119,9 +119,7 @@ def _emit_action(op: LearnedOperator) -> str:
     )
 
 
-def emit_problem(
-    problem: PlanningProblem, name: str = "stacking-task", domain: str = "stacking"
-) -> PddlDocument:
+def emit_problem(problem: PlanningProblem) -> PddlDocument:
     if not problem.goal:
         raise PddlError("a problem needs at least one goal literal")
     registry = problem.registry
@@ -130,8 +128,8 @@ def emit_problem(
     init = [_literal_str(Literal(pred, args)) for pred, args in sorted(problem.init)]
     goal = [_literal_str(l) for l in sorted(problem.goal)]
     out = [
-        f"(define (problem {name})",
-        f"  (:domain {domain})",
+        "(define (problem stacking-task)",
+        "  (:domain stacking)",
         *_block("  (:objects", objects, "    ", ")"),
         *_block("  (:init", ["(= (total-cost) 0)", *init], "    ", ")"),
         *_block("  (:goal (and", goal, "    ", "))"),
@@ -388,19 +386,17 @@ def parse(doc: PddlDocument | str):
 
 def _parse_domain(root: _List) -> OperatorLibrary:
     operators = []
-    repaired = False
     for section in root[2:]:
         head = _head(section)
         if head == ":requirements":
             for req in _words(section[1:]):
                 if req.lower() not in SUPPORTED_REQUIREMENTS:
                     _error(req, f"unsupported requirement {req}")
-                repaired = repaired or req.lower() == ":conditional-effects"
         elif head == ":action":
             operators.append(_action(section))
         elif head not in (":types", ":predicates", ":functions", ":constants"):
             _error(section, f"unsupported section {head!r}")
-    return OperatorLibrary(operators, repaired=repaired)
+    return OperatorLibrary(operators)
 
 
 def _parse_problem(root: _List) -> PlanningProblem:

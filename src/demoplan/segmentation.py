@@ -7,10 +7,8 @@ rejects label blips shorter than the window.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .grounding import HandSymState, SymbolicState
 
@@ -109,7 +107,3 @@ def segments_to_json(segments: list[ActivitySegment]) -> list[dict]:
         }
         for seg in segments
     ]
-
-
-def write_segments(segments: list[ActivitySegment], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(segments_to_json(segments), indent=2) + "\n")

@@ -382,17 +382,13 @@ def generate_corpus(
     return [generate(script, registry) for script in corpus_scripts(seed, registry)]
 
 
-def write_demo(demo: GeneratedDemo, trace_path: str | Path, labels_path: str | Path) -> None:
-    write_trace(demo.trace, trace_path)
-    Path(labels_path).write_text(json.dumps(demo.labels, indent=2) + "\n")
-
-
 def write_corpus(demos: list[GeneratedDemo], out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, demo in enumerate(demos):
         trace_path = out / f"trace_{i:02d}.jsonl"
-        write_demo(demo, trace_path, out / f"trace_{i:02d}.labels.json")
+        write_trace(demo.trace, trace_path)
+        (out / f"trace_{i:02d}.labels.json").write_text(json.dumps(demo.labels, indent=2) + "\n")
         paths.append(trace_path)
     return paths

@@ -110,7 +110,7 @@ def test_grounding_config_file(tmp_path, trace_dir):
 
 
 def test_segment_writes_segments(tmp_path, trace_dir, demo_registry):
-    out = tmp_path / "segments.json"
+    out = tmp_path / "new" / "segments.json"
     trace = trace_dir / "trace_01.jsonl"
     assert main(["segment", str(trace), "--out", str(out)]) == 0
     segments = segmentation.segment(grounding.ground_trace(read_trace(trace, demo_registry)))
@@ -127,17 +127,6 @@ def test_learn_matches_direct_api(trace_dir, library_file, corpus, demo_registry
     oplearn.learn_from_demo(states, segments, library, demo_registry, corpus[2].trace)
     oplearn.assign_costs(library)
     assert json.loads(library_file.read_text()) == library.to_json()
-
-
-def test_learn_append_equals_single_call(tmp_path, trace_dir):
-    """Learning incrementally must land on the same library file."""
-    t0, t1 = str(trace_dir / "trace_00.jsonl"), str(trace_dir / "trace_01.jsonl")
-    stepwise = tmp_path / "stepwise.json"
-    assert main(["learn", t0, "--library", str(stepwise)]) == 0
-    assert main(["learn", t1, "--library", str(stepwise), "--append"]) == 0
-    oneshot = tmp_path / "oneshot.json"
-    assert main(["learn", t0, t1, "--library", str(oneshot)]) == 0
-    assert stepwise.read_bytes() == oneshot.read_bytes()
 
 
 def test_emit_is_deterministic(tmp_path, library_file, goal_file):
@@ -184,9 +173,8 @@ def test_mistyped_library_field_is_bad_input(
     assert not out.exists()
 
 
-def test_plan_writes_plan_and_pddl(tmp_path, library_file, goal_file):
+def test_plan_writes_a_validated_plan(tmp_path, library_file, goal_file):
     out = tmp_path / "plan.json"
-    export = tmp_path / "pddl"
     code = main(
         [
             "plan",
@@ -194,7 +182,6 @@ def test_plan_writes_plan_and_pddl(tmp_path, library_file, goal_file):
             "--goal", str(goal_file),
             "--out", str(out),
             "--mutex-validate",
-            "--export-pddl", str(export),
         ]
     )
     assert code == 0
@@ -202,8 +189,6 @@ def test_plan_writes_plan_and_pddl(tmp_path, library_file, goal_file):
     assert doc["total_length"] >= 3
     assert doc["total_cost"] == sum(step["cost"] for step in doc["steps"])
     assert doc["validation"]["valid"] is True
-    assert (export / "domain.pddl").exists()
-    assert (export / "problem.pddl").exists()
 
 
 def test_plan_mode_length(tmp_path, library_file, goal_file):
@@ -497,16 +482,12 @@ CLI_SURFACE = {
     "ground": ["--grounding-config", "--help", "--out", "--registry", "-h"],
     "segment": ["--debounce", "--grounding-config", "--help", "--out", "--registry", "-h"],
     "learn": [
-        "--append", "--debounce", "--grounding-config", "--help", "--library", "--registry",
-        "--repair", "-h",
+        "--debounce", "--grounding-config", "--help", "--library", "--registry", "--repair", "-h",
     ],
-    "emit": [
-        "--goal", "--help", "--library", "--name", "--out", "--problem-name", "--problem-out",
-        "--registry", "-h",
-    ],
+    "emit": ["--goal", "--help", "--library", "--out", "--problem-out", "--registry", "-h"],
     "plan": [
-        "--export-pddl", "--goal", "--help", "--library", "--max-expansions", "--mode",
-        "--mutex-validate", "--out", "--registry", "-h",
+        "--goal", "--help", "--library", "--max-expansions", "--mode", "--mutex-validate",
+        "--out", "--registry", "-h",
     ],
     "validate": ["--goal", "--help", "--library", "--mutex", "--plan", "--registry", "-h"],
     "pipeline": [

@@ -335,7 +335,7 @@ def test_library_from_json_raises_only_model_errors(doc):
 
 # A hand acts on and can grasp one cube at a time; nothing else is single-valued.
 SINGLE_VALUED_CASES = [(pred, pred in {"actedOn", "graspable"}) for pred in sorted(SCHEMAS)]
-BINARY = {pred for pred, schema in SCHEMAS.items() if len(schema.arg_types) == 2 and pred != NEQ}
+BINARY = {pred for pred, arg_types in SCHEMAS.items() if len(arg_types) == 2 and pred != NEQ}
 
 
 def _library_doc(pred: str) -> dict:

@@ -319,7 +319,9 @@ def test_repair_leaves_steady_assertions_alone():
     params, pre_l, eff_l = generalize(pre, eff, registry)
     library = OperatorLibrary()
     library.observe(ActivityLabel.REACH, params, pre_l, eff_l)
-    assert repair_exclusivity(library).operators[0].revokes == ()
+    repaired = repair_exclusivity(library)
+    assert repaired.operators[0].revokes == ()
+    assert not repaired.repaired
 
 
 # --- one full demonstration ----------------------------------------------

@@ -14,6 +14,7 @@ from demoplan.model import (
 )
 from demoplan.oplearn import repair_exclusivity
 from demoplan.pddl import (
+    REPAIR_REQUIREMENTS,
     PddlError,
     PddlSyntaxError,
     emit_domain,
@@ -153,9 +154,9 @@ def test_parse_hand_written_domain():
 
 def test_emit_mini_domain_golden():
     """The emitted text for a one-operator library is stable byte for byte."""
-    doc = emit_domain(OperatorLibrary([mini_reach()]), name="mini")
+    doc = emit_domain(OperatorLibrary([mini_reach()]))
     assert doc.kind == "domain"
-    assert doc.text == """(define (domain mini)
+    assert doc.text == """(define (domain stacking)
   (:requirements :strips :typing :negative-preconditions :action-costs)
   (:types Wooden_cube - Thing Hand - Thing Table - Thing)
   (:predicates
@@ -187,7 +188,7 @@ def test_emit_mini_domain_golden():
 def test_emit_repaired_requirements_and_revocations():
     """Repair adds two requirements and a forall/when guard per revocation."""
     repaired = repair_exclusivity(OperatorLibrary([mini_reach()]))
-    doc = emit_domain(repaired, name="mini")
+    doc = emit_domain(repaired)
     lines = doc.text.splitlines()
     assert lines[1] == (
         "  (:requirements :strips :typing :negative-preconditions"
@@ -209,7 +210,23 @@ def test_emit_repaired_requirements_and_revocations():
         ("actedOn", "?Hand1", "?Wooden_cube1"),
         ("graspable", "?Hand1", "?Wooden_cube1"),
     }
-    assert emit_domain(back, name="mini").text == doc.text
+    assert emit_domain(back).text == doc.text
+
+
+def test_revocations_decide_the_repair_requirements():
+    """A library is repaired exactly when an operator revokes, whatever
+    its ``repaired`` key says."""
+    doc = repair_exclusivity(OperatorLibrary([mini_reach()])).to_json()
+    doc["repaired"] = False
+    library = OperatorLibrary.from_json(doc)
+    assert library.repaired
+    assert " ".join(REPAIR_REQUIREMENTS) in emit_domain(library).text.splitlines()[1]
+
+    doc = OperatorLibrary([mini_reach()]).to_json()
+    doc["repaired"] = True
+    library = OperatorLibrary.from_json(doc)
+    assert not library.repaired
+    assert not any(req in emit_domain(library).text for req in REPAIR_REQUIREMENTS)
 
 
 def test_emit_problem_golden(exec_registry):
@@ -218,10 +235,10 @@ def test_emit_problem_golden(exec_registry):
         tabletop_init(exec_registry),
         standard_goals(exec_registry)["goal1"],
     )
-    doc = emit_problem(problem, name="mini-task", domain="mini")
+    doc = emit_problem(problem)
     assert doc.kind == "problem"
-    assert doc.text == """(define (problem mini-task)
-  (:domain mini)
+    assert doc.text == """(define (problem stacking-task)
+  (:domain stacking)
   (:objects
     Robot_gripper - Hand
     high_table - Table
@@ -257,13 +274,13 @@ def test_problem_round_trip(exec_registry):
         tabletop_init(exec_registry),
         standard_goals(exec_registry)["goal2"],
     )
-    doc = emit_problem(problem, name="mini-task", domain="mini")
+    doc = emit_problem(problem)
     back = parse(doc)
     assert back.init == problem.init
     assert back.goal == problem.goal
     assert back.registry.role == "execution"
     assert back.registry.cubes == exec_registry.cubes
-    assert emit_problem(back, name="mini-task", domain="mini").text == doc.text
+    assert emit_problem(back).text == doc.text
 
 
 def test_learned_library_round_trip(combined_library, repaired_library):

@@ -1,7 +1,5 @@
 """Tests for segmentation.py."""
 
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from demoplan.segmentation import (
     debounce_labels,
     segment,
     segments_to_json,
-    write_segments,
 )
 
 I = ActivityLabel.IDLE
@@ -137,7 +134,7 @@ def test_segment_bounds_validated():
         ActivitySegment("h", I, 3, 2)
 
 
-def test_sidecar_numbers_frames_from_one(tmp_path):
+def test_sidecar_numbers_frames_from_one():
     segments = [
         ActivitySegment("Right_hand", R, 0, 3),
         ActivitySegment("Right_hand", T, 4, 9),
@@ -148,7 +145,3 @@ def test_sidecar_numbers_frames_from_one(tmp_path):
         {"hand": "Right_hand", "label": "Reach", "start_frame": 1, "end_frame": 4},
         {"hand": "Right_hand", "label": "Take", "start_frame": 5, "end_frame": 10},
     ]
-
-    path = tmp_path / "segments.json"
-    write_segments(segments, path)
-    assert json.loads(path.read_text()) == doc
