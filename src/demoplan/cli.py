@@ -205,7 +205,6 @@ def cmd_pipeline(args) -> int:
         return 3
     report = planner.validate(problem, plan, mutex=args.mutex_validate)
     _write_json(out / "plan.json", planner.plan_to_json(plan, report))
-    _write_json(out / "validation.json", planner.report_to_json(report))
     print(f"plan: {plan.total_length} steps, cost {plan.total_cost}")
     if not report.valid:
         print(f"validation failed: {report.reason}", file=sys.stderr)

@@ -178,12 +178,17 @@ class PlanningProblem:
         unknown = {term for _, args in self.init for term in args if term not in self.registry}
         if unknown:
             raise ModelError(f"init names unknown instance {min(unknown)}")
-        twice = [
-            Literal(*atom) for atom in (*self.init, *(lit.atom for lit in self.goal))
-            if len(set(atom[1])) < len(atom[1])
-        ]
+        atoms = sorted(Literal(*atom) for atom in self.init)
+        atoms += [Literal(*lit.atom) for lit in self.goal]
+        twice = [lit for lit in atoms if len(set(lit.args)) < len(lit.args)]
         if twice:
             raise ModelError(f"{min(twice)} names one instance twice")
+        for lit in atoms:
+            if lit.pred == NEQ:
+                raise ModelError(f"{lit}: {NEQ} may not appear in an init or goal")
+            for term, type_name in zip(lit.args, SCHEMAS[lit.pred]):
+                if type_name not in (THING, self.registry.type_of(term)):
+                    raise ModelError(f"{lit}: {term} is not a {type_name}")
 
     def satisfied(self, state: WorldState) -> bool:
         return all(

@@ -44,8 +44,6 @@ class AttributionError(Exception):
 class OperatorDraft:
     """Ground evidence for one activity segment."""
 
-    hand: str
-    activity: ActivityLabel
     segment: ActivitySegment
     pre_state: HandSymState
     final_state: HandSymState
@@ -104,57 +102,37 @@ def extract(
     if not states:
         return []
     n = len(states)
-    by_hand: dict[str, list[ActivitySegment]] = {}
-    for seg in sorted(segments, key=lambda s: (s.hand, s.start)):
-        by_hand.setdefault(seg.hand, []).append(seg)
-
+    # Each hand's lane holds the (label, draft) of the segment at every state.
+    lanes: dict[str, list[tuple[ActivityLabel, OperatorDraft | None]]] = {}
     drafts: list[OperatorDraft] = []
-    draft_at: dict[str, list[OperatorDraft | None]] = {}
-    seg_of_state: dict[str, list[int]] = {}
-    for hand, segs in by_hand.items():
-        lane = [-1] * n
-        for j, seg in enumerate(segs):
-            for i in range(seg.start, min(seg.end, n - 1) + 1):
-                lane[i] = j
-        if any(v < 0 for v in lane):
-            raise ValueError(f"segments for {hand} do not cover every state")
-        per_segment: list[OperatorDraft | None] = [None]
-        for j in range(1, len(segs)):
-            seg = segs[j]
-            pre_state = states[segs[j - 1].end].hands[hand]
-            const = set(_true_atoms(hand, pre_state))
-            for k in range(seg.start, seg.end + 1):
-                const &= _true_atoms(hand, states[k].hands[hand])
-            draft = OperatorDraft(
-                hand=hand,
-                activity=seg.label,
-                segment=seg,
-                pre_state=pre_state,
-                final_state=states[seg.end].hands[hand],
-                const_true=frozenset(const),
+    for seg in sorted(segments, key=lambda s: (s.hand, s.start)):
+        hand, lane = seg.hand, lanes.setdefault(seg.hand, [])
+        if seg.start != len(lane) or seg.end >= n:
+            raise ValueError(f"segments for {hand} do not cover each of the {n} states once")
+        draft = None
+        if lane:
+            pre_state = states[seg.start - 1].hands[hand]
+            const_true = _true_atoms(hand, pre_state).intersection(
+                *(_true_atoms(hand, s.hands[hand]) for s in states[seg.start : seg.end + 1])
             )
-            per_segment.append(draft)
+            draft = OperatorDraft(seg, pre_state, states[seg.end].hands[hand], const_true)
             drafts.append(draft)
-        draft_at[hand] = per_segment
-        seg_of_state[hand] = lane
+        lane += [(seg.label, draft)] * (seg.end - seg.start + 1)
+    for hand, lane in lanes.items():
+        if len(lane) != n:
+            raise ValueError(f"segments for {hand} do not cover each of the {n} states once")
 
-    hands = sorted(by_hand)
+    hands = sorted(lanes)
     for k in range(1, n):
         for atom, val_before, val_after, pair in _env_atom_changes(
             states[k - 1].env, states[k].env
         ):
             involved = [x for x in pair if registry.type_of(x) == CUBE]
-            qualifying = [
+            candidates = [
                 h
                 for h in hands
-                if states[k].hands[h].inHand in involved
-                or states[k].hands[h].actedOn in involved
-            ]
-            candidates = qualifying or [
-                h
-                for h in hands
-                if by_hand[h][seg_of_state[h][k]].label is not ActivityLabel.IDLE
-            ]
+                if states[k].hands[h].inHand in involved or states[k].hands[h].actedOn in involved
+            ] or [h for h in hands if lanes[h][k][0] is not ActivityLabel.IDLE]
             if len(candidates) == 1:
                 hand = candidates[0]
             elif candidates and trace is not None and involved:
@@ -172,18 +150,15 @@ def extract(
                     k + 1,
                     f"cannot attribute {atom[0]}{atom[1]} change to one hand",
                 )
-            draft = draft_at[hand][seg_of_state[hand][k]]
+            draft = lanes[hand][k][1]
             if draft is None:
                 raise AttributionError(
                     k + 1,
                     f"{atom[0]}{atom[1]} changed during the opening segment of {hand}",
                 )
-            if atom in draft.env_pairs:
-                draft.env_pairs[atom] = (draft.env_pairs[atom][0], val_after)
-            else:
-                draft.env_pairs[atom] = (val_before, val_after)
+            draft.env_pairs[atom] = (draft.env_pairs.get(atom, (val_before,))[0], val_after)
 
-    drafts.sort(key=lambda d: (d.segment.start, d.hand))
+    drafts.sort(key=lambda d: (d.segment.start, d.segment.hand))
     return drafts
 
 
@@ -195,8 +170,8 @@ def filter_relevant(draft: OperatorDraft) -> tuple[list[Literal], list[Literal]]
     activity appear positively on both sides; constantly false atoms are
     dropped. Environment atoms appear only when they changed.
     """
-    pre_true = _true_atoms(draft.hand, draft.pre_state)
-    eff_true = _true_atoms(draft.hand, draft.final_state)
+    pre_true = _true_atoms(draft.segment.hand, draft.pre_state)
+    eff_true = _true_atoms(draft.segment.hand, draft.final_state)
     pre: list[Literal] = []
     eff: list[Literal] = []
     for pred, args in sorted(pre_true | eff_true):
@@ -283,7 +258,7 @@ def learn_from_demo(
     for draft in extract(states, segments, registry, trace):
         pre, eff = filter_relevant(draft)
         params, pre_l, eff_l = generalize(pre, eff, registry)
-        learned.append(library.observe(draft.activity, params, pre_l, eff_l))
+        learned.append(library.observe(draft.segment.label, params, pre_l, eff_l))
     return learned
 
 

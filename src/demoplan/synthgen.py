@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .grounding import GroundingConfig
-from .ontology import EnvironmentRegistry, demonstration_registry
+from .ontology import EnvironmentRegistry
 from .segmentation import runs
 from .trace import DemoFrame, DemoTrace, HandSample, write_trace
 
@@ -73,17 +73,18 @@ class GeneratedDemo:
     labels: list[dict]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Frame:
     hand_pos: tuple[float, float, float]
     open: bool
     held: str | None
     cube_pos: dict[str, tuple[float, float, float]]
-    contacts: set[frozenset[str]]
+    contacts: frozenset[frozenset[str]]
 
 
 class _Timeline:
-    """Accumulates clean per-frame scene state for the scripted hand."""
+    """Clean snapshots of one scene as the scripted hand moves through it;
+    the script edits ``open``, ``held`` and ``contacts`` in between."""
 
     def __init__(
         self,
@@ -95,25 +96,19 @@ class _Timeline:
         self.open = True
         self.held: str | None = None
         self.cube_pos = dict(cube_pos)
-        self.contacts: set[frozenset[str]] = {
-            frozenset((cube, table)) for cube in cube_pos
-        }
+        self.contacts = {frozenset((cube, table)) for cube in cube_pos}
         self.frames: list[_Frame] = []
 
-    def _emit(self) -> None:
-        self.frames.append(
-            _Frame(
-                hand_pos=tuple(self.pos),
-                open=self.open,
-                held=self.held,
-                cube_pos=dict(self.cube_pos),
-                contacts=set(self.contacts),
-            )
+    def hold(self, n_frames: int = 1) -> None:
+        snapshot = _Frame(
+            tuple(self.pos), self.open, self.held, dict(self.cube_pos), frozenset(self.contacts)
         )
+        self.frames += [snapshot] * n_frames
 
-    def hold(self, n_frames: int) -> None:
-        for _ in range(n_frames):
-            self._emit()
+    def redo_last(self) -> None:
+        """Retake the last snapshot, so it shows the edits made since."""
+        self.frames.pop()
+        self.hold()
 
     def move_to(self, target, speed: float) -> None:
         """Straight leg at constant speed; the final step absorbs the
@@ -130,30 +125,7 @@ class _Timeline:
             self.pos = target if i == n_full else start + direction * step * i
             if self.held is not None:
                 self.cube_pos[self.held] = tuple(self.pos)
-            self._emit()
-
-    def grasp(self, cube: str) -> None:
-        self.held = cube
-        self.open = False
-
-    def grasp_on_last_frame(self, cube: str) -> None:
-        """Close the fingers retroactively on the frame just emitted."""
-        self.held = cube
-        self.open = False
-        last = self.frames[-1]
-        last.open = False
-        last.held = cube
-
-    def release(self) -> None:
-        self.held = None
-        self.open = True
-
-    def remove_contact(self, a: str, b: str) -> None:
-        self.contacts.discard(frozenset((a, b)))
-
-    def add_contact_on_last_frame(self, a: str, b: str) -> None:
-        self.contacts.add(frozenset((a, b)))
-        self.frames[-1].contacts.add(frozenset((a, b)))
+            self.hold()
 
 
 def _hand_homes(registry: EnvironmentRegistry) -> dict[str, np.ndarray]:
@@ -217,9 +189,8 @@ def _evaluate_labels(
 
 
 def _noise_offsets(n_frames: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    if sigma == 0.0:
-        return np.zeros((n_frames, 3))
     n_knots = n_frames // NOISE_KNOT_FRAMES + 2
+    # sigma 0 draws exact zeros; as the script's last draw it shifts no other.
     knots = rng.normal(0.0, sigma, size=(n_knots, 3))
     knot_x = np.arange(n_knots) * NOISE_KNOT_FRAMES
     frames = np.arange(n_frames)
@@ -267,27 +238,28 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
 
         grasp_point = np.asarray(tl.cube_pos[cube])
         tl.move_to(_above(grasp_point, cruise), speed)
-        if script.hover_frames:
-            tl.hold(script.hover_frames)
+        tl.hold(script.hover_frames)
         if k == 0 and script.false_starts > 1:
             tl.move_to(_above(grasp_point, CUBE_REST_Z + FALSE_START_DIST), speed)
             tl.hold(FALSE_START_PAUSE)
         tl.move_to(grasp_point, speed)
 
+        # Without a pause the fingers close on the arrival frame itself.
+        tl.open, tl.held = False, cube
         if script.pause_at_take:
-            tl.grasp(cube)
             tl.hold(script.take_frames)
         else:
-            tl.grasp_on_last_frame(cube)
+            tl.redo_last()
 
-        tl.remove_contact(cube, table)
+        tl.contacts.discard(frozenset((cube, table)))
         tl.move_to(_above(grasp_point, cruise), speed)
         placement = np.asarray(tl.cube_pos[target]) + np.array([0, 0, CUBE_SIZE])
         tl.move_to(_above(placement, cruise), speed)
         tl.move_to(placement, speed)
-        tl.add_contact_on_last_frame(cube, target)
+        tl.contacts.add(frozenset((cube, target)))
+        tl.redo_last()
 
-        tl.release()
+        tl.open, tl.held = True, None
         tl.hold(RELEASE_FRAMES)
         tl.move_to(_above(placement, cruise), speed)
 
@@ -299,17 +271,11 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
     rows = [
         {"hand": script.hand, "label": label, "start_frame": start, "end_frame": end}
         for label, start, end in runs(labels)
+    ] + [
+        {"hand": other, "label": "IdleMotion", "start_frame": 0, "end_frame": len(clean) - 1}
+        for other in registry.hands
+        if other != script.hand
     ]
-    for other in registry.hands:
-        if other != script.hand:
-            rows.append(
-                {
-                    "hand": other,
-                    "label": "IdleMotion",
-                    "start_frame": 0,
-                    "end_frame": len(clean) - 1,
-                }
-            )
     rows.sort(key=lambda r: (r["hand"], r["start_frame"]))
 
     offsets = _noise_offsets(len(clean), script.noise_sigma, rng)
@@ -317,24 +283,16 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
     frames = []
     for i, f in enumerate(clean):
         noisy_hand = tuple(np.asarray(f.hand_pos) + offsets[i])
-        objects = dict(f.cube_pos)
+        objects = {**f.cube_pos, table: table_pos}
         if f.held is not None:
             objects[f.held] = noisy_hand
-        objects[table] = table_pos
-        hands = {}
-        for hand in registry.hands:
-            if hand == script.hand:
-                hands[hand] = HandSample(noisy_hand, f.open, f.held)
-            else:
-                hands[hand] = HandSample(tuple(homes[hand]), True, None)
-        frames.append(
-            DemoFrame(
-                t=i * DT,
-                hands=hands,
-                objects=objects,
-                contacts=frozenset(f.contacts),
-            )
-        )
+        hands = {
+            hand: HandSample(noisy_hand, f.open, f.held)
+            if hand == script.hand
+            else HandSample(tuple(homes[hand]), True, None)
+            for hand in registry.hands
+        }
+        frames.append(DemoFrame(i * DT, hands, objects, f.contacts))
     trace = DemoTrace(frames, registry)
     return GeneratedDemo(script, trace, rows)
 
@@ -349,11 +307,8 @@ _STYLES: list[dict] = [
 ]
 
 
-def corpus_scripts(
-    seed: int = DEFAULT_CORPUS_SEED, registry: EnvironmentRegistry | None = None
-) -> list[DemoScript]:
+def corpus_scripts(seed: int, registry: EnvironmentRegistry) -> list[DemoScript]:
     """Twelve scripts: three movement styles by four stacking tasks."""
-    registry = registry or demonstration_registry()
     hands = registry.hands
     if not hands:
         raise ValueError(f"the {registry.role} registry has no Hand instances to demonstrate with")
@@ -375,10 +330,7 @@ def corpus_scripts(
     return scripts
 
 
-def generate_corpus(
-    seed: int = DEFAULT_CORPUS_SEED, registry: EnvironmentRegistry | None = None
-) -> list[GeneratedDemo]:
-    registry = registry or demonstration_registry()
+def generate_corpus(seed: int, registry: EnvironmentRegistry) -> list[GeneratedDemo]:
     return [generate(script, registry) for script in corpus_scripts(seed, registry)]
 
 

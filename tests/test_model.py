@@ -198,6 +198,23 @@ def test_problem_atoms_name_each_instance_once():
         PlanningProblem(reg, hand, goal)
 
 
+def test_problem_atoms_have_their_schema_types():
+    """Each argument has the schema's type, Thing takes any, and neq is
+    no state predicate."""
+    reg = execution_registry()
+    goal = (lit("onTop", "Cube_blue3", "high_table"),)
+    PlanningProblem(reg, frozenset({("inHand", ("Robot_gripper", "Cube_red3"))}), goal)
+    mistyped = frozenset({("inHand", ("Cube_red3", "Robot_gripper"))})
+    with pytest.raises(ModelError, match=r"^inHand\(Cube_red3, Robot_gripper\): Cube_red3 is not"):
+        PlanningProblem(reg, mistyped, goal)
+    with pytest.raises(ModelError, match=r"^graspable\(Robot_gripper, high_table\): high_table is"):
+        PlanningProblem(reg, frozenset(), (lit("graspable", "Robot_gripper", "high_table"),))
+    with pytest.raises(ModelError, match=r"^neq\(Cube_red3, Cube_blue3\): neq may not appear"):
+        PlanningProblem(reg, frozenset(), (lit("neq", "Cube_red3", "Cube_blue3", positive=False),))
+    with pytest.raises(ModelError, match="^unknown predicate: stacked"):
+        PlanningProblem(reg, frozenset({("stacked", ("Cube_red3",))}), goal)
+
+
 def test_problem_satisfaction_honours_negative_goals():
     reg = execution_registry()
     goal = (

@@ -83,8 +83,6 @@ def test_cost_bounds_and_monotonicity(count, total):
 
 def test_filter_signs_changed_and_constant_atoms():
     draft = OperatorDraft(
-        hand="Right_hand",
-        activity=ActivityLabel.REACH,
         segment=ActivitySegment("Right_hand", ActivityLabel.REACH, 1, 3),
         pre_state=HandSymState(False, True, None, None, None),
         final_state=HandSymState(True, True, None, "Cube_red1", None),
@@ -111,8 +109,6 @@ def test_filter_signs_changed_and_constant_atoms():
 
 def test_filter_drops_constantly_false_atoms():
     draft = OperatorDraft(
-        hand="Right_hand",
-        activity=ActivityLabel.IDLE,
         segment=ActivitySegment("Right_hand", ActivityLabel.IDLE, 1, 2),
         pre_state=IDLE_HAND,
         final_state=IDLE_HAND,
@@ -178,7 +174,7 @@ def test_extract_skips_the_opening_segment():
     segments = segs("Right_hand", (ActivityLabel.IDLE, 0, 0), (ActivityLabel.REACH, 1, 2))
     segments += segs("Left_hand", (ActivityLabel.IDLE, 0, 2))
     drafts = extract(states, segments, demonstration_registry())
-    assert [(d.hand, d.activity) for d in drafts] == [
+    assert [(d.segment.hand, d.segment.label) for d in drafts] == [
         ("Right_hand", ActivityLabel.REACH)
     ]
     draft = drafts[0]
@@ -187,11 +183,17 @@ def test_extract_skips_the_opening_segment():
 
 
 def test_extract_requires_full_coverage():
+    """Each hand's segments must tile the states: no gap, no overlap, and
+    nothing past the last state."""
     states = [state(0.0, IDLE_HAND, IDLE_HAND), state(0.1, IDLE_HAND, IDLE_HAND)]
-    segments = segs("Right_hand", (ActivityLabel.IDLE, 0, 0))
-    segments += segs("Left_hand", (ActivityLabel.IDLE, 0, 1))
-    with pytest.raises(ValueError, match="cover"):
-        extract(states, segments, demonstration_registry())
+    left = segs("Left_hand", (ActivityLabel.IDLE, 0, 1))
+    for right in [
+        [(ActivityLabel.IDLE, 0, 0)],
+        [(ActivityLabel.IDLE, 0, 1), (ActivityLabel.REACH, 1, 1)],
+        [(ActivityLabel.IDLE, 0, 0), (ActivityLabel.REACH, 1, 2)],
+    ]:
+        with pytest.raises(ValueError, match="cover"):
+            extract(states, segs("Right_hand", *right) + left, demonstration_registry())
 
 
 def test_ambiguous_environment_change_raises():
@@ -267,7 +269,7 @@ def test_trace_proximity_breaks_attribution_ties():
     objects = {"Cube_red1": (0.2, 0.2, 0.775), "table1": (0.5, 0.5, 0.37)}
     trace = still_trace((0.9, 0.9, 0.9), (0.25, 0.2, 0.8), objects)
     drafts = extract(states, segments, registry, trace)
-    blamed = {d.hand: d.env_pairs for d in drafts}
+    blamed = {d.segment.hand: d.env_pairs for d in drafts}
     assert blamed["Left_hand"]
     assert not blamed["Right_hand"]
 

@@ -464,6 +464,8 @@ def _problem(init: str, metric: str = "") -> str:
         (_problem("", "(:metric maximize (nothing))"), "unsupported metric", "(:metric"),
         (_problem("", "(:metric minimize (total-cost) 1)"), "unsupported metric", "(:metric"),
         (_problem("(onTop h h)"), "onTop(h, h) names one instance twice", "(define"),
+        (_problem("(inHand t h)"), "inHand(t, h): t is not a Hand", "(define"),
+        (_problem("(not (= h t))"), "neq(h, t): neq may not appear", "(define"),
         (
             "(define (problem p) (:domain d) (:objects h - Hand a - Small_cube t - Table)"
             " (:init) (:goal (and (handOpen h))))",
@@ -474,8 +476,9 @@ def _problem(init: str, metric: str = "") -> str:
 )
 def test_malformed_text_raises_a_positioned_syntax_error(text, message, at):
     """Inputs that used to escape as IndexError, ModelError or ValueError,
-    cost effects, cost inits, metrics and atoms naming one instance twice
-    that used to parse, and an object of a type outside the header's."""
+    cost effects, cost inits, metrics, atoms naming one instance twice,
+    mistyped atoms and neq atoms that used to parse, and an object of a
+    type outside the header's."""
     with pytest.raises(PddlSyntaxError, match=re.escape(message)) as info:
         parse(text)
     assert (info.value.line, info.value.col) == (1, text.index(at) + 1)
