@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ontology import CUBE, TABLE
-from .trace import DemoFrame, DemoTrace, _is_number
+from .trace import DemoTrace, TraceColumns, _is_number
 
 # A hand sitting essentially on an object has no usable approach
 # direction; treat it as moving toward the object.
@@ -86,22 +86,39 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+def runs(labels: list) -> list[tuple]:
+    """Maximal runs of equal labels as (label, start, end), end inclusive."""
+    found = []
+    start = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[start]:
+            found.append((labels[start], start, i - 1))
+            start = i
+    return found
+
+
+def _shared(keys: list[tuple], make) -> list:
+    """``make(*key)`` for every key, made once per run of equal keys."""
+    return [made for key, start, end in runs(keys) for made in [make(*key)] * (end - start + 1)]
+
+
 def _ground_hand(
-    frames: list[DemoFrame],
+    pos: np.ndarray,
+    opens: tuple[bool, ...],
+    helds: tuple[str | None, ...],
     dt: np.ndarray,
-    hand: str,
     cubes: list[str],
     cube_pos: np.ndarray,
     config: GroundingConfig,
 ) -> list[HandSymState]:
-    """The hand's states at frames[1:]."""
-    samples = [frame.hands[hand] for frame in frames]
-    pos = np.array([sample.pos for sample in samples], dtype=float).reshape(-1, 3)
+    """A hand's states at frames 1 onward, from its positions, open flags
+    and held cubes at every frame, the time steps between frames and the
+    cube positions (frames 1 onward, cube, axis)."""
     velocity = (pos[1:] - pos[:-1]) / dt[:, None]
     speed = _norm(velocity)
     moving = speed > config.move_speed
     column = {name: j for j, name in enumerate(cubes)}
-    held = np.array([column.get(s.held, -1) for s in samples[1:]])
+    held = helds[1:]
 
     offset = cube_pos - pos[1:, None, :]
     dist = _norm(offset)
@@ -109,35 +126,44 @@ def _ground_hand(
         cosine = np.vecdot(velocity[:, None, :], offset) / (speed[:, None] * dist)
     approached = (
         moving[:, None]
-        & (np.arange(len(cubes)) != held[:, None])
+        & (np.arange(len(cubes)) != np.array([column.get(h, -1) for h in held])[:, None])
         & (dist < config.acted_on_dist)
         & ((dist < _ZERO_DIST) | (cosine > config.approach_cosine))
     )
     within = dist < config.graspable_dist
-
-    return [
-        HandSymState(
-            handMove=move,
-            handOpen=sample.open,
-            inHand=sample.held,
-            actedOn=None if a is None else cubes[a],
-            graspable=None if g is None else cubes[g],
-        )
-        for sample, move, a, g in zip(
-            samples[1:], moving.tolist(), _nearest(approached, dist), _nearest(within, dist)
-        )
-    ]
+    acted_on, graspable = _nearest(approached, dist, cubes), _nearest(within, dist, cubes)
+    return _shared(list(zip(moving.tolist(), opens[1:], held, acted_on, graspable)), HandSymState)
 
 
-def _nearest(mask: np.ndarray, dist: np.ndarray) -> list[int | None]:
-    """Per row, the column of least distance among the masked ones, or None.
+def _nearest(mask: np.ndarray, dist: np.ndarray, cubes: list[str]) -> list[str | None]:
+    """Per row, the cube of least distance among the masked ones, or None.
 
     argmin keeps the first of equal distances, so ties go to the first name.
     """
-    if not mask.shape[1]:
+    if not cubes:
         return [None] * len(mask)
     best = np.argmin(np.where(mask, dist, np.inf), axis=1)
-    return [j if hit else None for j, hit in zip(best.tolist(), mask.any(axis=1).tolist())]
+    return [cubes[j] if hit else None for j, hit in zip(best.tolist(), mask.any(axis=1).tolist())]
+
+
+def _env_state(in_touch, pairs, signs) -> EnvSymState:
+    on_top = frozenset(pair if sign > 0 else pair[::-1] for pair, sign in zip(pairs, signs) if sign)
+    return EnvSymState(in_touch, on_top)
+
+
+def _ground_env(columns: TraceColumns, things: frozenset[str]) -> list[EnvSymState]:
+    """The environment at frames 1 onward. Within a run of one contact
+    set, onTop follows the heights of each touching pair frame by frame."""
+    column = {name: j for j, name in enumerate(columns.names)}
+    z = columns.positions[1:, :, 2]
+    keys = []
+    for contacts, start, end in runs(columns.contacts[1:]):
+        in_touch = frozenset(pair for pair in contacts if pair <= things)
+        pairs = tuple(tuple(pair) for pair in in_touch)
+        za, zb = (z[start:end + 1, [column[pair[k]] for pair in pairs]] for k in (0, 1))
+        signs = (za > zb).view(np.int8) - (zb > za).view(np.int8)
+        keys += [(in_touch, pairs, tuple(row)) for row in signs.tolist()]
+    return _shared(keys, _env_state)
 
 
 def ground_trace(
@@ -147,36 +173,23 @@ def ground_trace(
 
     The velocity at a frame is the backward difference to the frame
     before it. The reader guarantees that every frame tracks the same
-    hands and positions every cube and table.
+    hands and positions every cube and table. Equal consecutive hand
+    and environment states are one object.
     """
     config = config or GroundingConfig()
-    frames = trace.frames
+    columns = trace.columns
     cubes = trace.registry.of_type(CUBE)
     things = frozenset(cubes).union(trace.registry.of_type(TABLE))
-    grounded = frames[1:]
-    cube_pos = np.array(
-        [[frame.objects[name] for name in cubes] for frame in grounded], dtype=float
-    ).reshape(len(grounded), len(cubes), 3)
-    times = np.array([frame.t for frame in frames], dtype=float)
-    dt = times[1:] - times[:-1]
+    cube_pos = columns.positions[1:, [columns.names.index(name) for name in cubes]]
+    dt = columns.times[1:] - columns.times[:-1]
     per_hand = {
-        hand: _ground_hand(frames, dt, hand, cubes, cube_pos, config) for hand in frames[0].hands
+        hand: _ground_hand(*column, dt, cubes, cube_pos, config)
+        for hand, column in columns.hands.items()
     }
-
-    states = []
-    for i, frame in enumerate(grounded):
-        # Contact and support relations over cubes and tables only.
-        in_touch = frozenset(pair for pair in frame.contacts if pair <= things)
-        on_top = set()
-        for a, b in in_touch:
-            za, zb = frame.objects[a][2], frame.objects[b][2]
-            if za > zb:
-                on_top.add((a, b))
-            elif zb > za:
-                on_top.add((b, a))
-        hands = {hand: per_hand[hand][i] for hand in frame.hands}
-        states.append(SymbolicState(frame.t, hands, EnvSymState(in_touch, frozenset(on_top))))
-    return states
+    return [
+        SymbolicState(t, {hand: states[i] for hand, states in per_hand.items()}, env)
+        for i, (t, env) in enumerate(zip(columns.times[1:].tolist(), _ground_env(columns, things)))
+    ]
 
 
 def states_to_json(states: list[SymbolicState]) -> list[dict]:

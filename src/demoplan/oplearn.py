@@ -124,6 +124,8 @@ def extract(
 
     hands = sorted(lanes)
     for k in range(1, n):
+        if states[k].env is states[k - 1].env:
+            continue
         for atom, val_before, val_after, pair in _env_atom_changes(
             states[k - 1].env, states[k].env
         ):
@@ -136,12 +138,12 @@ def extract(
             if len(candidates) == 1:
                 hand = candidates[0]
             elif candidates and trace is not None and involved:
-                frame = trace.frames[k + 1]
-                anchor = np.asarray(frame.objects[involved[0]])
+                columns = trace.columns
+                anchor = columns.positions[k + 1, columns.names.index(involved[0])]
                 hand = min(
                     candidates,
                     key=lambda h: (
-                        float(np.linalg.norm(np.asarray(frame.hands[h].pos) - anchor)),
+                        float(np.linalg.norm(columns.hands[h][0][k + 1] - anchor)),
                         h,
                     ),
                 )

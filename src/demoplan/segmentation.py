@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .grounding import HandSymState, SymbolicState
+from .grounding import HandSymState, SymbolicState, runs
 
 DEFAULT_DEBOUNCE = 3
 
@@ -48,17 +48,6 @@ class ActivitySegment:
     def __post_init__(self) -> None:
         if self.start > self.end:
             raise ValueError(f"segment start {self.start} after end {self.end}")
-
-
-def runs(labels: list) -> list[tuple]:
-    """Maximal runs of equal labels as (label, start, end), end inclusive."""
-    found = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            found.append((labels[start], start, i - 1))
-            start = i
-    return found
 
 
 def debounce_labels(labels: list[ActivityLabel], debounce: int) -> list[ActivityLabel]:

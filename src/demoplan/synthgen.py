@@ -21,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grounding import GroundingConfig
+from .grounding import GroundingConfig, runs
 from .ontology import EnvironmentRegistry
-from .segmentation import runs
 from .trace import DemoFrame, DemoTrace, HandSample, write_trace
 
 DT = 1.0 / 30.0

@@ -9,7 +9,8 @@ Traces are stored as JSON Lines, one frame per line:
 
 Every frame tracks the same hands as the frame before it and gives a
 position for every non-hand instance of the registry; ``read_trace``
-rejects a trace that does not.
+rejects a trace that does not. It reads a trace into columns, and the
+frames are built from them when asked for.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .ontology import CUBE, HAND, EnvironmentRegistry
 
@@ -56,12 +61,79 @@ class DemoFrame:
 
 
 @dataclass
+class TraceColumns:
+    """A trace as columns over its frames.
+
+    ``hands`` maps each hand to its positions (frames, 3), open flags and
+    held cubes; ``positions[i, j]`` is where ``names[j]`` is at frame i.
+    ``extra`` keeps, by frame index, the hands a frame lists among its
+    objects. Equal consecutive contact sets may be one object.
+    """
+
+    times: np.ndarray
+    hands: dict[str, tuple[np.ndarray, tuple[bool, ...], tuple[str | None, ...]]]
+    names: list[str]
+    positions: np.ndarray
+    contacts: list[frozenset[frozenset[str]]]
+    extra: dict[int, dict[str, tuple[float, float, float]]]
+
+    @staticmethod
+    def of_frames(frames: list[DemoFrame]) -> TraceColumns:
+        """Columns over the hands and objects of the first frame."""
+        names = sorted(frames[0].objects)
+        hands = {}
+        for hand in frames[0].hands:
+            samples = [frame.hands[hand] for frame in frames]
+            pos, opens, helds = zip(*((s.pos, s.open, s.held) for s in samples))
+            hands[hand] = (np.array(pos, dtype=float), opens, helds)
+        positions = [[frame.objects[name] for name in names] for frame in frames]
+        times = np.array([frame.t for frame in frames], dtype=float)
+        contacts = [frame.contacts for frame in frames]
+        return TraceColumns(times, hands, names, np.array(positions, dtype=float), contacts, {})
+
+    def to_frames(self) -> list[DemoFrame]:
+        hands = {
+            hand: [HandSample(tuple(p), o, h) for p, o, h in zip(pos.tolist(), opens, helds)]
+            for hand, (pos, opens, helds) in self.hands.items()
+        }
+        return [
+            DemoFrame(
+                t,
+                {hand: samples[i] for hand, samples in hands.items()},
+                {**dict(zip(self.names, map(tuple, row))), **self.extra.get(i, {})},
+                self.contacts[i],
+            )
+            for i, (t, row) in enumerate(zip(self.times.tolist(), self.positions.tolist()))
+        ]
+
+
 class DemoTrace:
-    frames: list[DemoFrame]
-    registry: EnvironmentRegistry
+    """One demonstration as frames and as columns, each view built from
+    the other on first use: ``read_trace`` gives columns, the synthetic
+    demonstrator gives frames."""
+
+    def __init__(
+        self,
+        frames: list[DemoFrame] | None,
+        registry: EnvironmentRegistry,
+        columns: TraceColumns | None = None,
+    ) -> None:
+        self.registry = registry
+        if frames is not None:
+            self.frames = frames
+        if columns is not None:
+            self.columns = columns
+
+    @cached_property
+    def frames(self) -> list[DemoFrame]:
+        return self.columns.to_frames()
+
+    @cached_property
+    def columns(self) -> TraceColumns:
+        return TraceColumns.of_frames(self.frames)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.frames) if "frames" in vars(self) else len(self.columns.times)
 
 
 def _is_number(value) -> bool:
@@ -70,12 +142,9 @@ def _is_number(value) -> bool:
     return type(value) in _NUMBER_TYPES and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
-def _as_vec(value, what: str, line: int | None) -> tuple[float, float, float]:
-    if isinstance(value, (list, tuple)) and len(value) == 3:
-        x, y, z = value
-        if _is_number(x) and _is_number(y) and _is_number(z):
-            return (float(x), float(y), float(z))
-    raise TraceError(f"{what} must be a 3-element finite number list, got {value!r}", line)
+def _check_vec(value, what: str, line: int) -> None:
+    if not (isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))):
+        raise TraceError(f"{what} must be a 3-element finite number list, got {value!r}", line)
 
 
 def _as_dict(doc: dict, key: str, line: int | None) -> dict:
@@ -85,91 +154,138 @@ def _as_dict(doc: dict, key: str, line: int | None) -> dict:
     return value
 
 
-def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None = None) -> DemoFrame:
-    """Validate one frame document against the registry."""
-    if not isinstance(doc, dict):
-        raise TraceError("frame must be a JSON object", line)
-    for key in ("t", "hands", "objects", "contacts"):
-        if key not in doc:
-            raise TraceError(f"frame missing {key!r}", line)
-    if not _is_number(doc["t"]):
-        raise TraceError(f"timestamp must be a finite number, got {doc['t']!r}", line)
-    if not isinstance(doc["contacts"], list):
-        raise TraceError(f"'contacts' must be a JSON list, got {doc['contacts']!r}", line)
-
-    hands: dict[str, HandSample] = {}
-    for name, sample in _as_dict(doc, "hands", line).items():
-        if name not in registry or registry.type_of(name) != HAND:
-            raise TraceError(f"unknown hand instance: {name}", line)
-        if not isinstance(sample, dict):
-            raise TraceError(f"hand sample for {name} must be an object", line)
-        is_open = sample.get("open")
-        if type(is_open) is not bool:
-            raise TraceError(f"hand {name} open must be a JSON boolean, got {is_open!r}", line)
-        held = sample.get("held")
-        if held is not None:
-            if held not in registry or registry.type_of(held) != CUBE:
-                raise TraceError(f"held object {held!r} is not a known cube", line)
-            if is_open:
-                raise TraceError(f"hand {name} cannot be open while holding {held}", line)
-        hands[name] = HandSample(
-            pos=_as_vec(sample.get("pos"), f"hand {name} pos", line),
-            open=is_open,
-            held=held,
-        )
-
-    objects: dict[str, tuple[float, float, float]] = {}
-    for name, pos in _as_dict(doc, "objects", line).items():
-        if name not in registry:
-            raise TraceError(f"unknown object instance: {name}", line)
-        objects[name] = _as_vec(pos, f"object {name} pos", line)
-    missing = registry.non_hands.difference(objects)
-    if missing:
-        raise TraceError(f"objects lacks a position for {', '.join(sorted(missing))}", line)
-
-    contacts: set[frozenset[str]] = set()
-    for pair in doc["contacts"]:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise TraceError(f"contact must be a pair, got {pair!r}", line)
-        a, b = pair
-        for name in (a, b):
-            if name not in registry:
-                raise TraceError(f"contact names unknown instance: {name}", line)
-            if name not in objects and name not in hands:
-                raise TraceError(f"contact instance {name} has no position in frame", line)
-        if a == b:
-            raise TraceError(f"contact pairs an instance with itself: {a}", line)
-        contacts.add(frozenset((a, b)))
-
-    return DemoFrame(float(doc["t"]), hands, objects, frozenset(contacts))
+def _object_positions(rows: list[list], names: list[str], lines: list[int]) -> np.ndarray:
+    """The (frames, names, 3) array of ``rows``, the positions of ``names``
+    as given on ``lines``; raises for the first one that is not a
+    3-element finite number list."""
+    vecs = list(chain.from_iterable(rows))
+    if set(map(type, vecs)) <= {list} and set(map(len, vecs)) <= {3}:
+        coords = list(chain.from_iterable(vecs))
+        if set(map(type, coords)) <= {float}:
+            flat = np.array(coords, dtype=float)
+            if np.isfinite(flat).all():
+                return flat.reshape(len(rows), len(names), 3)
+    for row, line in zip(rows, lines):
+        for name, value in zip(names, row):
+            _check_vec(value, f"object {name} pos", line)
+    return np.array(rows, dtype=float).reshape(len(rows), len(names), 3)
 
 
 def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
-    """Read a JSON Lines trace file, reporting errors with line numbers."""
-    frames: list[DemoFrame] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
+    """Read a UTF-8 JSON Lines trace file into columns, reporting errors
+    with line numbers.
+
+    Each line's checks run in one fixed order and the first failing
+    check of the first failing line is reported. Object positions are
+    checked last, all at once; a line with its objects in the order of
+    ``names`` defers them to that check.
+    """
+    hand_names, names = frozenset(registry.of_type(HAND)), sorted(registry.non_hands)
+    # Per frame: its line, time, objects' positions in ``names`` order and
+    # contact set; per hand, its (pos, open, held) rows.
+    lines, times, rows, contacts = [], [], [], []
+    hand_rows, extra, hands, last_pairs, reusable = {}, {}, None, None, False
+    try:
+        for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+            try:
+                raw = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                message = f"not UTF-8 at byte {exc.start + 1}: {exc.reason}"
+                raise TraceError(message, lineno) from None
             if not raw:
                 continue
             try:
                 doc = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"invalid JSON: {exc.msg}", lineno) from exc
-            frame = frame_from_json(doc, registry, lineno)
-            before = frames[-1] if frames else None
-            if before and frame.t <= before.t:
-                raise TraceError(f"timestamp {frame.t} does not increase over {before.t}", lineno)
-            if before and frame.hands.keys() != before.hands.keys():
+            lines.append(lineno)
+            if not isinstance(doc, dict):
+                raise TraceError("frame must be a JSON object", lineno)
+            for key in ("t", "hands", "objects", "contacts"):
+                if key not in doc:
+                    raise TraceError(f"frame missing {key!r}", lineno)
+            t, pairs = doc["t"], doc["contacts"]
+            if not _is_number(t):
+                raise TraceError(f"timestamp must be a finite number, got {t!r}", lineno)
+            if not isinstance(pairs, list):
+                raise TraceError(f"'contacts' must be a JSON list, got {pairs!r}", lineno)
+
+            before, hands = hands, _as_dict(doc, "hands", lineno)
+            for name, sample in hands.items():
+                if name not in hand_names:
+                    raise TraceError(f"unknown hand instance: {name}", lineno)
+                if not isinstance(sample, dict):
+                    raise TraceError(f"hand sample for {name} must be an object", lineno)
+                is_open, held, pos = sample.get("open"), sample.get("held"), sample.get("pos")
+                if type(is_open) is not bool:
+                    message = f"hand {name} open must be a JSON boolean, got {is_open!r}"
+                    raise TraceError(message, lineno)
+                if held is not None:
+                    if held not in registry or registry.type_of(held) != CUBE:
+                        raise TraceError(f"held object {held!r} is not a known cube", lineno)
+                    if is_open:
+                        raise TraceError(f"hand {name} cannot be open while holding {held}", lineno)
+                _check_vec(pos, f"hand {name} pos", lineno)
+                hand_rows.setdefault(name, []).append((pos, is_open, held))
+
+            objects = _as_dict(doc, "objects", lineno)
+            if list(objects) == names:
+                rows.append([*objects.values()])
+            else:
+                for name, value in objects.items():
+                    if name not in registry:
+                        raise TraceError(f"unknown object instance: {name}", lineno)
+                    _check_vec(value, f"object {name} pos", lineno)
+                missing = ", ".join(sorted(registry.non_hands.difference(objects)))
+                if missing:
+                    raise TraceError(f"objects lacks a position for {missing}", lineno)
+                rows.append([objects[name] for name in names])
+                listed = hand_names.intersection(objects)
+                if listed:
+                    extra[len(rows) - 1] = {n: tuple(map(float, objects[n])) for n in listed}
+
+            # A contact list equal to the one before and naming no hand
+            # passes the same checks, so its set is shared.
+            if pairs != last_pairs or not reusable:
+                found = set()
+                for pair in pairs:
+                    if not isinstance(pair, list) or len(pair) != 2:
+                        raise TraceError(f"contact must be a pair, got {pair!r}", lineno)
+                    a, b = pair
+                    for name in (a, b):
+                        if name not in registry:
+                            raise TraceError(f"contact names unknown instance: {name}", lineno)
+                        if name not in objects and name not in hands:
+                            message = f"contact instance {name} has no position in frame"
+                            raise TraceError(message, lineno)
+                    if a == b:
+                        raise TraceError(f"contact pairs an instance with itself: {a}", lineno)
+                    found.add(frozenset((a, b)))
+                last_pairs, last_set = pairs, frozenset(found)
+                reusable = all(pair <= registry.non_hands for pair in last_set)
+            contacts.append(last_set)
+
+            t = float(t)
+            if times and t <= times[-1]:
+                raise TraceError(f"timestamp {t} does not increase over {times[-1]}", lineno)
+            if before is not None and hands.keys() != before.keys():
                 raise TraceError(
-                    f"frame tracks hands {sorted(frame.hands)},"
-                    f" the frame before tracks {sorted(before.hands)}",
+                    f"frame tracks hands {sorted(hands)}, the frame before tracks {sorted(before)}",
                     lineno,
                 )
-            frames.append(frame)
-    if len(frames) < 2:
-        raise TraceError(f"trace has {len(frames)} frames, need at least 2")
-    return DemoTrace(frames, registry)
+            times.append(t)
+    except TraceError:
+        _object_positions(rows, names, lines)
+        raise
+    positions = _object_positions(rows, names, lines)
+    if len(times) < 2:
+        raise TraceError(f"trace has {len(times)} frames, need at least 2")
+    hand_columns = {}
+    for name, column in hand_rows.items():
+        pos, opens, helds = zip(*column)
+        hand_columns[name] = (np.array(pos, dtype=float), opens, helds)
+    columns = TraceColumns(np.array(times), hand_columns, names, positions, contacts, extra)
+    return DemoTrace(None, registry, columns)
 
 
 def write_trace(trace: DemoTrace, path: str | Path) -> None:
@@ -188,4 +304,3 @@ def frame_to_json(frame: DemoFrame) -> dict:
         "objects": {name: list(p) for name, p in sorted(frame.objects.items())},
         "contacts": sorted(sorted(pair) for pair in frame.contacts),
     }
-

@@ -30,6 +30,9 @@ GOALS = ROOT / "goals"
 # sha256 over the seed-7 pipeline's traces directory, file by file in name
 # order: the name, a NUL byte, then the bytes.
 SEED7_CORPUS_DIGEST = "ea9c80c265be18c309216d4c93ee8bc85946cd4f206fb8196f3530c6b08af000"
+# sha256 of what `ground` and `segment` write for the seed-7 trace_00.jsonl.
+SEED7_GROUND_DIGEST = "5e7f35752b46b180c41377106046200c1318529cf53fab7b776488e428d10969"
+SEED7_SEGMENT_DIGEST = "697f5ce6ad48c3128a811736a02196c24a49e5adf98eefad13cdcfc9c44cf8f0"
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,20 @@ def test_ground_writes_states(tmp_path, trace_dir, corpus):
     assert len(states) == len(corpus[0].trace) - 1
     assert states[0]["frame"] == 1
     assert set(states[0]["hands"]) == {"Left_hand", "Right_hand"}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED7_GROUND_DIGEST
+
+
+def test_segment_bytes_are_pinned(tmp_path, trace_dir):
+    out = tmp_path / "segments.json"
+    assert main(["segment", str(trace_dir / "trace_00.jsonl"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED7_SEGMENT_DIGEST
+
+
+def test_trace_that_is_not_utf8_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"\xff\xfe{\x00")
+    assert main(["ground", str(path), "--out", str(tmp_path / "states.json")]) == 2
+    assert "error: line 1: not UTF-8 at byte 1: invalid start byte" in capsys.readouterr().err
 
 
 def test_grounding_config_file(tmp_path, trace_dir):

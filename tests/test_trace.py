@@ -2,10 +2,13 @@
 
 import json
 
+import grounding_oracle
 import pytest
+import trace_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demoplan.grounding import ground_trace
 from demoplan.ontology import (
     CUBE,
     HAND,
@@ -95,6 +98,23 @@ def test_read_needs_two_frames(tmp_path, registry, two_frames):
     first = path.read_text().splitlines()[0]
     path.write_text(first + "\n")
     with pytest.raises(TraceError, match="at least 2"):
+        read_trace(path, registry)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe{\x00", "line 1: not UTF-8 at byte 1: invalid start byte"),
+        (b"\n\n\xc3(\n", "line 3: not UTF-8 at byte 1: invalid continuation byte"),
+        (b" \r\xe9\n", "line 2: not UTF-8 at byte 1: unexpected end of data"),
+        (b"{oops\n\xff\n", "line 1: invalid JSON"),
+    ],
+    ids=["utf16-bom", "after-blank-lines", "after-a-carriage-return", "earlier-line-first"],
+)
+def test_read_rejects_text_that_is_not_utf8(tmp_path, registry, data, message):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(TraceError, match=f"^{message}"):
         read_trace(path, registry)
 
 
@@ -261,3 +281,125 @@ def test_read_raises_only_trace_errors_on_fuzzed_values(tmp_path_factory, path, 
         read_trace(trace_path, registry)
     except TraceError as exc:
         assert exc.line == 2
+
+
+# --- the column reader against the per-frame oracle ------------------------
+
+WINDOW = 12
+
+
+@pytest.fixture(scope="module")
+def seed7_lines(tmp_path_factory, corpus):
+    """The lines of the seed-7 corpus's first trace."""
+    path = tmp_path_factory.mktemp("seed7") / "trace_00.jsonl"
+    write_trace(corpus[0].trace, path)
+    return path.read_text().splitlines()
+
+
+# Each mutation edits the first of ``docs``, the frames from a chosen
+# line to the end of the window; a few edit all of them.
+
+def _bad_type(draw, docs):
+    _set(draw(st.sampled_from(SEED7_PATHS)), draw(JSON_VALUES))(docs[0])
+
+
+def _non_finite(draw, docs):
+    doc = docs[0]
+    where = draw(st.sampled_from(
+        [("hands", hand, "pos") for hand in doc["hands"]] + [("objects", name) for name in doc["objects"]]
+    ))
+    _set((*where, draw(st.integers(0, 2))), draw(st.sampled_from([float("nan"), float("inf"), 10**400])))(doc)
+
+
+def _missing_key(draw, docs):
+    doc = docs[0]
+    key = draw(st.sampled_from(["t", "hands", "objects", "contacts", "open", "pos", "held"]))
+    if key in doc:
+        del doc[key]
+    else:
+        doc["hands"][draw(st.sampled_from(sorted(doc["hands"])))].pop(key)
+
+
+def _missing_object(draw, docs):
+    del docs[0]["objects"][draw(st.sampled_from(sorted(docs[0]["objects"])))]
+
+
+def _hand_leaves(draw, docs):
+    del docs[0]["hands"][draw(st.sampled_from(sorted(docs[0]["hands"])))]
+
+
+def _hand_as_object_and_contact(draw, docs):
+    """From this line on, a hand touches something and may be listed
+    among the objects; it may leave on the last line."""
+    hand = draw(st.sampled_from(sorted(docs[0]["hands"])))
+    listed, other = draw(st.booleans()), draw(st.sampled_from(sorted(docs[0]["objects"])))
+    for doc in docs:
+        if listed:
+            doc["objects"][hand] = doc["hands"][hand]["pos"]
+        doc["contacts"].append([hand, other])
+    if draw(st.booleans()):
+        del docs[-1]["hands"][hand]
+
+
+def _z_order_flip(draw, docs):
+    """Swap the heights of a touching pair and keep the contact list."""
+    doc = docs[0]
+    a, b = draw(st.sampled_from(doc["contacts"]))
+    pa, pb = doc["objects"][a], doc["objects"][b]
+    pa[2], pb[2] = pb[2], pa[2]
+
+
+def _objects_reordered(draw, docs):
+    docs[0]["objects"] = dict(draw(st.permutations(list(docs[0]["objects"].items()))))
+
+
+def _integer_coordinate(draw, docs):
+    name = draw(st.sampled_from(sorted(docs[0]["objects"])))
+    docs[0]["objects"][name][draw(st.integers(0, 2))] = draw(st.integers(-2, 2))
+
+
+def _repeated_time(draw, docs):
+    docs[0]["t"] = 0.0
+
+
+MUTATIONS = [
+    _bad_type, _non_finite, _missing_key, _missing_object, _hand_leaves,
+    _hand_as_object_and_contact, _z_order_flip, _objects_reordered,
+    _integer_coordinate, _repeated_time,
+]
+SEED7_PATHS = [
+    ("t",), ("hands",), ("objects",), ("contacts",),
+    ("hands", "Right_hand"), ("hands", "Right_hand", "pos"),
+    ("hands", "Left_hand", "pos", 1), ("hands", "Right_hand", "open"),
+    ("hands", "Right_hand", "held"), ("objects", "Cube_red1"),
+    ("objects", "table1", 2), ("contacts", 0), ("contacts", 0, 1),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_matches_the_per_frame_oracle(tmp_path_factory, seed7_lines, demo_registry, data):
+    """Mutated windows of a seed-7 trace: both readers accept a file with
+    equal frames and equal grounded states, or reject it with the same
+    message and line."""
+    start = data.draw(st.integers(0, len(seed7_lines) - WINDOW))
+    docs = [json.loads(raw) for raw in seed7_lines[start:start + WINDOW]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        mutate = data.draw(st.sampled_from(MUTATIONS))
+        try:
+            mutate(data.draw, docs[data.draw(st.integers(0, WINDOW - 1)):])
+        except (KeyError, TypeError, IndexError, AttributeError, ValueError):
+            pass  # an earlier mutation broke what this one edits
+    path = tmp_path_factory.mktemp("diff") / "trace.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    try:
+        expected = trace_oracle.read_trace(path, demo_registry)
+    except TraceError as exc:
+        with pytest.raises(TraceError) as got:
+            read_trace(path, demo_registry)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
+    trace = read_trace(path, demo_registry)
+    assert len(trace) == len(expected)
+    assert trace.frames == expected.frames
+    assert ground_trace(trace) == grounding_oracle.ground_trace(expected)

@@ -1,0 +1,128 @@
+"""Frame-by-frame trace reading, kept as the oracle for the column reader.
+
+This is the original reader of ``demoplan.trace``: it validates one
+frame document at a time, in a fixed order of checks, and builds a
+``DemoFrame`` with two ``HandSample``s per frame. The tests compare
+``read_trace`` against it: the same files accepted with equal frames,
+the same files rejected with the same ``TraceError`` text and line.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+from demoplan.ontology import CUBE, HAND, EnvironmentRegistry
+from demoplan.trace import DemoFrame, DemoTrace, HandSample, TraceError
+
+_NUMBER_TYPES = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: booleans, NaN, infinities and ints too large
+    for a float are not."""
+    return type(value) in _NUMBER_TYPES and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _as_vec(value, what: str, line: int | None) -> tuple[float, float, float]:
+    if isinstance(value, (list, tuple)) and len(value) == 3:
+        x, y, z = value
+        if _is_number(x) and _is_number(y) and _is_number(z):
+            return (float(x), float(y), float(z))
+    raise TraceError(f"{what} must be a 3-element finite number list, got {value!r}", line)
+
+
+def _as_dict(doc: dict, key: str, line: int | None) -> dict:
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise TraceError(f"{key!r} must be a JSON object, got {value!r}", line)
+    return value
+
+
+def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None = None) -> DemoFrame:
+    """Validate one frame document against the registry."""
+    if not isinstance(doc, dict):
+        raise TraceError("frame must be a JSON object", line)
+    for key in ("t", "hands", "objects", "contacts"):
+        if key not in doc:
+            raise TraceError(f"frame missing {key!r}", line)
+    if not _is_number(doc["t"]):
+        raise TraceError(f"timestamp must be a finite number, got {doc['t']!r}", line)
+    if not isinstance(doc["contacts"], list):
+        raise TraceError(f"'contacts' must be a JSON list, got {doc['contacts']!r}", line)
+
+    hands: dict[str, HandSample] = {}
+    for name, sample in _as_dict(doc, "hands", line).items():
+        if name not in registry or registry.type_of(name) != HAND:
+            raise TraceError(f"unknown hand instance: {name}", line)
+        if not isinstance(sample, dict):
+            raise TraceError(f"hand sample for {name} must be an object", line)
+        is_open = sample.get("open")
+        if type(is_open) is not bool:
+            raise TraceError(f"hand {name} open must be a JSON boolean, got {is_open!r}", line)
+        held = sample.get("held")
+        if held is not None:
+            if held not in registry or registry.type_of(held) != CUBE:
+                raise TraceError(f"held object {held!r} is not a known cube", line)
+            if is_open:
+                raise TraceError(f"hand {name} cannot be open while holding {held}", line)
+        hands[name] = HandSample(
+            pos=_as_vec(sample.get("pos"), f"hand {name} pos", line),
+            open=is_open,
+            held=held,
+        )
+
+    objects: dict[str, tuple[float, float, float]] = {}
+    for name, pos in _as_dict(doc, "objects", line).items():
+        if name not in registry:
+            raise TraceError(f"unknown object instance: {name}", line)
+        objects[name] = _as_vec(pos, f"object {name} pos", line)
+    missing = registry.non_hands.difference(objects)
+    if missing:
+        raise TraceError(f"objects lacks a position for {', '.join(sorted(missing))}", line)
+
+    contacts: set[frozenset[str]] = set()
+    for pair in doc["contacts"]:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise TraceError(f"contact must be a pair, got {pair!r}", line)
+        a, b = pair
+        for name in (a, b):
+            if name not in registry:
+                raise TraceError(f"contact names unknown instance: {name}", line)
+            if name not in objects and name not in hands:
+                raise TraceError(f"contact instance {name} has no position in frame", line)
+        if a == b:
+            raise TraceError(f"contact pairs an instance with itself: {a}", line)
+        contacts.add(frozenset((a, b)))
+
+    return DemoFrame(float(doc["t"]), hands, objects, frozenset(contacts))
+
+
+def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
+    """Read a JSON Lines trace file, reporting errors with line numbers."""
+    frames: list[DemoFrame] = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                doc = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"invalid JSON: {exc.msg}", lineno) from exc
+            frame = frame_from_json(doc, registry, lineno)
+            before = frames[-1] if frames else None
+            if before and frame.t <= before.t:
+                raise TraceError(f"timestamp {frame.t} does not increase over {before.t}", lineno)
+            if before and frame.hands.keys() != before.hands.keys():
+                raise TraceError(
+                    f"frame tracks hands {sorted(frame.hands)},"
+                    f" the frame before tracks {sorted(before.hands)}",
+                    lineno,
+                )
+            frames.append(frame)
+    if len(frames) < 2:
+        raise TraceError(f"trace has {len(frames)} frames, need at least 2")
+    return DemoTrace(frames, registry)
