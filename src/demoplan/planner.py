@@ -2,12 +2,14 @@
 
 Operators are grounded over a registry into precompiled atom sets, then
 states are packed into integer bitmasks for the search. min_cost mode is
-uniform-cost search and provably optimal; min_length uses unit weights;
-greedy orders the frontier by unsatisfied goal literals and trades
-optimality for speed. An expansion looks only at the actions whose hand
-preconditions hold: each hand's candidates are cached under the hand's
-part of the state and come out in (name, args) order, so every mode
-generates exactly the successors a scan over all actions would.
+A* with an admissible and consistent heuristic, the max over hands of a
+memoized h_max on the hand's atoms and the goal's, and provably optimal;
+min_length is the same search with unit weights; greedy orders the
+frontier by unsatisfied goal literals and trades optimality for speed.
+An expansion looks only at the actions whose hand preconditions hold:
+each hand's candidates are cached under the hand's part of the state and
+come out in (name, args) order, so every mode generates exactly the
+successors a scan over all actions would.
 Validation replays a plan step by step, optionally under mutex world
 semantics where a newly acquired single-valued atom (``SINGLE_VALUED``)
 displaces the hand's previous one.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from .model import (
@@ -110,6 +113,16 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
     return actions
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """The one-bit masks of ``mask``, lowest first."""
+    bits = []
+    while mask:
+        bit = mask & -mask
+        bits.append(bit)
+        mask ^= bit
+    return tuple(bits)
+
+
 class _Masks:
     """Bitmask compilation of atoms shared by one solve call; each new
     atom takes the next free bit."""
@@ -127,6 +140,10 @@ class _Masks:
             m |= bit
         return m
 
+    def naming(self, hand: str) -> int:
+        """The atoms that name ``hand``."""
+        return sum(bit for (_, args), bit in self.bits.items() if hand in args)
+
 
 class _Successors:
     """Successor index of one solve call.
@@ -142,13 +159,8 @@ class _Successors:
     actions.
     """
 
-    def __init__(self, masks: _Masks, hands: list[str], compiled, weights) -> None:
-        hand_masks = dict.fromkeys(hands, 0)
-        for (_, args), bit in masks.bits.items():
-            for hand in hands:
-                if hand in args:
-                    hand_masks[hand] |= bit
-        groups = [(m, ~m, [], {}) for m in hand_masks.values()]
+    def __init__(self, hand_masks: list[int], compiled, weights) -> None:
+        groups = [(m, ~m, [], {}) for m in hand_masks]
         self.always: list[tuple] = []
         for i, ((pp, pn, add, dl), weight) in enumerate(zip(compiled, weights)):
             pre = pp | pn
@@ -181,6 +193,111 @@ class _Successors:
         return merged
 
 
+class _HMax:
+    """The A* heuristic of the optimal modes for one solve call.
+
+    H(s) is the max over hands h of h_max(s & P_h), where the pattern
+    P_h holds the atoms that name h and the positive goal atoms. Atoms
+    outside P_h count as true and deletes and negative preconditions are
+    dropped, so each term is the h_max (Bonet & Geffner 2001) of a
+    relaxation of the task: H never overestimates the cost to go and
+    never drops by more than an action's weight along it, so A* with H
+    returns optimal plans. A hand's projected actions are tabled once
+    and its values memoized under s & P_h; ``math.inf`` marks a state
+    from which the goal is unreachable.
+    """
+
+    def __init__(self, hand_masks: list[int], compiled, weights, goal: int) -> None:
+        self.hands = [
+            (pattern, {}, self._table(pattern, goal, compiled, weights))
+            for pattern in (m | goal for m in hand_masks)
+        ]
+
+    @staticmethod
+    def _table(pattern: int, goal: int, compiled, weights) -> tuple:
+        """The relaxed actions over the pattern's atoms, numbered by bit:
+        per atom the actions it triggers, per action its precondition
+        count, weight and added atoms; the actions with no precondition;
+        the goal atoms."""
+        cheapest: dict[tuple[int, int], int] = {}
+        for (pp, _, add, _), weight in zip(compiled, weights):
+            new = add & pattern & ~pp
+            if new:
+                key = (pp & pattern, new)
+                if weight < cheapest.get(key, weight + 1):
+                    cheapest[key] = weight
+        atoms = _bits(pattern)
+        index = {bit: i for i, bit in enumerate(atoms)}
+
+        def numbered(mask: int) -> list[int]:
+            return [index[bit] for bit in _bits(mask)]
+
+        triggers: list[list[int]] = [[] for _ in atoms]
+        counts, effects, free = [], [], []
+        for k, ((pre, new), weight) in enumerate(cheapest.items()):
+            pre_atoms = numbered(pre)
+            for i in pre_atoms:
+                triggers[i].append(k)
+            counts.append(len(pre_atoms))
+            effects.append((weight, numbered(new)))
+            if not pre_atoms:
+                free.append(k)
+        return atoms, triggers, counts, effects, free, goal, set(numbered(goal))
+
+    @staticmethod
+    def _h_max(key: int, table: tuple) -> float:
+        """Counter-based Dijkstra from the atoms of ``key``: an action
+        fires when its last precondition is settled, at that atom's cost
+        plus its weight; h_max is the cost of the last goal atom settled."""
+        atoms, triggers, counts, effects, free, goal, goals = table
+        if key & goal == goal:
+            return 0
+        cost = [math.inf] * len(atoms)
+        heap = []
+        for i, bit in enumerate(atoms):
+            if key & bit:
+                cost[i] = 0
+                heap.append((0, i))
+        for k in free:
+            weight, new = effects[k]
+            for j in new:
+                if weight < cost[j]:
+                    cost[j] = weight
+                    heap.append((weight, j))
+        heapq.heapify(heap)
+        left = list(counts)
+        unsettled = len(goals)
+        while heap:
+            c, i = heapq.heappop(heap)
+            if c > cost[i]:
+                continue
+            if i in goals:
+                unsettled -= 1
+                if not unsettled:
+                    return c
+            for k in triggers[i]:
+                left[k] -= 1
+                if not left[k]:
+                    weight, new = effects[k]
+                    reach = c + weight
+                    for j in new:
+                        if reach < cost[j]:
+                            cost[j] = reach
+                            heapq.heappush(heap, (reach, j))
+        return math.inf
+
+    def __call__(self, state: int) -> float:
+        h = 0
+        for pattern, memo, table in self.hands:
+            key = state & pattern
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = self._h_max(key, table)
+            if value > h:
+                h = value
+        return h
+
+
 def solve(
     problem: PlanningProblem,
     actions: list[GroundAction],
@@ -203,7 +320,10 @@ def solve(
         for a in actions
     ]
     weights = [1 if mode == "min_length" else a.cost for a in actions]
-    successors = _Successors(masks, problem.registry.hands, compiled, weights)
+    hand_masks = [masks.naming(hand) for hand in problem.registry.hands]
+    successors = _Successors(hand_masks, compiled, weights)
+    greedy = mode == "greedy"
+    heuristic = None if greedy or not goal_pos else _HMax(hand_masks, compiled, weights, goal_pos)
 
     def reached(state: int) -> bool:
         return state & goal_pos == goal_pos and not state & goal_neg
@@ -222,16 +342,27 @@ def solve(
     def unsatisfied(state: int) -> int:
         return bin(goal_pos & ~state).count("1") + bin(goal_neg & state).count("1")
 
+    # The optimal modes order the open list by a lower bound on f = g + H,
+    # the deeper state first among equal bounds: a state's H is looked up
+    # only when it is popped, and a state whose f exceeds the bound it was
+    # pushed with goes back with its f. greedy keeps its push order.
     parent: dict[int, tuple[int, int] | None] = {init: None}
     best_g = {init: 0}
     counter = itertools.count()
-    priority = unsatisfied(init) if mode == "greedy" else 0
-    heap = [(priority, next(counter), 0, init)]
+    priority = unsatisfied(init) if greedy else 0
+    heap = [(priority, 0, next(counter), 0, init)]
     expansions = 0
     while heap:
-        _, _, g, state = heapq.heappop(heap)
+        bound, _, _, g, state = heapq.heappop(heap)
         if g > best_g.get(state, g):
             continue
+        f = g
+        if heuristic is not None:
+            f += heuristic(state)
+            if f > bound:
+                if f != math.inf:
+                    heapq.heappush(heap, (f, -g, next(counter), g, state))
+                continue
         if reached(state):
             return rebuild(state)
         expansions += 1
@@ -242,16 +373,16 @@ def solve(
                 continue
             nxt = (state & ~dl) | add
             ng = g + weight
-            if mode == "greedy":
+            if greedy:
                 if nxt in parent:
                     continue
                 parent[nxt] = (state, i)
                 best_g[nxt] = ng
-                heapq.heappush(heap, (unsatisfied(nxt), next(counter), ng, nxt))
+                heapq.heappush(heap, (unsatisfied(nxt), 0, next(counter), ng, nxt))
             elif ng < best_g.get(nxt, ng + 1):
                 best_g[nxt] = ng
                 parent[nxt] = (state, i)
-                heapq.heappush(heap, (ng, next(counter), ng, nxt))
+                heapq.heappush(heap, (max(f, ng), -ng, next(counter), ng, nxt))
     return None
 
 

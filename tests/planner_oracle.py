@@ -1,10 +1,13 @@
 """Full-scan search, kept as the oracle for ``planner.solve``.
 
 This is the original successor loop: every expansion tests every ground
-action's bitmask preconditions in ``(name, args)`` order. ``solve``
-generates the same successors in the same order from its per-hand
-index, so the tests expect identical plans, ``None`` results and
-expansion-budget failures from both.
+action's bitmask preconditions in ``(name, args)`` order, and the
+optimal modes are uniform-cost search, which is A* with a heuristic of
+0. ``solve`` generates the same successors in the same order from its
+per-hand index. In greedy mode the tests expect identical plans,
+``None`` results and expansion-budget failures from both; in the
+optimal modes, where ``solve`` runs A* with h_max, the same optimal cost
+or length, the same ``None`` results, and no more expansions.
 """
 
 from __future__ import annotations

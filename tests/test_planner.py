@@ -1,5 +1,9 @@
 """Tests for planner.py."""
 
+import hashlib
+import json
+import math
+import time
 from collections import Counter
 
 import pytest
@@ -22,6 +26,8 @@ from demoplan.planner import (
     MODES,
     Plan,
     PlannerError,
+    _HMax,
+    _Masks,
     compare_cost_modes,
     ground,
     plan_from_json,
@@ -342,9 +348,32 @@ def outcome(solver, problem, actions, mode, max_expansions=None):
 
 
 def assert_same_plans(problem, actions, modes=MODES, max_expansions=None):
+    """greedy gives the scan's plan, None or budget error, byte for byte.
+    The optimal modes give None where the scan does, and otherwise a
+    plan that replays, at the scan's cost (min_cost) or length
+    (min_length). Where the scan gives up within the budget, A* may give
+    up, find no plan, or find one that replays."""
     for mode in modes:
         expected = outcome(planner_oracle.solve, problem, actions, mode, max_expansions)
-        assert outcome(solve, problem, actions, mode, max_expansions) == expected, mode
+        if mode == "greedy":
+            assert outcome(solve, problem, actions, mode, max_expansions) == expected, mode
+            continue
+        gave_up = isinstance(expected, tuple)
+        try:
+            plan = solve(problem, actions, mode, max_expansions if gave_up else None)
+        except PlannerError:
+            assert gave_up, mode
+            continue
+        if plan is None:
+            assert expected is None or gave_up, mode
+            continue
+        assert expected is not None, mode
+        assert plan.total_cost == sum(step.cost for step in plan.steps)
+        assert plan.total_length == len(plan.steps)
+        assert validate(problem, plan).valid, mode
+        if not gave_up:
+            total = "total_cost" if mode == "min_cost" else "total_length"
+            assert plan_to_json(plan)[total] == expected[total], mode
 
 
 @pytest.fixture(scope="module")
@@ -376,32 +405,34 @@ def test_solve_matches_the_scan_on_larger_tables(
     assert_same_plans(problem, actions)
 
 
+def on_top_goals(registry):
+    """One to three onTop literals between two things, some negated."""
+    return st.lists(
+        st.builds(
+            lambda above, below, positive: Literal("onTop", (above, below), positive),
+            st.sampled_from(registry.cubes),
+            st.sampled_from(registry.cubes + [registry.table]),
+            st.booleans(),
+        ).filter(lambda l: l.args[0] != l.args[1]),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda l: l.atom,
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_solve_matches_the_scan_on_random_goals(libraries, data):
-    """Random onTop goals between two things, some negated, over a random
-    subset of cubes on one or two grippers; a small budget bounds the search, and both
-    solvers must then give up at the same point."""
+    """Random onTop goals over a random subset of cubes on one or two
+    grippers; a small budget bounds the search, and greedy must give up
+    where the scan does."""
     library = libraries[data.draw(st.sampled_from(["raw", "repaired"]))]
     hands = data.draw(st.sampled_from([(GRIPPER,), ("Left_gripper", "Right_gripper")]))
     colors = data.draw(
         st.lists(st.sampled_from(COLORS[:5]), min_size=2, max_size=4, unique=True)
     )
     registry = table_registry(colors, hands)
-    things = registry.cubes + [registry.table]
-    goal = data.draw(
-        st.lists(
-            st.builds(
-                lambda above, below, positive: Literal("onTop", (above, below), positive),
-                st.sampled_from(registry.cubes),
-                st.sampled_from(things),
-                st.booleans(),
-            ).filter(lambda l: l.args[0] != l.args[1]),
-            min_size=1,
-            max_size=3,
-            unique_by=lambda l: l.atom,
-        )
-    )
+    goal = data.draw(on_top_goals(registry))
     problem = goal_problem(registry, *goal)
     assert_same_plans(problem, ground(library, registry), max_expansions=1500)
 
@@ -503,13 +534,22 @@ def test_hands_in_the_same_configuration_keep_their_own_candidates():
     [
         ((GRIPPER,), "goal2", "min_cost"),
         ((GRIPPER,), "goal4", "min_length"),
+        (("Left_gripper", "Right_gripper"), "goal2", "min_cost"),
         (("Left_gripper", "Right_gripper"), "goal2", "greedy"),
     ],
-    ids=["one-hand-goal2-min_cost", "one-hand-goal4-min_length", "two-hands-goal2-greedy"],
+    ids=[
+        "one-hand-goal2-min_cost",
+        "one-hand-goal4-min_length",
+        "two-hands-goal2-min_cost",
+        "two-hands-goal2-greedy",
+    ],
 )
 def test_expansion_budget_fails_at_the_same_point_as_the_scan(
     repaired_library, hands, goal_name, mode
 ):
+    """greedy gives up at the same point as the scan. A* needs no more
+    expansions than the scan: within the budget the scan needs, it finds
+    a plan of the scan's cost or length."""
     registry = table_registry(COLORS[:4], hands)
     actions = ground(repaired_library, registry)
     problem = goal_problem(registry, *standard_goals(registry)[goal_name])
@@ -526,8 +566,129 @@ def test_expansion_budget_fails_at_the_same_point_as_the_scan(
             low = mid
         else:
             high = mid
-    with pytest.raises(PlannerError, match=f"gave up after {low} expansions"):
-        solve(problem, actions, mode, max_expansions=low)
-    assert outcome(solve, problem, actions, mode, high) == outcome(
-        planner_oracle.solve, problem, actions, mode, high
+    expected = outcome(planner_oracle.solve, problem, actions, mode, high)
+    if mode == "greedy":
+        with pytest.raises(PlannerError, match=f"gave up after {low} expansions"):
+            solve(problem, actions, mode, max_expansions=low)
+        assert outcome(solve, problem, actions, mode, high) == expected
+        return
+    plan = solve(problem, actions, mode, max_expansions=high)
+    total = "total_cost" if mode == "min_cost" else "total_length"
+    assert plan_to_json(plan)[total] == expected[total]
+    assert validate(problem, plan).valid
+
+
+# --- the A* heuristic ------------------------------------------------------
+
+
+def heuristic_of(problem, actions, mode):
+    """H as ``solve`` builds it, with the atom bits and the weighted
+    action masks it is built over."""
+    masks = _Masks()
+    init = masks.mask(problem.init)
+    goal = masks.mask(l.atom for l in problem.goal if l.positive)
+    compiled = [
+        (masks.mask(a.pre_pos), masks.mask(a.pre_neg), masks.mask(a.add), masks.mask(a.delete))
+        for a in actions
+    ]
+    weights = [1 if mode == "min_length" else a.cost for a in actions]
+    hand_masks = [masks.naming(hand) for hand in problem.registry.hands]
+    heuristic = _HMax(hand_masks, compiled, weights, goal)
+    return heuristic, masks, init, list(zip(compiled, weights))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_heuristic_is_admissible_and_consistent(libraries, data):
+    """On states of random walks over small tables: H never exceeds the
+    scan's cost to go, never drops by more than an action's weight along
+    an action, and is infinite only where the scan finds no plan."""
+    library = libraries[data.draw(st.sampled_from(["raw", "repaired"]))]
+    # at most 23,000 reachable states, so the scan can exhaust them
+    hands, n_cubes = data.draw(
+        st.sampled_from([((GRIPPER,), 2), ((GRIPPER,), 3), (("Left_gripper", "Right_gripper"), 2)])
     )
+    colors = data.draw(st.permutations(COLORS[:4]))[:n_cubes]
+    mode = data.draw(st.sampled_from(["min_cost", "min_length"]))
+    registry = table_registry(colors, hands)
+    goal = data.draw(on_top_goals(registry))
+    actions = ground(library, registry)
+    problem = goal_problem(registry, *goal)
+    heuristic, masks, state, weighted = heuristic_of(problem, actions, mode)
+    atoms = {bit: atom for atom, bit in masks.bits.items()}
+    total = "total_cost" if mode == "min_cost" else "total_length"
+    for _ in range(data.draw(st.integers(1, 4))):
+        h = heuristic(state)
+        here = PlanningProblem(registry, frozenset(a for b, a in atoms.items() if state & b), problem.goal)
+        to_go = outcome(planner_oracle.solve, here, actions, mode)
+        if h == math.inf:
+            assert to_go is None
+        elif to_go is not None:
+            assert h <= to_go[total]
+        successors = []
+        for (pp, pn, add, dl), weight in weighted:
+            if state & pp == pp and not state & pn:
+                nxt = (state & ~dl) | add
+                assert h <= weight + heuristic(nxt)
+                successors.append(nxt)
+        if not successors:
+            break
+        state = data.draw(st.sampled_from(successors))
+
+
+# --- seed-7 plans and towers ------------------------------------------------
+
+# sha256 of json.dumps(plan_to_json(plan), sort_keys=True) for the seed-7
+# repaired library on the execution table, as uniform-cost search planned
+# them.
+SEED7_PLAN_DIGESTS = {
+    ("goal1", "min_cost"): "8f1be5ca39a45aa91ebea97e64bd8c79a52c15eec47f42cb58c060f7da95fdf3",
+    ("goal1", "min_length"): "70d353cb382ee9fa7645d543aee203addde90b94e5b0c9a4d7a9320a72210ed3",
+    ("goal1", "greedy"): "70d353cb382ee9fa7645d543aee203addde90b94e5b0c9a4d7a9320a72210ed3",
+    ("goal2", "min_cost"): "3aaa79bfa6e5be6ec3f62d095ab9847cde7124949d3920c0e85066a80d1e77f3",
+    ("goal2", "min_length"): "5cbefba1a4a134465bbd976f8c3830f708db9274a7a2c704d8b19c17c6e3d170",
+    ("goal2", "greedy"): "5cbefba1a4a134465bbd976f8c3830f708db9274a7a2c704d8b19c17c6e3d170",
+    ("goal3", "min_cost"): "0bf8f8b8adfb24f489a7da951cfe1de70d845dac2f987faab7b87a77cdbf3bc4",
+    ("goal3", "min_length"): "5639d7665553bfe4b271d20a888c99ea392de8c1a870338e975700d7b9871c33",
+    ("goal3", "greedy"): "5639d7665553bfe4b271d20a888c99ea392de8c1a870338e975700d7b9871c33",
+    ("goal4", "min_cost"): "893427c98b0605ccc100731ff52adbbbd779f4925557616c14d91f4f0ac726da",
+    ("goal4", "min_length"): "9eb4b7097e73b4681b61d61d3ae110071fe00cb47ca78779d5466a9bd8d78ee0",
+    ("goal4", "greedy"): "9eb4b7097e73b4681b61d61d3ae110071fe00cb47ca78779d5466a9bd8d78ee0",
+}
+
+
+@pytest.mark.parametrize("goal_name, mode", sorted(SEED7_PLAN_DIGESTS))
+def test_seed7_plans_are_pinned(repaired_library, exec_registry, goal_name, mode):
+    actions = ground(repaired_library, exec_registry)
+    problem = goal_problem(exec_registry, *standard_goals(exec_registry)[goal_name])
+    doc = json.dumps(plan_to_json(solve(problem, actions, mode)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == SEED7_PLAN_DIGESTS[goal_name, mode]
+
+
+@pytest.mark.parametrize("mode", ["min_cost", "min_length"])
+def test_heuristic_prunes_goal3(repaired_library, exec_registry, mode):
+    """A* plans the 4-tower within 1,500 expansions (it takes 1,112 and
+    1,302); uniform-cost search takes 10,973 and 12,179, and A* that
+    expands a popped state whose f exceeds its bound takes 3,011 and
+    2,624."""
+    actions = ground(repaired_library, exec_registry)
+    problem = goal_problem(exec_registry, *standard_goals(exec_registry)["goal3"])
+    assert solve(problem, actions, mode, max_expansions=1500) is not None
+
+
+def test_five_cube_tower_is_solved_optimally(repaired_library):
+    """Each cube on the one before it in name order; uniform-cost search
+    gives up on this tower after 200,000 expansions."""
+    registry = table_registry(COLORS[:5])
+    cubes = registry.cubes
+    problem = goal_problem(
+        registry, *(Literal("onTop", (above, below)) for below, above in zip(cubes, cubes[1:]))
+    )
+    actions = ground(repaired_library, registry)
+    start = time.perf_counter()
+    plan = solve(problem, actions, "min_cost")
+    elapsed = time.perf_counter() - start
+    assert plan.total_cost == 837
+    assert plan.total_length == 15
+    assert validate(problem, plan, mutex=True).valid
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
