@@ -2,8 +2,8 @@
 
 Operators are grounded over a registry into precompiled atom sets, then
 states are packed into integer bitmasks for the search. min_cost mode is
-A* with an admissible and consistent heuristic, the max over hands of a
-memoized h_max on the hand's atoms and the goal's, and provably optimal;
+A* with an admissible and consistent heuristic, a memoized h_max on
+the atoms that name a hand and the goal's, and provably optimal;
 min_length is the same search with unit weights; greedy orders the
 frontier by unsatisfied goal literals and trades optimality for speed.
 An expansion looks only at the actions whose hand preconditions hold:
@@ -196,29 +196,37 @@ class _Successors:
 class _HMax:
     """The A* heuristic of the optimal modes for one solve call.
 
-    H(s) is the max over hands h of h_max(s & P_h), where the pattern
-    P_h holds the atoms that name h and the positive goal atoms. Atoms
-    outside P_h count as true and deletes and negative preconditions are
-    dropped, so each term is the h_max (Bonet & Geffner 2001) of a
-    relaxation of the task: H never overestimates the cost to go and
-    never drops by more than an action's weight along it, so A* with H
-    returns optimal plans. A hand's projected actions are tabled once
-    and its values memoized under s & P_h; ``math.inf`` marks a state
-    from which the goal is unreachable.
+    H(s) is h_max(s & P), where the pattern P holds every atom that
+    names a hand and the positive goal atoms. Atoms outside P count as
+    true and deletes and negative preconditions are dropped, so H is the
+    h_max (Bonet & Geffner 2001) of a relaxation of the task: it never
+    overestimates the cost to go and never drops by more than an
+    action's weight along it, so A* with H returns optimal plans. With
+    every hand's atoms in the one pattern, a hand's ``Stack`` must pay
+    for that hand's ``Take``. The relaxed actions are tabled once and
+    values memoized under s & P; ``math.inf`` marks a state from which
+    the goal is unreachable.
     """
 
     def __init__(self, hand_masks: list[int], compiled, weights, goal: int) -> None:
-        self.hands = [
-            (pattern, {}, self._table(pattern, goal, compiled, weights))
-            for pattern in (m | goal for m in hand_masks)
-        ]
+        self.pattern = goal
+        for mask in hand_masks:
+            self.pattern |= mask
+        self.memo: dict[int, float] = {}
+        self.table = self._table(self.pattern, goal, compiled, weights)
 
     @staticmethod
     def _table(pattern: int, goal: int, compiled, weights) -> tuple:
         """The relaxed actions over the pattern's atoms, numbered by bit:
         per atom the actions it triggers, per action its precondition
         count, weight and added atoms; the actions with no precondition;
-        the goal atoms."""
+        the goal atoms.
+
+        An action that needs no fewer atoms than another, adds no more
+        and weighs no less can never lower an atom's cost, so it is left
+        out; its dominators are among the actions that add its lowest
+        atom. Dominance between distinct actions is a strict order, so a
+        dropped action always has a kept dominator."""
         cheapest: dict[tuple[int, int], int] = {}
         for (pp, _, add, _), weight in zip(compiled, weights):
             new = add & pattern & ~pp
@@ -226,6 +234,17 @@ class _HMax:
                 key = (pp & pattern, new)
                 if weight < cheapest.get(key, weight + 1):
                     cheapest[key] = weight
+        adders: dict[int, list[tuple[tuple[int, int], int]]] = {}
+        for key, weight in cheapest.items():
+            for bit in _bits(key[1]):
+                adders.setdefault(bit, []).append((key, weight))
+        kept = []
+        for (pre, new), weight in cheapest.items():
+            for (p, n), w in adders[new & -new]:
+                if w <= weight and not p & ~pre and not new & ~n and (p != pre or n != new):
+                    break
+            else:
+                kept.append((pre, new, weight))
         atoms = _bits(pattern)
         index = {bit: i for i, bit in enumerate(atoms)}
 
@@ -234,7 +253,7 @@ class _HMax:
 
         triggers: list[list[int]] = [[] for _ in atoms]
         counts, effects, free = [], [], []
-        for k, ((pre, new), weight) in enumerate(cheapest.items()):
+        for k, (pre, new, weight) in enumerate(kept):
             pre_atoms = numbered(pre)
             for i in pre_atoms:
                 triggers[i].append(k)
@@ -287,15 +306,29 @@ class _HMax:
         return math.inf
 
     def __call__(self, state: int) -> float:
-        h = 0
-        for pattern, memo, table in self.hands:
-            key = state & pattern
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = self._h_max(key, table)
-            if value > h:
-                h = value
-        return h
+        key = state & self.pattern
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = self._h_max(key, self.table)
+        return value
+
+
+def _compile(problem: PlanningProblem, actions: list[GroundAction], mode: str) -> tuple:
+    """The bitmask form of a problem over ``actions`` in their order:
+    the atom bits, the initial state, the positive and the negative goal
+    atoms, per action its ``(pre_pos, pre_neg, add, delete)`` masks and
+    its weight in ``mode``, and per hand the atoms that name it."""
+    masks = _Masks()
+    init = masks.mask(problem.init)
+    goal_pos = masks.mask(l.atom for l in problem.goal if l.positive)
+    goal_neg = masks.mask(l.atom for l in problem.goal if not l.positive)
+    compiled = [
+        (masks.mask(a.pre_pos), masks.mask(a.pre_neg), masks.mask(a.add), masks.mask(a.delete))
+        for a in actions
+    ]
+    weights = [1 if mode == "min_length" else a.cost for a in actions]
+    hand_masks = [masks.naming(hand) for hand in problem.registry.hands]
+    return masks, init, goal_pos, goal_neg, compiled, weights, hand_masks
 
 
 def solve(
@@ -310,17 +343,7 @@ def solve(
     if max_expansions is not None and max_expansions < 0:
         raise PlannerError(f"expansion budget must not be negative, got {max_expansions}")
     actions = sorted(actions, key=lambda a: (a.name, a.args))
-
-    masks = _Masks()
-    init = masks.mask(problem.init)
-    goal_pos = masks.mask(l.atom for l in problem.goal if l.positive)
-    goal_neg = masks.mask(l.atom for l in problem.goal if not l.positive)
-    compiled = [
-        (masks.mask(a.pre_pos), masks.mask(a.pre_neg), masks.mask(a.add), masks.mask(a.delete))
-        for a in actions
-    ]
-    weights = [1 if mode == "min_length" else a.cost for a in actions]
-    hand_masks = [masks.naming(hand) for hand in problem.registry.hands]
+    _, init, goal_pos, goal_neg, compiled, weights, hand_masks = _compile(problem, actions, mode)
     successors = _Successors(hand_masks, compiled, weights)
     greedy = mode == "greedy"
     heuristic = None if greedy or not goal_pos else _HMax(hand_masks, compiled, weights, goal_pos)
@@ -340,7 +363,7 @@ def solve(
         return Plan(steps, sum(s.cost for s in steps), len(steps))
 
     def unsatisfied(state: int) -> int:
-        return bin(goal_pos & ~state).count("1") + bin(goal_neg & state).count("1")
+        return (goal_pos & ~state).bit_count() + (goal_neg & state).bit_count()
 
     # The optimal modes order the open list by a lower bound on f = g + H,
     # the deeper state first among equal bounds: a state's H is looked up

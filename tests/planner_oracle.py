@@ -8,14 +8,18 @@ per-hand index. In greedy mode the tests expect identical plans,
 ``None`` results and expansion-budget failures from both; in the
 optimal modes, where ``solve`` runs A* with h_max, the same optimal cost
 or length, the same ``None`` results, and no more expansions.
+
+``h_max`` is the reference for the heuristic of ``solve``'s optimal
+modes: a plain fixpoint over atom sets and every relaxed action.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
-from demoplan.model import GroundAction, PlanningProblem
+from demoplan.model import Atom, GroundAction, PlanningProblem
 from demoplan.planner import MODES, Plan, PlannerError, _Masks
 
 
@@ -87,3 +91,39 @@ def solve(
                 parent[nxt] = (state, i)
                 heapq.heappush(heap, (ng, next(counter), ng, nxt))
     return None
+
+
+def h_max(
+    problem: PlanningProblem, actions: list[GroundAction], mode: str, state: frozenset[Atom]
+) -> float:
+    """h_max (Bonet & Geffner 2001) of ``state`` for the positive goal
+    atoms, on the pattern of atoms that name a hand or are goal atoms:
+    atoms outside the pattern count as true, deletes and negative
+    preconditions are dropped. Every action relaxes every round until no
+    atom's cost falls."""
+    hands = set(problem.registry.hands)
+    goal = [l.atom for l in problem.goal if l.positive]
+
+    def in_pattern(atom: Atom) -> bool:
+        return atom in goal or any(arg in hands for arg in atom[1])
+
+    cost: dict[Atom, float] = {}
+
+    def cost_of(atom: Atom) -> float:
+        if atom in state or not in_pattern(atom):
+            return 0
+        return cost.get(atom, math.inf)
+
+    changed = True
+    while changed:
+        changed = False
+        for action in actions:
+            reach = max((cost_of(atom) for atom in action.pre_pos), default=0)
+            if reach == math.inf:
+                continue
+            reach += 1 if mode == "min_length" else action.cost
+            for atom in action.add:
+                if reach < cost_of(atom):
+                    cost[atom] = reach
+                    changed = True
+    return max((cost_of(atom) for atom in goal), default=0)

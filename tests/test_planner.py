@@ -26,8 +26,8 @@ from demoplan.planner import (
     MODES,
     Plan,
     PlannerError,
+    _compile,
     _HMax,
-    _Masks,
     compare_cost_modes,
     ground,
     plan_from_json,
@@ -584,17 +584,19 @@ def test_expansion_budget_fails_at_the_same_point_as_the_scan(
 def heuristic_of(problem, actions, mode):
     """H as ``solve`` builds it, with the atom bits and the weighted
     action masks it is built over."""
-    masks = _Masks()
-    init = masks.mask(problem.init)
-    goal = masks.mask(l.atom for l in problem.goal if l.positive)
-    compiled = [
-        (masks.mask(a.pre_pos), masks.mask(a.pre_neg), masks.mask(a.add), masks.mask(a.delete))
-        for a in actions
-    ]
-    weights = [1 if mode == "min_length" else a.cost for a in actions]
-    hand_masks = [masks.naming(hand) for hand in problem.registry.hands]
+    masks, init, goal, _, compiled, weights, hand_masks = _compile(problem, actions, mode)
     heuristic = _HMax(hand_masks, compiled, weights, goal)
     return heuristic, masks, init, list(zip(compiled, weights))
+
+
+def draw_library(libraries, data):
+    """The raw or the repaired library, or the repaired one with
+    ``handless_and_two_hand_operators``: under the one pattern over all
+    hands, actions that name no hand or two project differently."""
+    name = data.draw(st.sampled_from(["raw", "repaired", "repaired+handover"]))
+    if name == "repaired+handover":
+        return OperatorLibrary(list(libraries["repaired"]) + list(handless_and_two_hand_operators()))
+    return libraries[name]
 
 
 @settings(max_examples=25, deadline=None)
@@ -603,8 +605,8 @@ def test_heuristic_is_admissible_and_consistent(libraries, data):
     """On states of random walks over small tables: H never exceeds the
     scan's cost to go, never drops by more than an action's weight along
     an action, and is infinite only where the scan finds no plan."""
-    library = libraries[data.draw(st.sampled_from(["raw", "repaired"]))]
-    # at most 23,000 reachable states, so the scan can exhaust them
+    library = draw_library(libraries, data)
+    # at most 41,000 reachable states, so the scan can exhaust them
     hands, n_cubes = data.draw(
         st.sampled_from([((GRIPPER,), 2), ((GRIPPER,), 3), (("Left_gripper", "Right_gripper"), 2)])
     )
@@ -631,6 +633,34 @@ def test_heuristic_is_admissible_and_consistent(libraries, data):
                 nxt = (state & ~dl) | add
                 assert h <= weight + heuristic(nxt)
                 successors.append(nxt)
+        if not successors:
+            break
+        state = data.draw(st.sampled_from(successors))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_heuristic_equals_the_reference_h_max(libraries, data):
+    """On states of random walks, H is exactly the reference h_max: no
+    relaxed action the table leaves out, and no atom the pattern misses,
+    makes it weaker."""
+    library = draw_library(libraries, data)
+    hands = data.draw(st.sampled_from([(GRIPPER,), ("Left_gripper", "Right_gripper")]))
+    colors = data.draw(st.lists(st.sampled_from(COLORS[:4]), min_size=2, max_size=4, unique=True))
+    mode = data.draw(st.sampled_from(["min_cost", "min_length"]))
+    registry = table_registry(colors, hands)
+    actions = ground(library, registry)
+    problem = goal_problem(registry, *data.draw(on_top_goals(registry)))
+    heuristic, masks, state, weighted = heuristic_of(problem, actions, mode)
+    atoms = {bit: atom for atom, bit in masks.bits.items()}
+    for _ in range(data.draw(st.integers(1, 30))):
+        atoms_of_state = frozenset(a for b, a in atoms.items() if state & b)
+        assert heuristic(state) == planner_oracle.h_max(problem, actions, mode, atoms_of_state)
+        successors = [
+            (state & ~dl) | add
+            for (pp, pn, add, dl), _ in weighted
+            if state & pp == pp and not state & pn
+        ]
         if not successors:
             break
         state = data.draw(st.sampled_from(successors))
@@ -665,15 +695,27 @@ def test_seed7_plans_are_pinned(repaired_library, exec_registry, goal_name, mode
     assert hashlib.sha256(doc.encode()).hexdigest() == SEED7_PLAN_DIGESTS[goal_name, mode]
 
 
-@pytest.mark.parametrize("mode", ["min_cost", "min_length"])
-def test_heuristic_prunes_goal3(repaired_library, exec_registry, mode):
+@pytest.mark.parametrize(
+    "hands, goal_name, mode, budget",
+    [
+        ((GRIPPER,), "goal3", "min_cost", 1500),
+        ((GRIPPER,), "goal3", "min_length", 1500),
+        (("Left_gripper", "Right_gripper"), "goal2", "min_cost", 600),
+        (("Left_gripper", "Right_gripper"), "goal2", "min_length", 300),
+    ],
+    ids=["min_cost", "min_length", "two-hands-goal2-min_cost", "two-hands-goal2-min_length"],
+)
+def test_heuristic_prunes_goal3(repaired_library, exec_registry, hands, goal_name, mode, budget):
     """A* plans the 4-tower within 1,500 expansions (it takes 1,112 and
     1,302); uniform-cost search takes 10,973 and 12,179, and A* that
     expands a popped state whose f exceeds its bound takes 3,011 and
-    2,624."""
-    actions = ground(repaired_library, exec_registry)
-    problem = goal_problem(exec_registry, *standard_goals(exec_registry)["goal3"])
-    assert solve(problem, actions, mode, max_expansions=1500) is not None
+    2,624. On two grippers the 2-tower takes 488 and 228; a pattern per
+    hand, which lets one hand's Stack skip that hand's Take, took 4,944
+    and 3,507."""
+    registry = exec_registry if hands == (GRIPPER,) else table_registry(COLORS[:4], hands)
+    actions = ground(repaired_library, registry)
+    problem = goal_problem(registry, *standard_goals(registry)[goal_name])
+    assert solve(problem, actions, mode, max_expansions=budget) is not None
 
 
 def test_five_cube_tower_is_solved_optimally(repaired_library):
