@@ -2,8 +2,9 @@
 
 Operators are grounded over a registry into precompiled atom sets, then
 states are packed into integer bitmasks for the search. min_cost mode is
-A* with an admissible and consistent heuristic, a memoized h_max on
-the atoms that name a hand and the goal's, and provably optimal;
+A* with an admissible and consistent heuristic, h_max on the atoms that
+name a hand and the goal's, computed over independent parts of those
+atoms with one memo per part, and provably optimal;
 min_length is the same search with unit weights; greedy orders the
 frontier by unsatisfied goal literals and trades optimality for speed.
 An expansion looks only at the actions whose hand preconditions hold:
@@ -203,24 +204,42 @@ class _HMax:
     overestimates the cost to go and never drops by more than an
     action's weight along it, so A* with H returns optimal plans. With
     every hand's atoms in the one pattern, a hand's ``Stack`` must pay
-    for that hand's ``Take``. The relaxed actions are tabled once and
-    values memoized under s & P; ``math.inf`` marks a state from which
-    the goal is unreachable.
+    for that hand's ``Take``.
+
+    h_max is computed part by part. A sink is a goal atom that no
+    relaxed action needs. Every other atom of P that a relaxed action
+    names, among its preconditions or its added atoms that are not
+    sinks, joins a part with every atom that action names; an action
+    that names only sinks goes into a part with no atoms. An atom of a
+    part is then added only by the part's actions, which need only the
+    part's atoms, so one Dijkstra from s & part gives the exact h_max
+    costs of the part's atoms. A sink is needed by no action, so its
+    cost is that of its cheapest achiever over all parts. H(s) is the
+    largest of the parts' goal atom costs and of the costs of the sinks
+    outside s. Each part memoizes its Dijkstra under s & part, so a
+    state that differs from one seen before only in another part's atoms
+    reruns nothing for this one; with one gripper there is one part,
+    with two one per hand unless an action names both. H is memoized
+    under s & P; ``math.inf`` marks a state from which the goal is
+    unreachable.
     """
 
     def __init__(self, hand_masks: list[int], compiled, weights, goal: int) -> None:
-        self.pattern = goal
+        self.pattern = self.goal = goal
         for mask in hand_masks:
             self.pattern |= mask
         self.memo: dict[int, float] = {}
-        self.table = self._table(self.pattern, goal, compiled, weights)
+        self.sinks, self.parts = self._parts(self.pattern, goal, compiled, weights)
 
     @staticmethod
-    def _table(pattern: int, goal: int, compiled, weights) -> tuple:
-        """The relaxed actions over the pattern's atoms, numbered by bit:
-        per atom the actions it triggers, per action its precondition
-        count, weight and added atoms; the actions with no precondition;
-        the goal atoms.
+    def _parts(pattern: int, goal: int, compiled, weights) -> tuple:
+        """The sinks, lowest bit first, and per part its atom mask, its
+        memo and its relaxed table: per atom the actions it triggers,
+        per action its precondition count, weight and added atoms, the
+        actions with no precondition, the part's goal atoms and the
+        atoms a Dijkstra waits for. Atoms are numbered by bit within the
+        part and the sinks after them. A part with neither goal atoms
+        nor sinks to reach bounds nothing and is left out.
 
         An action that needs no fewer atoms than another, adds no more
         and weighs no less can never lower an atom's cost, so it is left
@@ -239,39 +258,62 @@ class _HMax:
             for bit in _bits(key[1]):
                 adders.setdefault(bit, []).append((key, weight))
         kept = []
+        needed = 0
         for (pre, new), weight in cheapest.items():
             for (p, n), w in adders[new & -new]:
                 if w <= weight and not p & ~pre and not new & ~n and (p != pre or n != new):
                     break
             else:
                 kept.append((pre, new, weight))
-        atoms = _bits(pattern)
-        index = {bit: i for i, bit in enumerate(atoms)}
+                needed |= pre
+        sinks = goal & ~needed
+        # merge the atoms each action names into disjoint part masks; the
+        # actions that name only sinks share the part whose mask is 0
+        members: dict[int, list[tuple[int, int, int]]] = {}
+        for action in kept:
+            touch = action[0] | action[1] & ~sinks
+            joined = [action]
+            for mask in [m for m in members if m & touch or m == touch]:
+                joined += members.pop(mask)
+                touch |= mask
+            members[touch] = joined
+        sink_bits = _bits(sinks)
+        parts = []
+        for mask, actions in members.items():
+            atoms = _bits(mask)
+            index = {bit: i for i, bit in enumerate(atoms + sink_bits)}
 
-        def numbered(mask: int) -> list[int]:
-            return [index[bit] for bit in _bits(mask)]
+            def numbered(mask: int) -> list[int]:
+                return [index[bit] for bit in _bits(mask)]
 
-        triggers: list[list[int]] = [[] for _ in atoms]
-        counts, effects, free = [], [], []
-        for k, (pre, new, weight) in enumerate(kept):
-            pre_atoms = numbered(pre)
-            for i in pre_atoms:
-                triggers[i].append(k)
-            counts.append(len(pre_atoms))
-            effects.append((weight, numbered(new)))
-            if not pre_atoms:
-                free.append(k)
-        return atoms, triggers, counts, effects, free, goal, set(numbered(goal))
+            triggers: list[list[int]] = [[] for _ in index]
+            counts, effects, free = [], [], []
+            reached = 0
+            for k, (pre, new, weight) in enumerate(actions):
+                pre_atoms = numbered(pre)
+                for i in pre_atoms:
+                    triggers[i].append(k)
+                counts.append(len(pre_atoms))
+                effects.append((weight, numbered(new)))
+                if not pre_atoms:
+                    free.append(k)
+                reached |= new & sinks
+            goals = numbered(goal & mask)
+            waits = set(goals + numbered(reached))
+            if waits:
+                table = (atoms, triggers, counts, effects, free, goals, waits)
+                parts.append((mask, {}, table))
+        return sink_bits, parts
 
     @staticmethod
-    def _h_max(key: int, table: tuple) -> float:
-        """Counter-based Dijkstra from the atoms of ``key``: an action
-        fires when its last precondition is settled, at that atom's cost
-        plus its weight; h_max is the cost of the last goal atom settled."""
-        atoms, triggers, counts, effects, free, goal, goals = table
-        if key & goal == goal:
-            return 0
-        cost = [math.inf] * len(atoms)
+    def _h_max(key: int, table: tuple) -> tuple[float, tuple[float, ...]]:
+        """Counter-based Dijkstra from the atoms of ``key`` over one
+        part: an action fires when its last precondition is settled, at
+        that atom's cost plus its weight. It stops once the part's goal
+        atoms and every sink it can add are settled, and gives the
+        largest cost of the part's goal atoms and the cost of each sink."""
+        atoms, triggers, counts, effects, free, goals, waits = table
+        cost = [math.inf] * len(triggers)
         heap = []
         for i, bit in enumerate(atoms):
             if key & bit:
@@ -285,15 +327,15 @@ class _HMax:
                     heap.append((weight, j))
         heapq.heapify(heap)
         left = list(counts)
-        unsettled = len(goals)
+        unsettled = len(waits)
         while heap:
             c, i = heapq.heappop(heap)
             if c > cost[i]:
                 continue
-            if i in goals:
+            if i in waits:
                 unsettled -= 1
                 if not unsettled:
-                    return c
+                    break
             for k in triggers[i]:
                 left[k] -= 1
                 if not left[k]:
@@ -303,14 +345,35 @@ class _HMax:
                         if reach < cost[j]:
                             cost[j] = reach
                             heapq.heappush(heap, (reach, j))
-        return math.inf
+        return max([cost[i] for i in goals], default=0), tuple(cost[len(atoms):])
 
     def __call__(self, state: int) -> float:
         key = state & self.pattern
         value = self.memo.get(key)
         if value is None:
-            value = self.memo[key] = self._h_max(key, self.table)
+            value = self.memo[key] = self._combine(key)
         return value
+
+    def _combine(self, key: int) -> float:
+        """The largest goal atom cost of any part, or of a sink outside
+        ``key`` at its cheapest over the parts."""
+        if key & self.goal == self.goal:
+            return 0
+        h = 0
+        sink_costs = [math.inf] * len(self.sinks)
+        for mask, memo, table in self.parts:
+            part_key = key & mask
+            found = memo.get(part_key)
+            if found is None:
+                found = memo[part_key] = self._h_max(part_key, table)
+            top, costs = found
+            if top > h:
+                h = top
+            sink_costs = list(map(min, sink_costs, costs))
+        for bit, c in zip(self.sinks, sink_costs):
+            if c > h and not key & bit:
+                h = c
+        return h
 
 
 def _compile(problem: PlanningProblem, actions: list[GroundAction], mode: str) -> tuple:

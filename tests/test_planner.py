@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import planner_oracle
 
+from demoplan import planner
 from demoplan.model import (
     NEQ,
     LearnedOperator,
@@ -664,6 +665,86 @@ def test_heuristic_equals_the_reference_h_max(libraries, data):
         if not successors:
             break
         state = data.draw(st.sampled_from(successors))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_heuristic_parts_merge_and_keep_needed_goals(repaired_library, data):
+    """With the handover and the slide: the handover names both hands,
+    so their atoms form one part; the slide adds a goal onTop from no
+    atom of the pattern, so it gets the part with no atoms; inHand is a
+    goal atom that other actions need, so it is no sink. H is still
+    exactly the reference h_max on states of random walks."""
+    hands = data.draw(st.sampled_from([(GRIPPER,), ("Left_gripper", "Right_gripper")]))
+    registry = table_registry(COLORS[:4], hands)
+    actions = ground(repaired_library, registry) + ground(
+        handless_and_two_hand_operators(), registry
+    )
+    c0, c1, c2, c3 = registry.cubes
+    goal = data.draw(
+        st.sampled_from(
+            [
+                (Literal("onTop", (c1, c0)), Literal("inHand", (hands[0], c3))),
+                (Literal("inHand", (hands[-1], c2)),),
+                (Literal("onTop", (c1, c0)), Literal("onTop", (c2, c1))),
+            ]
+        )
+    )
+    mode = data.draw(st.sampled_from(["min_cost", "min_length"]))
+    problem = goal_problem(registry, *goal)
+    heuristic, masks, state, weighted = heuristic_of(problem, actions, mode)
+    part_masks = [mask for mask, _, _ in heuristic.parts]
+    (merged,) = [mask for mask in part_masks if mask]
+    assert all(merged & masks.naming(hand) for hand in hands)
+    assert (0 in part_masks) == (goal[0].pred == "onTop")
+    sinks = sum(heuristic.sinks)
+    assert all(bool(sinks & masks.bits[l.atom]) == (l.pred == "onTop") for l in goal)
+    # start with some goal atoms already true, so that sinks in s count
+    state |= sum(data.draw(st.sets(st.sampled_from([masks.bits[l.atom] for l in goal]))))
+    atoms = {bit: atom for atom, bit in masks.bits.items()}
+    for _ in range(data.draw(st.integers(1, 30))):
+        atoms_of_state = frozenset(a for b, a in atoms.items() if state & b)
+        assert heuristic(state) == planner_oracle.h_max(problem, actions, mode, atoms_of_state)
+        successors = [
+            (state & ~dl) | add
+            for (pp, pn, add, dl), _ in weighted
+            if state & pp == pp and not state & pn
+        ]
+        if not successors:
+            break
+        state = data.draw(st.sampled_from(successors))
+
+
+@pytest.mark.parametrize(
+    "hands, goal_name, n_parts, max_runs",
+    [
+        (("Left_gripper", "Right_gripper"), "goal2", 2, 150),
+        ((GRIPPER,), "goal3", 1, 100),
+    ],
+    ids=["hands2-goal2", "exec4-goal3"],
+)
+def test_heuristic_reruns_a_part_only_for_a_new_part_key(
+    repaired_library, exec_registry, monkeypatch, hands, goal_name, n_parts, max_runs
+):
+    """Each part runs its Dijkstra once per distinct s & part. One
+    pattern with one memo ran it for every distinct s & P that A*
+    popped: 1,403 times on two grippers (116 by parts, one per hand) and
+    352 times on the 4-tower (70 by part)."""
+    built = []
+
+    class Recorded(_HMax):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(planner, "_HMax", Recorded)
+    registry = exec_registry if hands == (GRIPPER,) else table_registry(COLORS[:4], hands)
+    actions = ground(repaired_library, registry)
+    problem = goal_problem(registry, *standard_goals(registry)[goal_name])
+    assert solve(problem, actions, "min_cost") is not None
+    (heuristic,) = built
+    assert len(heuristic.parts) == n_parts
+    assert sum(len(memo) for _, memo, _ in heuristic.parts) <= max_runs
 
 
 # --- seed-7 plans and towers ------------------------------------------------
