@@ -60,7 +60,7 @@ class Literal:
         return (self.pred, self.args)
 
     def substitute(self, binding: dict[str, str]) -> "Literal":
-        return replace(self, args=tuple(binding.get(a, a) for a in self.args))
+        return Literal(self.pred, tuple(binding.get(a, a) for a in self.args), self.positive)
 
     def __str__(self) -> str:
         inner = f"{self.pred}({', '.join(self.args)})"

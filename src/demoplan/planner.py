@@ -1,10 +1,12 @@
 """Grounding, optimal search, and plan validation.
 
-Operators are grounded over a registry into precompiled atom sets, then
-states are packed into integer bitmasks for the search. min_cost mode is
-A* with an admissible and consistent heuristic, h_max on the atoms that
-name a hand and the goal's, computed over independent parts of those
-atoms with one memo per part, and provably optimal;
+Operators are grounded over a registry into precompiled atom sets, each
+operator through a slot template, compiled once per call, that every
+binding fills from a row of its values; states are then packed into
+integer bitmasks for the search. min_cost mode is A* with an admissible
+and consistent heuristic, h_max on the atoms that name a hand and the
+goal's, computed over independent parts of those atoms with one memo
+per part, and provably optimal;
 min_length is the same search with unit weights; greedy orders the
 frontier by unsatisfied goal literals and trades optimality for speed.
 An expansion looks only at the actions whose hand preconditions hold:
@@ -22,6 +24,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .model import (
     NEQ,
@@ -59,17 +62,29 @@ class ValidationReport:
     reason: str
 
 
-def _bind(literal: Literal, binding: dict[str, str]) -> Atom:
-    """The literal's atom under the binding; unbound terms stay as they are."""
-    return (literal.pred, tuple(map(binding.get, literal.args, literal.args)))
+def _getters(slots: dict[str, int], literals) -> list[tuple]:
+    """Per literal its predicate and the getter of its args from a row;
+    a unary literal's getter takes a slice, so that it gives a tuple too."""
+    pairs = []
+    for l in literals:
+        at = [slots[term] for term in l.args]
+        get = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+        pairs.append((l.pred, get))
+    return pairs
 
 
 def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[GroundAction]:
     """Every type- and neq-respecting binding of every operator.
 
-    Universal revocations are expanded over the registry's cubes into
-    plain deletes; deleting an absent atom is a no-op, so the expansion
-    is equivalent to the conditional form.
+    Each operator is compiled once into a slot template. A binding's row
+    is its parameter values followed by the operator's constants, the
+    terms that name no parameter, a revocation's hand and keep included;
+    a repeated parameter name takes its last slot, as a dict of the
+    binding would. An atom is then a literal's predicate and the row's
+    values at the literal's slots, and a ``neq`` holds when its two
+    slots differ. Universal revocations are expanded over the registry's
+    cubes into plain deletes; deleting an absent atom is a no-op, so the
+    expansion is equivalent to the conditional form.
     """
     cubes = registry.cubes
     actions: list[GroundAction] = []
@@ -77,36 +92,36 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
         if op.cost is None:
             raise ModelError(f"operator {op.name} has no cost; assign costs first")
         domains = [registry.of_type(type_name) for _, type_name in op.params]
-        names = [name for name, _ in op.params]
+        slots = {name: i for i, (name, _) in enumerate(op.params)}
+        pre, eff = op.preconditions, op.effects
+        terms = [t for l in (*pre, *eff) for t in l.args]
+        terms += [t for rev in op.revokes for t in (rev.hand, rev.keep)]
+        constants = tuple(dict.fromkeys(t for t in terms if t not in slots))
+        slots.update((t, len(op.params) + i) for i, t in enumerate(constants))
+        neqs = [(slots[l.args[0]], slots[l.args[1]]) for l in pre if l.pred == NEQ]
+        pre_pos = _getters(slots, (l for l in pre if l.positive and l.pred != NEQ))
+        pre_neg = _getters(slots, (l for l in pre if not l.positive))
+        add = _getters(slots, (l for l in eff if l.positive))
+        delete = _getters(slots, (l for l in eff if not l.positive))
+        revokes = [(rev.pred, slots[rev.hand], slots[rev.keep]) for rev in op.revokes]
+        name = op.name
         for combo in itertools.product(*domains):
-            binding = dict(zip(names, combo))
-            if any(
-                binding.get(l.args[0], l.args[0]) == binding.get(l.args[1], l.args[1])
-                for l in op.preconditions
-                if l.pred == NEQ
-            ):
+            row = combo + constants
+            if any(row[i] == row[j] for i, j in neqs):
                 continue
-            pre_pos = frozenset(
-                _bind(l, binding) for l in op.preconditions if l.positive and l.pred != NEQ
-            )
-            pre_neg = frozenset(_bind(l, binding) for l in op.preconditions if not l.positive)
-            add = frozenset(_bind(l, binding) for l in op.effects if l.positive)
-            delete = {_bind(l, binding) for l in op.effects if not l.positive}
-            for rev in op.revokes:
-                hand = binding.get(rev.hand, rev.hand)
-                keep = binding.get(rev.keep, rev.keep)
-                for cube in cubes:
-                    if cube != keep:
-                        delete.add((rev.pred, (hand, cube)))
+            deleted = {(pred, get(row)) for pred, get in delete}
+            for pred, hand, keep in revokes:
+                hand, keep = row[hand], row[keep]
+                deleted.update([(pred, (hand, cube)) for cube in cubes if cube != keep])
             actions.append(
                 GroundAction(
-                    name=op.name,
+                    name=name,
                     activity=op.activity,
-                    args=tuple(combo),
-                    pre_pos=pre_pos,
-                    pre_neg=pre_neg,
-                    add=add,
-                    delete=frozenset(delete),
+                    args=combo,
+                    pre_pos=frozenset([(pred, get(row)) for pred, get in pre_pos]),
+                    pre_neg=frozenset([(pred, get(row)) for pred, get in pre_neg]),
+                    add=frozenset([(pred, get(row)) for pred, get in add]),
+                    delete=frozenset(deleted),
                     cost=op.cost,
                 )
             )

@@ -11,6 +11,10 @@ or length, the same ``None`` results, and no more expansions.
 
 ``h_max`` is the reference for the heuristic of ``solve``'s optimal
 modes: a plain fixpoint over atom sets and every relaxed action.
+
+``ground`` is the reference for ``planner.ground``: it binds each
+operator literal by literal through a fresh dict per binding, where
+``planner.ground`` fills a slot template once per operator.
 """
 
 from __future__ import annotations
@@ -19,8 +23,68 @@ import heapq
 import itertools
 import math
 
-from demoplan.model import Atom, GroundAction, PlanningProblem
+from demoplan.model import (
+    NEQ,
+    Atom,
+    GroundAction,
+    Literal,
+    ModelError,
+    OperatorLibrary,
+    PlanningProblem,
+)
+from demoplan.ontology import EnvironmentRegistry
 from demoplan.planner import MODES, Plan, PlannerError, _Masks
+
+
+def _bind(literal: Literal, binding: dict[str, str]) -> Atom:
+    """The literal's atom under the binding; unbound terms stay as they are."""
+    return (literal.pred, tuple(map(binding.get, literal.args, literal.args)))
+
+
+def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[GroundAction]:
+    """Every type- and neq-respecting binding of every operator, with
+    universal revocations expanded over the registry's cubes."""
+    cubes = registry.cubes
+    actions: list[GroundAction] = []
+    for op in library:
+        if op.cost is None:
+            raise ModelError(f"operator {op.name} has no cost; assign costs first")
+        domains = [registry.of_type(type_name) for _, type_name in op.params]
+        names = [name for name, _ in op.params]
+        for combo in itertools.product(*domains):
+            binding = dict(zip(names, combo))
+            if any(
+                binding.get(l.args[0], l.args[0]) == binding.get(l.args[1], l.args[1])
+                for l in op.preconditions
+                if l.pred == NEQ
+            ):
+                continue
+            pre_pos = frozenset(
+                _bind(l, binding) for l in op.preconditions if l.positive and l.pred != NEQ
+            )
+            pre_neg = frozenset(_bind(l, binding) for l in op.preconditions if not l.positive)
+            add = frozenset(_bind(l, binding) for l in op.effects if l.positive)
+            delete = {_bind(l, binding) for l in op.effects if not l.positive}
+            for rev in op.revokes:
+                hand = binding.get(rev.hand, rev.hand)
+                keep = binding.get(rev.keep, rev.keep)
+                for cube in cubes:
+                    if cube != keep:
+                        delete.add((rev.pred, (hand, cube)))
+            actions.append(
+                GroundAction(
+                    name=op.name,
+                    activity=op.activity,
+                    args=tuple(combo),
+                    pre_pos=pre_pos,
+                    pre_neg=pre_neg,
+                    add=add,
+                    delete=frozenset(delete),
+                    cost=op.cost,
+                )
+            )
+    actions.sort(key=lambda a: (a.name, a.args))
+    return actions
 
 
 def solve(

@@ -20,6 +20,7 @@ from demoplan.model import (
     ModelError,
     OperatorLibrary,
     PlanningProblem,
+    Revocation,
 )
 from demoplan.ontology import EnvironmentRegistry, ObjectInstance
 from demoplan.oplearn import assign_costs
@@ -406,16 +407,17 @@ def test_solve_matches_the_scan_on_larger_tables(
     assert_same_plans(problem, actions)
 
 
-def on_top_goals(registry):
-    """One to three onTop literals between two things, some negated."""
+def on_top_goals(registry, min_size=1, signs=st.booleans()):
+    """``min_size`` to three onTop literals between two things, each
+    negated or not as ``signs`` draws."""
     return st.lists(
         st.builds(
             lambda above, below, positive: Literal("onTop", (above, below), positive),
             st.sampled_from(registry.cubes),
             st.sampled_from(registry.cubes + [registry.table]),
-            st.booleans(),
+            signs,
         ).filter(lambda l: l.args[0] != l.args[1]),
-        min_size=1,
+        min_size=min_size,
         max_size=3,
         unique_by=lambda l: l.atom,
     )
@@ -579,6 +581,110 @@ def test_expansion_budget_fails_at_the_same_point_as_the_scan(
     assert validate(problem, plan).valid
 
 
+# --- grounding against the per-binding oracle -----------------------------
+
+
+@pytest.mark.parametrize("library_name", ["raw", "repaired"])
+@pytest.mark.parametrize("registry_name", ["exec4", "cubes6", "cubes8", "hands2"])
+def test_ground_matches_the_per_binding_oracle(
+    libraries, exec_registry, library_name, registry_name
+):
+    """The same actions in the same order, atom sets and all."""
+    registry = {
+        "exec4": exec_registry,
+        "cubes6": table_registry(COLORS),
+        "cubes8": table_registry(COLORS + ("orange", "purple")),
+        "hands2": table_registry(COLORS[:4], ("Left_gripper", "Right_gripper")),
+    }[registry_name]
+    library = libraries[library_name]
+    assert ground(library, registry) == planner_oracle.ground(library, registry)
+
+
+def constant_operators():
+    """Hand-built operators whose literals and revocations name constants:
+    a constant argument, a neq on a constant, a revocation keeping a
+    constant cube and one on a constant hand, no parameters at all, and
+    one parameter name given twice, whose last value binds it."""
+
+    def operator(activity, params, pre, eff, revokes=()):
+        return dict(
+            activity=activity,
+            params=params,
+            preconditions=frozenset(pre),
+            effects=frozenset(eff),
+            revokes=revokes,
+        )
+
+    hand, cube = ("?Hand1", "Hand"), ("?Wooden_cube1", "Wooden_cube")
+    return [
+        operator(
+            ActivityLabel.PUT,
+            (hand, cube),
+            [Literal("inHand", ("?Hand1", "?Wooden_cube1"))],
+            [
+                Literal("onTop", ("?Wooden_cube1", "high_table")),
+                Literal("inHand", ("?Hand1", "?Wooden_cube1"), False),
+                Literal("handOpen", ("?Hand1",)),
+            ],
+        ),
+        operator(
+            ActivityLabel.REACH,
+            (cube,),
+            [
+                Literal(NEQ, ("?Wooden_cube1", "Cube_green3")),
+                Literal("onTop", ("?Wooden_cube1", "high_table")),
+                Literal("actedOn", (GRIPPER, "?Wooden_cube1"), False),
+            ],
+            [Literal("actedOn", (GRIPPER, "?Wooden_cube1"))],
+            (Revocation("actedOn", GRIPPER, "?Wooden_cube1"),),
+        ),
+        operator(
+            ActivityLabel.TAKE,
+            (hand,),
+            [Literal("handOpen", ("?Hand1",))],
+            [Literal("actedOn", ("?Hand1", "Cube_red3"))],
+            (
+                Revocation("actedOn", "?Hand1", "Cube_red3"),
+                Revocation("graspable", "?Hand1", "Cube_blue3"),
+            ),
+        ),
+        operator(
+            ActivityLabel.IDLE,
+            (),
+            [Literal("handOpen", (GRIPPER,))],
+            [Literal("handOpen", (GRIPPER,), False), Literal("handMove", (GRIPPER,))],
+        ),
+        operator(
+            ActivityLabel.STACK,
+            (("?Thing1", "Thing"), hand, ("?Thing1", "Wooden_cube")),
+            [
+                Literal(NEQ, ("?Thing1", "high_table")),
+                Literal(NEQ, ("?Hand1", "?Thing1")),
+                Literal("inHand", ("?Hand1", "?Thing1")),
+            ],
+            [Literal("onTop", ("?Thing1", "high_table"))],
+        ),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ground_matches_the_per_binding_oracle_on_constants(data):
+    """Hand-built operators, drawn in any number and order, on tables of
+    0 to 4 cubes and 1 or 2 hands."""
+    n_cubes = data.draw(st.integers(0, 4))
+    hands = data.draw(st.sampled_from([(GRIPPER,), ("Left_gripper", GRIPPER)]))
+    registry = table_registry(data.draw(st.permutations(COLORS[:4]))[:n_cubes], hands)
+    chosen = data.draw(st.lists(st.sampled_from(constant_operators()), max_size=6))
+    library = OperatorLibrary(
+        [
+            LearnedOperator(config_index=i + 1, count=1, cost=data.draw(st.integers(0, 9)), **fields)
+            for i, fields in enumerate(chosen)
+        ]
+    )
+    assert ground(library, registry) == planner_oracle.ground(library, registry)
+
+
 # --- the A* heuristic ------------------------------------------------------
 
 
@@ -588,6 +694,17 @@ def heuristic_of(problem, actions, mode):
     masks, init, goal, _, compiled, weights, hand_masks = _compile(problem, actions, mode)
     heuristic = _HMax(hand_masks, compiled, weights, goal)
     return heuristic, masks, init, list(zip(compiled, weights))
+
+
+def heuristic_goals(registry):
+    """A tower of the cubes in a drawn order, or two or three onTop
+    literals whose sign hypothesis tries positive first. H reads only
+    the positive goal atoms, and a cube on a cube is a sink, so these
+    goals have several sinks for the walks to set some of."""
+    towers = st.permutations(registry.cubes).map(
+        lambda cubes: [Literal("onTop", (above, below)) for below, above in zip(cubes, cubes[1:])]
+    )
+    return st.one_of(towers, on_top_goals(registry, 2, st.sampled_from([True, False])))
 
 
 def draw_library(libraries, data):
@@ -603,9 +720,10 @@ def draw_library(libraries, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_heuristic_is_admissible_and_consistent(libraries, data):
-    """On states of random walks over small tables: H never exceeds the
-    scan's cost to go, never drops by more than an action's weight along
-    an action, and is infinite only where the scan finds no plan."""
+    """On states of random walks over small tables, from the tabletop
+    with a drawn subset of the goal atoms set: H never exceeds the scan's
+    cost to go, never drops by more than an action's weight along an
+    action, and is infinite only where the scan finds no plan."""
     library = draw_library(libraries, data)
     # at most 41,000 reachable states, so the scan can exhaust them
     hands, n_cubes = data.draw(
@@ -614,10 +732,12 @@ def test_heuristic_is_admissible_and_consistent(libraries, data):
     colors = data.draw(st.permutations(COLORS[:4]))[:n_cubes]
     mode = data.draw(st.sampled_from(["min_cost", "min_length"]))
     registry = table_registry(colors, hands)
-    goal = data.draw(on_top_goals(registry))
+    goal = data.draw(heuristic_goals(registry))
     actions = ground(library, registry)
     problem = goal_problem(registry, *goal)
     heuristic, masks, state, weighted = heuristic_of(problem, actions, mode)
+    # start with a drawn subset of the goal atoms true, so that sinks in s count
+    state |= sum(masks.bits[l.atom] for l in goal if data.draw(st.booleans()))
     atoms = {bit: atom for atom, bit in masks.bits.items()}
     total = "total_cost" if mode == "min_cost" else "total_length"
     for _ in range(data.draw(st.integers(1, 4))):
@@ -642,17 +762,21 @@ def test_heuristic_is_admissible_and_consistent(libraries, data):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_heuristic_equals_the_reference_h_max(libraries, data):
-    """On states of random walks, H is exactly the reference h_max: no
-    relaxed action the table leaves out, and no atom the pattern misses,
-    makes it weaker."""
+    """On states of random walks from the tabletop with a drawn subset of
+    the goal atoms set, H is exactly the reference h_max: no relaxed
+    action the table leaves out, and no atom the pattern misses, makes
+    it weaker."""
     library = draw_library(libraries, data)
     hands = data.draw(st.sampled_from([(GRIPPER,), ("Left_gripper", "Right_gripper")]))
     colors = data.draw(st.lists(st.sampled_from(COLORS[:4]), min_size=2, max_size=4, unique=True))
     mode = data.draw(st.sampled_from(["min_cost", "min_length"]))
     registry = table_registry(colors, hands)
     actions = ground(library, registry)
-    problem = goal_problem(registry, *data.draw(on_top_goals(registry)))
+    goal = data.draw(heuristic_goals(registry))
+    problem = goal_problem(registry, *goal)
     heuristic, masks, state, weighted = heuristic_of(problem, actions, mode)
+    # start with a drawn subset of the goal atoms true, so that sinks in s count
+    state |= sum(masks.bits[l.atom] for l in goal if data.draw(st.booleans()))
     atoms = {bit: atom for atom, bit in masks.bits.items()}
     for _ in range(data.draw(st.integers(1, 30))):
         atoms_of_state = frozenset(a for b, a in atoms.items() if state & b)
