@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ontology import CUBE, TABLE
-from .trace import DemoTrace, TraceColumns, _is_number
+from .trace import DemoTrace, _is_number
 
 # A hand sitting essentially on an object has no usable approach
 # direction; treat it as moving toward the object.
@@ -151,13 +151,13 @@ def _env_state(in_touch, pairs, signs) -> EnvSymState:
     return EnvSymState(in_touch, on_top)
 
 
-def _ground_env(columns: TraceColumns, things: frozenset[str]) -> list[EnvSymState]:
+def _ground_env(trace: DemoTrace, things: frozenset[str]) -> list[EnvSymState]:
     """The environment at frames 1 onward. Within a run of one contact
     set, onTop follows the heights of each touching pair frame by frame."""
-    column = {name: j for j, name in enumerate(columns.names)}
-    z = columns.positions[1:, :, 2]
+    column = {name: j for j, name in enumerate(trace.names)}
+    z = trace.positions[1:, :, 2]
     keys = []
-    for contacts, start, end in runs(columns.contacts[1:]):
+    for contacts, start, end in runs(trace.contacts[1:]):
         in_touch = frozenset(pair for pair in contacts if pair <= things)
         pairs = tuple(tuple(pair) for pair in in_touch)
         za, zb = (z[start:end + 1, [column[pair[k]] for pair in pairs]] for k in (0, 1))
@@ -177,18 +177,17 @@ def ground_trace(
     and environment states are one object.
     """
     config = config or GroundingConfig()
-    columns = trace.columns
     cubes = trace.registry.of_type(CUBE)
     things = frozenset(cubes).union(trace.registry.of_type(TABLE))
-    cube_pos = columns.positions[1:, [columns.names.index(name) for name in cubes]]
-    dt = columns.times[1:] - columns.times[:-1]
+    cube_pos = trace.positions[1:, [trace.names.index(name) for name in cubes]]
+    dt = trace.times[1:] - trace.times[:-1]
     per_hand = {
         hand: _ground_hand(*column, dt, cubes, cube_pos, config)
-        for hand, column in columns.hands.items()
+        for hand, column in trace.hands.items()
     }
     return [
         SymbolicState(t, {hand: states[i] for hand, states in per_hand.items()}, env)
-        for i, (t, env) in enumerate(zip(columns.times[1:].tolist(), _ground_env(columns, things)))
+        for i, (t, env) in enumerate(zip(trace.times[1:].tolist(), _ground_env(trace, things)))
     ]
 
 

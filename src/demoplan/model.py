@@ -54,6 +54,8 @@ class Literal:
             raise ModelError(f"unknown predicate: {self.pred}")
         if len(self.args) != len(arg_types):
             raise ModelError(f"{self.pred} takes {len(arg_types)} arguments, got {self.args!r}")
+        if self.pred == NEQ and not self.positive:
+            raise ModelError(f"{NEQ} is never negated, got {self}")
 
     @property
     def atom(self) -> "Atom":

@@ -138,12 +138,11 @@ def extract(
             if len(candidates) == 1:
                 hand = candidates[0]
             elif candidates and trace is not None and involved:
-                columns = trace.columns
-                anchor = columns.positions[k + 1, columns.names.index(involved[0])]
+                anchor = trace.positions[k + 1, trace.names.index(involved[0])]
                 hand = min(
                     candidates,
                     key=lambda h: (
-                        float(np.linalg.norm(columns.hands[h][0][k + 1] - anchor)),
+                        float(np.linalg.norm(trace.hands[h][0][k + 1] - anchor)),
                         h,
                     ),
                 )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .grounding import GroundingConfig, runs
 from .ontology import EnvironmentRegistry
-from .trace import DemoFrame, DemoTrace, HandSample, write_trace
+from .trace import DemoTrace, write_trace
 
 DT = 1.0 / 30.0
 CUBE_SIZE = 0.05
@@ -277,22 +277,24 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
     ]
     rows.sort(key=lambda r: (r["hand"], r["start_frame"]))
 
+    # The scripted hand and the cube it holds follow the noisy path; the
+    # other hands rest open at home.
     offsets = _noise_offsets(len(clean), script.noise_sigma, rng)
-    table_pos = (0.5, 0.35, TABLE_BODY_Z)
-    frames = []
+    hand_pos = np.array([f.hand_pos for f in clean]) + offsets
+    names = sorted([*registry.cubes, table])
+    places = ({**f.cube_pos, table: (0.5, 0.35, TABLE_BODY_Z)} for f in clean)
+    positions = np.array([[place[name] for name in names] for place in places])
     for i, f in enumerate(clean):
-        noisy_hand = tuple(np.asarray(f.hand_pos) + offsets[i])
-        objects = {**f.cube_pos, table: table_pos}
         if f.held is not None:
-            objects[f.held] = noisy_hand
-        hands = {
-            hand: HandSample(noisy_hand, f.open, f.held)
-            if hand == script.hand
-            else HandSample(tuple(homes[hand]), True, None)
-            for hand in registry.hands
-        }
-        frames.append(DemoFrame(i * DT, hands, objects, f.contacts))
-    trace = DemoTrace(frames, registry)
+            positions[i, names.index(f.held)] = hand_pos[i]
+    hands = {
+        hand: (hand_pos, tuple(f.open for f in clean), tuple(f.held for f in clean))
+        if hand == script.hand
+        else (np.tile(homes[hand], (len(clean), 1)), (True,) * len(clean), (None,) * len(clean))
+        for hand in registry.hands
+    }
+    times = np.arange(len(clean)) * DT
+    trace = DemoTrace(registry, times, hands, names, positions, [f.contacts for f in clean])
     return GeneratedDemo(script, trace, rows)
 
 

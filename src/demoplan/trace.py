@@ -9,8 +9,10 @@ Traces are stored as JSON Lines, one frame per line:
 
 Every frame tracks the same hands as the frame before it and gives a
 position for every non-hand instance of the registry; ``read_trace``
-rejects a trace that does not. It reads a trace into columns, and the
-frames are built from them when asked for.
+rejects a trace that does not. A trace is held as columns over its
+frames (``DemoTrace``): ``read_trace`` fills them from a file and
+``write_trace`` writes each line from them. Hands that a line also
+lists under ``objects`` are checked and then dropped.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -43,97 +44,36 @@ class TraceError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
-class HandSample:
-    """One hand at one instant: position in metres, finger state, held cube."""
-
-    pos: tuple[float, float, float]
-    open: bool
-    held: str | None
-
-
-@dataclass(frozen=True)
-class DemoFrame:
-    t: float
-    hands: dict[str, HandSample]
-    objects: dict[str, tuple[float, float, float]]
-    contacts: frozenset[frozenset[str]]
-
-
-@dataclass
-class TraceColumns:
-    """A trace as columns over its frames.
+@dataclass(eq=False)
+class DemoTrace:
+    """One demonstration as columns over its frames.
 
     ``hands`` maps each hand to its positions (frames, 3), open flags and
     held cubes; ``positions[i, j]`` is where ``names[j]`` is at frame i.
-    ``extra`` keeps, by frame index, the hands a frame lists among its
-    objects. Equal consecutive contact sets may be one object.
+    Equal consecutive contact sets may be one object. Every time and
+    position is finite, or the constructor raises ``TraceError``.
     """
 
+    registry: EnvironmentRegistry
     times: np.ndarray
     hands: dict[str, tuple[np.ndarray, tuple[bool, ...], tuple[str | None, ...]]]
     names: list[str]
     positions: np.ndarray
     contacts: list[frozenset[frozenset[str]]]
-    extra: dict[int, dict[str, tuple[float, float, float]]]
 
-    @staticmethod
-    def of_frames(frames: list[DemoFrame]) -> TraceColumns:
-        """Columns over the hands and objects of the first frame."""
-        names = sorted(frames[0].objects)
-        hands = {}
-        for hand in frames[0].hands:
-            samples = [frame.hands[hand] for frame in frames]
-            pos, opens, helds = zip(*((s.pos, s.open, s.held) for s in samples))
-            hands[hand] = (np.array(pos, dtype=float), opens, helds)
-        positions = [[frame.objects[name] for name in names] for frame in frames]
-        times = np.array([frame.t for frame in frames], dtype=float)
-        contacts = [frame.contacts for frame in frames]
-        return TraceColumns(times, hands, names, np.array(positions, dtype=float), contacts, {})
-
-    def to_frames(self) -> list[DemoFrame]:
-        hands = {
-            hand: [HandSample(tuple(p), o, h) for p, o, h in zip(pos.tolist(), opens, helds)]
-            for hand, (pos, opens, helds) in self.hands.items()
-        }
-        return [
-            DemoFrame(
-                t,
-                {hand: samples[i] for hand, samples in hands.items()},
-                {**dict(zip(self.names, map(tuple, row))), **self.extra.get(i, {})},
-                self.contacts[i],
-            )
-            for i, (t, row) in enumerate(zip(self.times.tolist(), self.positions.tolist()))
+    def __post_init__(self) -> None:
+        columns = [("time", self.times)]
+        columns += [(f"hand {hand} pos", pos) for hand, (pos, _, _) in self.hands.items()]
+        columns += [
+            (f"object {name} pos", self.positions[:, j]) for j, name in enumerate(self.names)
         ]
-
-
-class DemoTrace:
-    """One demonstration as frames and as columns, each view built from
-    the other on first use: ``read_trace`` gives columns, the synthetic
-    demonstrator gives frames."""
-
-    def __init__(
-        self,
-        frames: list[DemoFrame] | None,
-        registry: EnvironmentRegistry,
-        columns: TraceColumns | None = None,
-    ) -> None:
-        self.registry = registry
-        if frames is not None:
-            self.frames = frames
-        if columns is not None:
-            self.columns = columns
-
-    @cached_property
-    def frames(self) -> list[DemoFrame]:
-        return self.columns.to_frames()
-
-    @cached_property
-    def columns(self) -> TraceColumns:
-        return TraceColumns.of_frames(self.frames)
+        for what, values in columns:
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise TraceError(f"{what} at frame {np.argwhere(bad)[0][0]} is not finite")
 
     def __len__(self) -> int:
-        return len(self.frames) if "frames" in vars(self) else len(self.columns.times)
+        return len(self.times)
 
 
 def _is_number(value) -> bool:
@@ -184,7 +124,7 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
     # Per frame: its line, time, objects' positions in ``names`` order and
     # contact set; per hand, its (pos, open, held) rows.
     lines, times, rows, contacts = [], [], [], []
-    hand_rows, extra, hands, last_pairs, reusable = {}, {}, None, None, False
+    hand_rows, hands, last_pairs, reusable = {}, None, None, False
     try:
         for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
             try:
@@ -240,9 +180,6 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
                 if missing:
                     raise TraceError(f"objects lacks a position for {missing}", lineno)
                 rows.append([objects[name] for name in names])
-                listed = hand_names.intersection(objects)
-                if listed:
-                    extra[len(rows) - 1] = {n: tuple(map(float, objects[n])) for n in listed}
 
             # A contact list equal to the one before and naming no hand
             # passes the same checks, so its set is shared.
@@ -284,23 +221,24 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
     for name, column in hand_rows.items():
         pos, opens, helds = zip(*column)
         hand_columns[name] = (np.array(pos, dtype=float), opens, helds)
-    columns = TraceColumns(np.array(times), hand_columns, names, positions, contacts, extra)
-    return DemoTrace(None, registry, columns)
+    return DemoTrace(registry, np.array(times), hand_columns, names, positions, contacts)
 
 
 def write_trace(trace: DemoTrace, path: str | Path) -> None:
+    """Write one line per frame, with hands, objects and contact pairs
+    sorted by name and every coordinate a float."""
+    hands = sorted(
+        (hand, pos.tolist(), opens, helds) for hand, (pos, opens, helds) in trace.hands.items()
+    )
     with open(path, "w") as fh:
-        for frame in trace.frames:
-            fh.write(json.dumps(frame_to_json(frame)) + "\n")
-
-
-def frame_to_json(frame: DemoFrame) -> dict:
-    return {
-        "t": frame.t,
-        "hands": {
-            name: {"pos": list(s.pos), "open": s.open, "held": s.held}
-            for name, s in sorted(frame.hands.items())
-        },
-        "objects": {name: list(p) for name, p in sorted(frame.objects.items())},
-        "contacts": sorted(sorted(pair) for pair in frame.contacts),
-    }
+        for i, (t, row) in enumerate(zip(trace.times.tolist(), trace.positions.tolist())):
+            doc = {
+                "t": t,
+                "hands": {
+                    hand: {"pos": pos[i], "open": opens[i], "held": helds[i]}
+                    for hand, pos, opens, helds in hands
+                },
+                "objects": dict(sorted(zip(trace.names, row))),
+                "contacts": sorted(sorted(pair) for pair in trace.contacts[i]),
+            }
+            fh.write(json.dumps(doc) + "\n")

@@ -3,7 +3,8 @@
 This is the original one-frame-at-a-time implementation of the rules
 in ``demoplan.grounding``: a backward-difference velocity per hand,
 ``np.linalg.norm`` per cube and a sorted scan for the nearest cube. The
-tests compare ``ground_trace`` against it state for state.
+tests compare ``ground_trace`` against it state for state, on frames
+as ``trace_oracle`` holds them.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ from demoplan.grounding import (
     SymbolicState,
 )
 from demoplan.ontology import CUBE, TABLE
-from demoplan.trace import DemoTrace, TraceError
+from demoplan.trace import TraceError
 
 _ZERO_DIST = 1e-9
 
 
-def hand_velocity(trace: DemoTrace, hand: str, index: int) -> np.ndarray:
-    if index <= 0 or index >= len(trace.frames):
+def hand_velocity(frames, hand: str, index: int) -> np.ndarray:
+    if index <= 0 or index >= len(frames):
         raise TraceError(f"velocity undefined at frame index {index}")
-    cur, prev = trace.frames[index], trace.frames[index - 1]
+    cur, prev = frames[index], frames[index - 1]
     if hand not in cur.hands or hand not in prev.hands:
         raise TraceError(f"hand {hand} missing around frame index {index}")
     dt = cur.t - prev.t
@@ -65,12 +66,11 @@ def ground_env(frame_objects, contacts, registry) -> EnvSymState:
     return EnvSymState(in_touch, frozenset(on_top))
 
 
-def ground_frame(trace: DemoTrace, index: int, config: GroundingConfig | None = None):
+def ground_frame(frames, registry, index: int, config: GroundingConfig | None = None):
     config = config or GroundingConfig()
-    if index < 1 or index >= len(trace.frames):
+    if index < 1 or index >= len(frames):
         raise ValueError(f"frame index {index} cannot be grounded")
-    frame = trace.frames[index]
-    registry = trace.registry
+    frame = frames[index]
 
     cube_pos = {
         name: np.asarray(pos)
@@ -80,7 +80,7 @@ def ground_frame(trace: DemoTrace, index: int, config: GroundingConfig | None = 
 
     hands = {}
     for hand, sample in frame.hands.items():
-        velocity = hand_velocity(trace, hand, index)
+        velocity = hand_velocity(frames, hand, index)
         speed = float(np.linalg.norm(velocity))
         moving = speed > config.move_speed
         hand_pos = np.asarray(sample.pos)
@@ -119,5 +119,5 @@ def ground_frame(trace: DemoTrace, index: int, config: GroundingConfig | None = 
     return SymbolicState(frame.t, hands, env)
 
 
-def ground_trace(trace: DemoTrace, config: GroundingConfig | None = None):
-    return [ground_frame(trace, i, config) for i in range(1, len(trace.frames))]
+def ground_frames(frames, registry, config: GroundingConfig | None = None):
+    return [ground_frame(frames, registry, i, config) for i in range(1, len(frames))]

@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 import pytest
+from trace_oracle import DemoFrame, HandSample, trace_of
 
 from demoplan import grounding, planner, segmentation, synthgen
 from demoplan.cli import build_parser, main
@@ -22,7 +23,7 @@ from demoplan.ontology import (
     execution_registry,
     save_registry,
 )
-from demoplan.trace import DemoFrame, DemoTrace, HandSample, read_trace, write_trace
+from demoplan.trace import read_trace, write_trace
 
 GOAL1 = [{"pred": "onTop", "args": ["Cube_green3", "Cube_blue3"], "positive": True}]
 ROOT = Path(__file__).parent.parent
@@ -376,7 +377,7 @@ def test_unattributable_change_is_bad_input(tmp_path, capsys):
         for i in range(20)
     ]
     path = tmp_path / "trace.jsonl"
-    write_trace(DemoTrace(frames, registry), path)
+    write_trace(trace_of(frames, registry), path)
     code = main(["learn", str(path), "--library", str(tmp_path / "library.json")])
     assert code == 2
     assert "frame 10: cannot attribute" in capsys.readouterr().err

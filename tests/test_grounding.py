@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from trace_oracle import DemoFrame, HandSample, frames_of, trace_of
 
 from demoplan.grounding import (
     EnvSymState,
@@ -28,7 +29,6 @@ from demoplan.ontology import (
     execution_registry,
 )
 from demoplan.ontology import TABLE as TABLE_TYPE
-from demoplan.trace import DemoFrame, DemoTrace, HandSample
 
 DT = 0.1
 TABLE = (0.5, 0.5, 0.37)
@@ -48,7 +48,7 @@ def make_trace(p0, p1, held=None, open_=True, cubes=None, contacts=()):
                   frozenset(frozenset(pair) for pair in contacts))
         for t, p in ((0.0, p0), (DT, p1))
     ]
-    return DemoTrace(frames, execution_registry())
+    return trace_of(frames, execution_registry())
 
 
 def gripper(trace, config=None):
@@ -254,7 +254,7 @@ def test_seed7_corpus_matches_the_per_frame_oracle(corpus):
     for demo in corpus:
         states = ground_trace(demo.trace)
         assert states_to_json(states) == states_to_json(
-            grounding_oracle.ground_trace(demo.trace)
+            grounding_oracle.ground_frames(frames_of(demo.trace), demo.trace.registry)
         )
 
 
@@ -309,7 +309,7 @@ def scenes(draw):
                 lambda b: frozenset((a, b)))), max_size=4))
         frames.append(DemoFrame(t, hands, objects, frozenset(contacts)))
         t += draw(st.sampled_from((0.1, 0.125, 1 / 30)))
-    return DemoTrace(frames, _scene_registry())
+    return trace_of(frames, _scene_registry())
 
 
 CONFIGS = st.builds(
@@ -325,7 +325,7 @@ CONFIGS = st.builds(
 @given(trace=scenes(), config=CONFIGS)
 def test_generated_traces_match_the_per_frame_oracle(trace, config):
     states = ground_trace(trace, config)
-    expected = grounding_oracle.ground_trace(trace, config)
+    expected = grounding_oracle.ground_frames(frames_of(trace), trace.registry, config)
     assert states_to_json(states) == states_to_json(expected)
     assert states == expected
     assert [list(s.hands) for s in states] == [list(s.hands) for s in expected]

@@ -210,7 +210,7 @@ def test_problem_atoms_have_their_schema_types():
     with pytest.raises(ModelError, match=r"^graspable\(Robot_gripper, high_table\): high_table is"):
         PlanningProblem(reg, frozenset(), (lit("graspable", "Robot_gripper", "high_table"),))
     with pytest.raises(ModelError, match=r"^neq\(Cube_red3, Cube_blue3\): neq may not appear"):
-        PlanningProblem(reg, frozenset(), (lit("neq", "Cube_red3", "Cube_blue3", positive=False),))
+        PlanningProblem(reg, frozenset(), (lit("neq", "Cube_red3", "Cube_blue3"),))
     with pytest.raises(ModelError, match="^unknown predicate: stacked"):
         PlanningProblem(reg, frozenset({("stacked", ("Cube_red3",))}), goal)
 
@@ -258,6 +258,7 @@ def test_library_json_round_trip():
         ({"args": ["a", "b"]}, "pred must be a string"),
         ({"pred": ["onTop"], "args": ["a", "b"]}, "pred must be a string"),
         (["onTop", "a", "b"], "must be a JSON object"),
+        ({"pred": "neq", "args": ["?Hand1", "?Hand2"], "positive": False}, "neq is never negated"),
     ],
 )
 def test_literal_codec_rejects_malformed_documents(doc, message):
@@ -313,6 +314,8 @@ def _operator_doc(**overrides) -> dict:
         ({"revokes": [{"pred": "actedOn", "hand": "?Hand1"}]}, "revokes must be"),
         ({"preconditions": {}}, "preconditions must be a list"),
         ({"activity": "Juggle"}, "not a valid ActivityLabel"),
+        ({"preconditions": [{"pred": "neq", "args": ["?Hand1", "?Hand2"], "positive": False}]},
+         r"^neq is never negated, got not neq\(\?Hand1, \?Hand2\)$"),
     ],
 )
 def test_library_loader_rejects_mistyped_operator_fields(overrides, message):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from trace_oracle import DemoFrame, HandSample, trace_of
 
 from demoplan.grounding import EnvSymState, HandSymState, SymbolicState
 from demoplan.model import Literal, Revocation
@@ -17,7 +18,6 @@ from demoplan.oplearn import (
 )
 from demoplan.ontology import demonstration_registry
 from demoplan.segmentation import ActivityLabel, ActivitySegment
-from demoplan.trace import DemoFrame, DemoTrace, HandSample
 
 IDLE_HAND = HandSymState(False, True, None, None, None)
 MOVING_HAND = HandSymState(True, True, None, None, None)
@@ -44,7 +44,7 @@ def still_trace(right_pos, left_pos, objects, frames=3):
         "Right_hand": HandSample(right_pos, True, None),
         "Left_hand": HandSample(left_pos, True, None),
     }
-    return DemoTrace(
+    return trace_of(
         [DemoFrame(i / 10, hands, objects, frozenset()) for i in range(frames)],
         demonstration_registry(),
     )

@@ -67,7 +67,15 @@ def test_generate_is_deterministic(registry):
     script = corpus_scripts(7, registry)[4]
     one = generate(script, registry)
     two = generate(script, registry)
-    assert one.trace.frames == two.trace.frames
+    a, b = one.trace, two.trace
+    assert np.array_equal(a.times, b.times)
+    assert a.hands.keys() == b.hands.keys()
+    for hand, (pos, opens, helds) in a.hands.items():
+        assert np.array_equal(pos, b.hands[hand][0])
+        assert (opens, helds) == b.hands[hand][1:]
+    assert a.names == b.names
+    assert np.array_equal(a.positions, b.positions)
+    assert a.contacts == b.contacts
     assert one.labels == two.labels
 
 
@@ -95,9 +103,8 @@ def test_labels_cover_every_frame_contiguously(registry):
 def test_idle_hand_never_leaves_home(registry):
     demo = generate(corpus_scripts(7, registry)[0], registry)
     # Script 0 moves the right hand; the left one must hold still.
-    first = demo.trace.frames[0].hands["Left_hand"].pos
-    for frame in demo.trace.frames:
-        assert frame.hands["Left_hand"].pos == first
+    pos = demo.trace.hands["Left_hand"][0]
+    assert np.array_equal(pos, np.broadcast_to(pos[0], pos.shape))
     labels = {row["label"] for row in demo.labels if row["hand"] == "Left_hand"}
     assert labels == {"IdleMotion"}
 
@@ -106,26 +113,24 @@ def test_held_cube_tracks_the_hand(registry):
     script = corpus_scripts(7, registry)[0]
     demo = generate(script, registry)
     cube = script.cubes_to_stack[0]
-    held_frames = [
-        f for f in demo.trace.frames if f.hands[script.hand].held == cube
-    ]
+    pos, opens, helds = demo.trace.hands[script.hand]
+    held_frames = [i for i, held in enumerate(helds) if held == cube]
     assert held_frames
-    for frame in held_frames:
-        hand = np.asarray(frame.hands[script.hand].pos)
-        assert np.linalg.norm(np.asarray(frame.objects[cube]) - hand) < 0.08
-        assert not frame.hands[script.hand].open
+    cube_pos = demo.trace.positions[held_frames, demo.trace.names.index(cube)]
+    assert (np.linalg.norm(cube_pos - pos[held_frames], axis=1) < 0.08).all()
+    assert not any(opens[i] for i in held_frames)
 
 
 def test_unmoved_cubes_rest_on_the_table(registry):
     script = corpus_scripts(7, registry)[0]
     demo = generate(script, registry)
     movers = set(script.cubes_to_stack)
-    for frame in demo.trace.frames:
-        for cube in registry.cubes:
-            if cube in movers:
-                continue
-            assert frame.objects[cube][2] == pytest.approx(CUBE_REST_Z)
-            assert frozenset({cube, "table1"}) in frame.contacts
+    trace = demo.trace
+    for cube in registry.cubes:
+        if cube in movers:
+            continue
+        assert trace.positions[:, trace.names.index(cube), 2] == pytest.approx(CUBE_REST_Z)
+        assert all(frozenset({cube, "table1"}) in contacts for contacts in trace.contacts)
 
 
 def test_stacked_cube_ends_on_its_base(registry):
@@ -133,30 +138,23 @@ def test_stacked_cube_ends_on_its_base(registry):
     assert len(script.cubes_to_stack) == 2
     demo = generate(script, registry)
     mover, base = script.cubes_to_stack[1], script.cubes_to_stack[0]
-    last = demo.trace.frames[-1]
-    assert frozenset({mover, base}) in last.contacts
-    assert last.objects[mover][2] > last.objects[base][2]
+    trace = demo.trace
+    assert frozenset({mover, base}) in trace.contacts[-1]
+    z = trace.positions[-1, :, 2]
+    assert z[trace.names.index(mover)] > z[trace.names.index(base)]
     # The base itself was stacked onto the first slot earlier and now
     # carries nothing else.
-    assert last.hands[script.hand].held is None
+    assert trace.hands[script.hand][2][-1] is None
 
 
 def test_noise_free_style_moves_at_scripted_speed(registry):
     script = corpus_scripts(7, registry)[0]
     assert script.noise_sigma == 0.0
     demo = generate(script, registry)
-    trace = demo.trace
-    speeds = [
-        float(
-            np.linalg.norm(
-                (np.asarray(trace.frames[i].hands[script.hand].pos)
-                 - np.asarray(trace.frames[i - 1].hands[script.hand].pos))
-            )
-        ) / synthgen.DT
-        for i in range(1, len(trace))
-    ]
+    pos = demo.trace.hands[script.hand][0]
+    speeds = np.linalg.norm(np.diff(pos, axis=0), axis=1) / synthgen.DT
     # Legs run at the scripted speed; the fat final step may near-double it.
-    assert max(speeds) < 2 * script.approach_speed + 1e-9
+    assert speeds.max() < 2 * script.approach_speed + 1e-9
 
 
 def test_write_corpus_layout(tmp_path, registry):

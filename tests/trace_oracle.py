@@ -1,23 +1,76 @@
-"""Frame-by-frame trace reading, kept as the oracle for the column reader.
+"""Traces as frames: the per-frame reader, the oracle for the column reader.
 
 This is the original reader of ``demoplan.trace``: it validates one
 frame document at a time, in a fixed order of checks, and builds a
-``DemoFrame`` with two ``HandSample``s per frame. The tests compare
+``DemoFrame`` with a ``HandSample`` per hand. The tests compare
 ``read_trace`` against it: the same files accepted with equal frames,
 the same files rejected with the same ``TraceError`` text and line.
+
+Frames are also how the tests build traces by hand: ``trace_of`` turns
+a list of them into a ``DemoTrace`` and ``frames_of`` turns one back.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from demoplan.ontology import CUBE, HAND, EnvironmentRegistry
-from demoplan.trace import DemoFrame, DemoTrace, HandSample, TraceError
+from demoplan.trace import DemoTrace, TraceError
 
 _NUMBER_TYPES = frozenset((int, float))
 _FLOAT_MAX = sys.float_info.max
+
+
+@dataclass(frozen=True)
+class HandSample:
+    """One hand at one instant: position in metres, finger state, held cube."""
+
+    pos: tuple[float, float, float]
+    open: bool
+    held: str | None
+
+
+@dataclass(frozen=True)
+class DemoFrame:
+    t: float
+    hands: dict[str, HandSample]
+    objects: dict[str, tuple[float, float, float]]
+    contacts: frozenset[frozenset[str]]
+
+
+def trace_of(frames: list[DemoFrame], registry: EnvironmentRegistry) -> DemoTrace:
+    """The trace of ``frames``, over the hands and objects of the first."""
+    names = sorted(frames[0].objects)
+    hands = {}
+    for hand in frames[0].hands:
+        samples = [frame.hands[hand] for frame in frames]
+        pos, opens, helds = zip(*((s.pos, s.open, s.held) for s in samples))
+        hands[hand] = (np.array(pos, dtype=float), opens, helds)
+    positions = np.array([[frame.objects[name] for name in names] for frame in frames], dtype=float)
+    times = np.array([frame.t for frame in frames], dtype=float)
+    return DemoTrace(registry, times, hands, names, positions, [frame.contacts for frame in frames])
+
+
+def frames_of(trace: DemoTrace) -> list[DemoFrame]:
+    """The frames of ``trace``; ``trace_of`` of them is an equal trace."""
+    hands = {
+        hand: [HandSample(tuple(p), o, h) for p, o, h in zip(pos.tolist(), opens, helds)]
+        for hand, (pos, opens, helds) in trace.hands.items()
+    }
+    return [
+        DemoFrame(
+            t,
+            {hand: samples[i] for hand, samples in hands.items()},
+            dict(zip(trace.names, map(tuple, row))),
+            trace.contacts[i],
+        )
+        for i, (t, row) in enumerate(zip(trace.times.tolist(), trace.positions.tolist()))
+    ]
 
 
 def _is_number(value) -> bool:
@@ -100,7 +153,7 @@ def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None =
     return DemoFrame(float(doc["t"]), hands, objects, frozenset(contacts))
 
 
-def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
+def read_trace(path: str | Path, registry: EnvironmentRegistry) -> list[DemoFrame]:
     """Read a JSON Lines trace file, reporting errors with line numbers."""
     frames: list[DemoFrame] = []
     with open(path) as fh:
@@ -125,4 +178,4 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
             frames.append(frame)
     if len(frames) < 2:
         raise TraceError(f"trace has {len(frames)} frames, need at least 2")
-    return DemoTrace(frames, registry)
+    return frames
