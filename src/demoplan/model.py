@@ -132,22 +132,58 @@ class LearnedOperator:
         return (self.activity, self.preconditions, self.effects)
 
 
-@dataclass(frozen=True)
+def bits_of(mask: int) -> tuple[int, ...]:
+    """The one-bit masks of ``mask``, lowest first."""
+    bits = []
+    while mask:
+        bit = mask & -mask
+        bits.append(bit)
+        mask ^= bit
+    return tuple(bits)
+
+
+# An atom index maps ground atoms to one-bit masks: the i-th atom put in
+# takes ``1 << i``, so ``list(index)[i]`` is the atom of that bit. Atoms
+# are never removed from it.
+AtomIndex = dict[Atom, int]
+
+
+def mask_of(index: AtomIndex, atoms) -> int:
+    """The atoms' mask; an atom not yet in ``index`` takes the next bit."""
+    return sum({index.setdefault(atom, 1 << len(index)) for atom in atoms})
+
+
+@dataclass(eq=False, slots=True)
 class GroundAction:
-    """A fully bound operator with precompiled atom sets."""
+    """A fully bound operator: ``masks`` are its ``(pre_pos, pre_neg, add,
+    delete)`` atom sets over ``index``, which one grounding's actions
+    share; the frozenset views are decoded on first use and then kept."""
 
     name: str
     activity: ActivityLabel
     args: tuple[str, ...]
-    pre_pos: frozenset
-    pre_neg: frozenset
-    add: frozenset
-    delete: frozenset
     cost: int
+    masks: tuple[int, int, int, int]
+    index: AtomIndex
+    _views: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.cost < 0:
             raise ModelError(f"{self.name}: negative cost")
+
+    def _decoded(self) -> tuple:
+        if self._views is None:
+            atoms = list(self.index)
+            self._views = tuple(
+                frozenset([atoms[bit.bit_length() - 1] for bit in bits_of(mask)])
+                for mask in self.masks
+            )
+        return self._views
+
+    pre_pos = property(lambda self: self._decoded()[0])
+    pre_neg = property(lambda self: self._decoded()[1])
+    add = property(lambda self: self._decoded()[2])
+    delete = property(lambda self: self._decoded()[3])
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(self.args)})"

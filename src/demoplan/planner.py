@@ -1,18 +1,18 @@
 """Grounding, optimal search, and plan validation.
 
-Operators are grounded over a registry into precompiled atom sets, each
-operator through a slot template, compiled once per call, that every
-binding fills from a row of its values; states are then packed into
-integer bitmasks for the search. min_cost mode is A* with an admissible
-and consistent heuristic, h_max on the atoms that name a hand and the
-goal's, computed over independent parts of those atoms with one memo
-per part, and provably optimal;
-min_length is the same search with unit weights; greedy orders the
-frontier by unsatisfied goal literals and trades optimality for speed.
-An expansion looks only at the actions whose hand preconditions hold:
-each hand's candidates are cached under the hand's part of the state and
-come out in (name, args) order, so every mode generates exactly the
-successors a scan over all actions would.
+Operators are grounded over a registry, each through a slot template
+that every binding fills from a row of its values, straight into
+bitmasks over one atom index that the grounding's actions share; the
+search reads those masks, and its states are bitmasks over a copy of
+the index. min_cost mode is A* with an admissible and consistent
+heuristic, h_max on the atoms that name a hand and the goal's, computed
+over independent parts of those atoms with one memo per part, and
+provably optimal; min_length is the same search with unit weights;
+greedy orders the frontier by unsatisfied goal literals and trades
+optimality for speed. An expansion looks only at the actions whose hand
+preconditions hold: each hand's candidates are cached under the hand's
+part of the state and come out in (name, args) order, so every mode
+generates exactly the successors a scan over all actions would.
 Validation replays a plan step by step, optionally under mutex world
 semantics where a newly acquired single-valued atom (``SINGLE_VALUED``)
 displaces the hand's previous one.
@@ -24,12 +24,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .model import (
     NEQ,
     SINGLE_VALUED,
     Atom,
+    AtomIndex,
     GroundAction,
     Literal,
     ModelError,
@@ -38,10 +39,13 @@ from .model import (
     WorldState,
     applicable,
     apply_action,
+    bits_of,
+    mask_of,
 )
 from .ontology import EnvironmentRegistry
 
 MODES = ("min_cost", "min_length", "greedy")
+_KEY = attrgetter("name", "args")  # the order of ground actions
 
 
 class PlannerError(Exception):
@@ -73,6 +77,11 @@ def _getters(slots: dict[str, int], literals) -> list[tuple]:
     return pairs
 
 
+def naming(index: AtomIndex, name: str) -> int:
+    """The atoms of ``index`` that name the instance ``name``."""
+    return sum(bit for (_, args), bit in index.items() if name in args)
+
+
 def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[GroundAction]:
     """Every type- and neq-respecting binding of every operator.
 
@@ -84,9 +93,20 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
     values at the literal's slots, and a ``neq`` holds when its two
     slots differ. Universal revocations are expanded over the registry's
     cubes into plain deletes; deleting an absent atom is a no-op, so the
-    expansion is equivalent to the conditional form.
+    expansion is equivalent to the conditional form. The atom sets go
+    straight into bitmasks over one ``AtomIndex`` the actions share.
     """
     cubes = registry.cubes
+    index: AtomIndex = {}
+    lookup, put = index.get, index.setdefault
+
+    def encode(pairs: list[tuple], row: tuple) -> int:
+        mask = 0
+        for pred, get in pairs:
+            atom = pred, get(row)
+            mask |= lookup(atom) or put(atom, 1 << len(index))
+        return mask
+
     actions: list[GroundAction] = []
     for op in library:
         if op.cost is None:
@@ -104,61 +124,19 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
         add = _getters(slots, (l for l in eff if l.positive))
         delete = _getters(slots, (l for l in eff if not l.positive))
         revokes = [(rev.pred, slots[rev.hand], slots[rev.keep]) for rev in op.revokes]
-        name = op.name
+        name, activity, cost = op.name, op.activity, op.cost
         for combo in itertools.product(*domains):
             row = combo + constants
             if any(row[i] == row[j] for i, j in neqs):
                 continue
-            deleted = {(pred, get(row)) for pred, get in delete}
+            deleted = encode(delete, row)
             for pred, hand, keep in revokes:
                 hand, keep = row[hand], row[keep]
-                deleted.update([(pred, (hand, cube)) for cube in cubes if cube != keep])
-            actions.append(
-                GroundAction(
-                    name=name,
-                    activity=op.activity,
-                    args=combo,
-                    pre_pos=frozenset([(pred, get(row)) for pred, get in pre_pos]),
-                    pre_neg=frozenset([(pred, get(row)) for pred, get in pre_neg]),
-                    add=frozenset([(pred, get(row)) for pred, get in add]),
-                    delete=frozenset(deleted),
-                    cost=op.cost,
-                )
-            )
-    actions.sort(key=lambda a: (a.name, a.args))
+                deleted |= mask_of(index, [(pred, (hand, cube)) for cube in cubes if cube != keep])
+            masks = encode(pre_pos, row), encode(pre_neg, row), encode(add, row), deleted
+            actions.append(GroundAction(name, activity, combo, cost, masks, index))
+    actions.sort(key=_KEY)
     return actions
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The one-bit masks of ``mask``, lowest first."""
-    bits = []
-    while mask:
-        bit = mask & -mask
-        bits.append(bit)
-        mask ^= bit
-    return tuple(bits)
-
-
-class _Masks:
-    """Bitmask compilation of atoms shared by one solve call; each new
-    atom takes the next free bit."""
-
-    def __init__(self) -> None:
-        self.bits: dict[Atom, int] = {}
-
-    def mask(self, atoms) -> int:
-        bits = self.bits
-        m = 0
-        for atom in atoms:
-            bit = bits.get(atom)
-            if bit is None:
-                bit = bits[atom] = 1 << len(bits)
-            m |= bit
-        return m
-
-    def naming(self, hand: str) -> int:
-        """The atoms that name ``hand``."""
-        return sum(bit for (_, args), bit in self.bits.items() if hand in args)
 
 
 class _Successors:
@@ -270,7 +248,7 @@ class _HMax:
                     cheapest[key] = weight
         adders: dict[int, list[tuple[tuple[int, int], int]]] = {}
         for key, weight in cheapest.items():
-            for bit in _bits(key[1]):
+            for bit in bits_of(key[1]):
                 adders.setdefault(bit, []).append((key, weight))
         kept = []
         needed = 0
@@ -292,14 +270,14 @@ class _HMax:
                 joined += members.pop(mask)
                 touch |= mask
             members[touch] = joined
-        sink_bits = _bits(sinks)
+        sink_bits = bits_of(sinks)
         parts = []
         for mask, actions in members.items():
-            atoms = _bits(mask)
+            atoms = bits_of(mask)
             index = {bit: i for i, bit in enumerate(atoms + sink_bits)}
 
             def numbered(mask: int) -> list[int]:
-                return [index[bit] for bit in _bits(mask)]
+                return [index[bit] for bit in bits_of(mask)]
 
             triggers: list[list[int]] = [[] for _ in index]
             counts, effects, free = [], [], []
@@ -391,24 +369,6 @@ class _HMax:
         return h
 
 
-def _compile(problem: PlanningProblem, actions: list[GroundAction], mode: str) -> tuple:
-    """The bitmask form of a problem over ``actions`` in their order:
-    the atom bits, the initial state, the positive and the negative goal
-    atoms, per action its ``(pre_pos, pre_neg, add, delete)`` masks and
-    its weight in ``mode``, and per hand the atoms that name it."""
-    masks = _Masks()
-    init = masks.mask(problem.init)
-    goal_pos = masks.mask(l.atom for l in problem.goal if l.positive)
-    goal_neg = masks.mask(l.atom for l in problem.goal if not l.positive)
-    compiled = [
-        (masks.mask(a.pre_pos), masks.mask(a.pre_neg), masks.mask(a.add), masks.mask(a.delete))
-        for a in actions
-    ]
-    weights = [1 if mode == "min_length" else a.cost for a in actions]
-    hand_masks = [masks.naming(hand) for hand in problem.registry.hands]
-    return masks, init, goal_pos, goal_neg, compiled, weights, hand_masks
-
-
 def solve(
     problem: PlanningProblem,
     actions: list[GroundAction],
@@ -420,8 +380,17 @@ def solve(
         raise PlannerError(f"unknown mode {mode!r}, expected one of {MODES}")
     if max_expansions is not None and max_expansions < 0:
         raise PlannerError(f"expansion budget must not be negative, got {max_expansions}")
-    actions = sorted(actions, key=lambda a: (a.name, a.args))
-    _, init, goal_pos, goal_neg, compiled, weights, hand_masks = _compile(problem, actions, mode)
+    actions = sorted(actions, key=_KEY)
+    index: AtomIndex = actions[0].index if actions else {}
+    if any(a.index is not index for a in actions):
+        raise PlannerError("the actions come from more than one grounding")
+    bits = dict(index)  # init and goal atoms no action names take bits here
+    init = mask_of(bits, problem.init)
+    goal_pos = mask_of(bits, [l.atom for l in problem.goal if l.positive])
+    goal_neg = mask_of(bits, [l.atom for l in problem.goal if not l.positive])
+    compiled = [a.masks for a in actions]
+    weights = [1 if mode == "min_length" else a.cost for a in actions]
+    hand_masks = [naming(index, hand) for hand in problem.registry.hands]
     successors = _Successors(hand_masks, compiled, weights)
     greedy = mode == "greedy"
     heuristic = None if greedy or not goal_pos else _HMax(hand_masks, compiled, weights, goal_pos)
@@ -503,27 +472,19 @@ def validate(
             missing = sorted(f"{p}{list(a)}" for p, a in step.pre_pos - state)
             blocking = sorted(f"{p}{list(a)}" for p, a in step.pre_neg & state)
             detail = "; ".join(
-                part
-                for part in (
-                    f"missing {', '.join(missing)}" if missing else "",
-                    f"blocked by {', '.join(blocking)}" if blocking else "",
-                )
-                if part
+                f"{label} {', '.join(atoms)}"
+                for label, atoms in (("missing", missing), ("blocked by", blocking))
+                if atoms
             )
             return ValidationReport(False, i, f"step {i} ({step}): {detail}")
         before = state
         state = apply_action(state, step)
         if mutex:
-            revoked = set()
-            for pred, args in step.add - before:
-                if pred in SINGLE_VALUED:
-                    hand, kept = args
-                    revoked |= {
-                        (p, a)
-                        for p, a in state
-                        if p == pred and a[0] == hand and a[1] != kept
-                    }
-            state = frozenset(state - revoked)
+            acquired = [(p, a) for p, a in step.add - before if p in SINGLE_VALUED]
+            for pred, (hand, kept) in acquired:
+                state = frozenset(
+                    (p, a) for p, a in state if (p, a[0]) != (pred, hand) or a[1] == kept
+                )
     if problem.satisfied(state):
         return ValidationReport(True, None, "ok")
     unmet = [str(l) for l in problem.goal if (l.atom in state) != l.positive]

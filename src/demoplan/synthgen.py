@@ -200,6 +200,9 @@ def _noise_offsets(n_frames: int, sigma: float, rng: np.random.Generator) -> np.
 
 def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo:
     """Run one script into a trace plus ground-truth label rows."""
+    unplaced = sorted(registry.non_hands.difference(registry.cubes, [registry.table]))
+    if unplaced:
+        raise ValueError(f"cannot place {', '.join(unplaced)}: only cubes and tables are placed")
     if script.hand not in registry.hands:
         raise ValueError(f"unknown hand {script.hand!r}")
     for cube in script.cubes_to_stack:

@@ -13,8 +13,10 @@ or length, the same ``None`` results, and no more expansions.
 modes: a plain fixpoint over atom sets and every relaxed action.
 
 ``ground`` is the reference for ``planner.ground``: it binds each
-operator literal by literal through a fresh dict per binding, where
-``planner.ground`` fills a slot template once per operator.
+operator literal by literal through a fresh dict per binding into atom
+sets, where ``planner.ground`` fills a slot template once per operator
+straight into bitmasks. ``action`` builds a ``GroundAction`` from atom
+sets, for the oracle and for tests that build actions by hand.
 """
 
 from __future__ import annotations
@@ -26,14 +28,53 @@ import math
 from demoplan.model import (
     NEQ,
     Atom,
+    AtomIndex,
     GroundAction,
     Literal,
     ModelError,
     OperatorLibrary,
     PlanningProblem,
+    mask_of,
 )
 from demoplan.ontology import EnvironmentRegistry
-from demoplan.planner import MODES, Plan, PlannerError, _Masks
+from demoplan.planner import MODES, Plan, PlannerError
+from demoplan.segmentation import ActivityLabel
+
+
+def action(
+    name: str,
+    args: tuple[str, ...],
+    pre_pos=(),
+    pre_neg=(),
+    add=(),
+    delete=(),
+    cost: int = 1,
+    activity: ActivityLabel = ActivityLabel.IDLE,
+    index: AtomIndex | None = None,
+) -> GroundAction:
+    """The ground action with these atom sets, encoded through ``index``
+    (a new one if none is given)."""
+    index = {} if index is None else index
+    masks = tuple(mask_of(index, atoms) for atoms in (pre_pos, pre_neg, add, delete))
+    return GroundAction(name, activity, args, cost, masks, index)
+
+
+class _Masks:
+    """Bitmask compilation of atoms shared by one solve call; each new
+    atom takes the next free bit."""
+
+    def __init__(self) -> None:
+        self.bits: dict[Atom, int] = {}
+
+    def mask(self, atoms) -> int:
+        bits = self.bits
+        m = 0
+        for atom in atoms:
+            bit = bits.get(atom)
+            if bit is None:
+                bit = bits[atom] = 1 << len(bits)
+            m |= bit
+        return m
 
 
 def _bind(literal: Literal, binding: dict[str, str]) -> Atom:
@@ -43,8 +84,10 @@ def _bind(literal: Literal, binding: dict[str, str]) -> Atom:
 
 def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[GroundAction]:
     """Every type- and neq-respecting binding of every operator, with
-    universal revocations expanded over the registry's cubes."""
+    universal revocations expanded over the registry's cubes, over one
+    shared index."""
     cubes = registry.cubes
+    index: AtomIndex = {}
     actions: list[GroundAction] = []
     for op in library:
         if op.cost is None:
@@ -71,18 +114,8 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
                 for cube in cubes:
                     if cube != keep:
                         delete.add((rev.pred, (hand, cube)))
-            actions.append(
-                GroundAction(
-                    name=op.name,
-                    activity=op.activity,
-                    args=tuple(combo),
-                    pre_pos=pre_pos,
-                    pre_neg=pre_neg,
-                    add=add,
-                    delete=frozenset(delete),
-                    cost=op.cost,
-                )
-            )
+            atom_sets = pre_pos, pre_neg, add, delete
+            actions.append(action(op.name, tuple(combo), *atom_sets, op.cost, op.activity, index))
     actions.sort(key=lambda a: (a.name, a.args))
     return actions
 

@@ -486,6 +486,17 @@ def test_gen_needs_a_registry_with_hands(tmp_path, capsys):
     assert "error: the demonstration registry has no Hand instances" in capsys.readouterr().err
 
 
+def test_gen_refuses_an_instance_it_cannot_place(tmp_path, capsys):
+    registry = EnvironmentRegistry(
+        "demonstration", [*demonstration_registry().instances, ObjectInstance("lamp1", "Thing")]
+    )
+    save_registry(registry, tmp_path / "registry.json")
+    argv = ["gen", "--out", str(tmp_path / "corpus"), "--registry", str(tmp_path / "registry.json")]
+    assert main(argv) == 2
+    assert "error: cannot place lamp1" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_gen_rejects_a_type_outside_the_builtins(tmp_path, capsys):
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps({"role": "demonstration", "instances": [

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from planner_oracle import action
+
 from demoplan import pddl, planner
 from demoplan.model import (
     NEQ,
     SCHEMAS,
-    GroundAction,
     LearnedOperator,
     Literal,
     ModelError,
@@ -127,49 +128,23 @@ def test_type_count_requires_counts():
 
 
 def test_apply_deletes_before_adding():
-    toggle = GroundAction(
-        name="Toggle",
-        activity=ActivityLabel.IDLE,
-        args=("g",),
-        pre_pos=frozenset({("handOpen", ("g",))}),
-        pre_neg=frozenset(),
-        add=frozenset({("handOpen", ("g",))}),
-        delete=frozenset({("handOpen", ("g",))}),
-        cost=1,
-    )
+    opened = ("handOpen", ("g",))
+    toggle = action("Toggle", ("g",), pre_pos={opened}, add={opened}, delete={opened})
     state = frozenset({("handOpen", ("g",))})
     assert apply_action(state, toggle) == state
 
 
 def test_apply_requires_applicability():
-    action = GroundAction(
-        name="Go",
-        activity=ActivityLabel.IDLE,
-        args=("g",),
-        pre_pos=frozenset({("handMove", ("g",))}),
-        pre_neg=frozenset(),
-        add=frozenset(),
-        delete=frozenset(),
-        cost=1,
-    )
-    assert not applicable(frozenset(), action)
+    go = action("Go", ("g",), pre_pos={("handMove", ("g",))})
+    assert not applicable(frozenset(), go)
     with pytest.raises(ModelError, match="not applicable"):
-        apply_action(frozenset(), action)
+        apply_action(frozenset(), go)
 
 
 def test_negative_preconditions_block():
-    action = GroundAction(
-        name="Go",
-        activity=ActivityLabel.IDLE,
-        args=("g",),
-        pre_pos=frozenset(),
-        pre_neg=frozenset({("handMove", ("g",))}),
-        add=frozenset(),
-        delete=frozenset(),
-        cost=1,
-    )
-    assert applicable(frozenset(), action)
-    assert not applicable(frozenset({("handMove", ("g",))}), action)
+    go = action("Go", ("g",), pre_neg={("handMove", ("g",))})
+    assert applicable(frozenset(), go)
+    assert not applicable(frozenset({("handMove", ("g",))}), go)
 
 
 def test_problem_goals_must_be_ground_and_known():
@@ -426,10 +401,9 @@ def test_acquiring_a_single_valued_atom_displaces_the_previous_one(pred, single_
 
     registry = execution_registry()
     hand, (old, new) = "Robot_gripper", registry.cubes[:2]
-    step = GroundAction(
-        "Reach", ActivityLabel.REACH, (hand, new),
-        pre_pos=frozenset(), pre_neg=frozenset({(pred, (hand, new))}),
-        add=frozenset({(pred, (hand, new))}), delete=frozenset(), cost=1,
+    step = action(
+        "Reach", (hand, new), pre_neg={(pred, (hand, new))}, add={(pred, (hand, new))},
+        activity=ActivityLabel.REACH,
     )
     plan = planner.Plan((step,), 1, 1)
     kept = (lit(pred, hand, old), lit(pred, hand, new))

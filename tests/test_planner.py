@@ -21,6 +21,7 @@ from demoplan.model import (
     OperatorLibrary,
     PlanningProblem,
     Revocation,
+    mask_of,
 )
 from demoplan.ontology import EnvironmentRegistry, ObjectInstance
 from demoplan.oplearn import assign_costs
@@ -28,10 +29,10 @@ from demoplan.planner import (
     MODES,
     Plan,
     PlannerError,
-    _compile,
     _HMax,
     compare_cost_modes,
     ground,
+    naming,
     plan_from_json,
     plan_to_json,
     solve,
@@ -108,6 +109,27 @@ def test_satisfied_goal_yields_empty_plan(exec_actions, exec_registry):
     assert plan == Plan((), 0, 0)
     report = validate(problem, plan)
     assert report.valid and report.failing_step is None
+
+
+def test_empty_library_solves(exec_registry):
+    """No operators, no actions: a goal the initial state meets gives
+    the empty plan in every mode, and any other goal no plan."""
+    actions = ground(OperatorLibrary(), exec_registry)
+    assert actions == []
+    met = goal_problem(exec_registry, Literal("handOpen", (GRIPPER,)))
+    unmet = goal_problem(exec_registry, *standard_goals(exec_registry)["goal1"])
+    for mode in MODES:
+        assert solve(met, actions, mode) == Plan((), 0, 0)
+        assert solve(unmet, actions, mode) is None
+
+
+def test_solve_refuses_actions_of_two_groundings(combined_library, exec_registry):
+    """Each grounding numbers its atoms in its own index, so the masks of
+    two groundings do not mix."""
+    problem = goal_problem(exec_registry, *standard_goals(exec_registry)["goal1"])
+    mixed = ground(combined_library, exec_registry) + ground(combined_library, exec_registry)
+    with pytest.raises(PlannerError, match="more than one grounding"):
+        solve(problem, mixed)
 
 
 def test_unreachable_goal_returns_none(combined_library):
@@ -488,14 +510,17 @@ def handless_and_two_hand_operators():
     return OperatorLibrary([slide, handover])
 
 
+def with_handover(library):
+    """``library`` with ``handless_and_two_hand_operators`` appended."""
+    return OperatorLibrary(list(library) + list(handless_and_two_hand_operators()))
+
+
 @pytest.mark.parametrize(
     "hands", [(GRIPPER,), ("Left_gripper", "Right_gripper")], ids=["one-hand", "two-hands"]
 )
 def test_solve_matches_the_scan_with_actions_outside_any_hand(repaired_library, hands):
     registry = table_registry(COLORS[:4], hands)
-    actions = ground(repaired_library, registry) + ground(
-        handless_and_two_hand_operators(), registry
-    )
+    actions = ground(with_handover(repaired_library), registry)
     cubes = registry.cubes
     for goal in (
         (Literal("onTop", (cubes[1], cubes[0])),),
@@ -584,6 +609,25 @@ def test_expansion_budget_fails_at_the_same_point_as_the_scan(
 # --- grounding against the per-binding oracle -----------------------------
 
 
+def assert_ground_matches_the_oracle(library, registry):
+    """The same actions in the same order, atom sets and all; every
+    action shares one index, and each atom set encodes through it to the
+    action's stored mask."""
+    actions = ground(library, registry)
+
+    def described(actions):
+        return [
+            (a.name, a.activity, a.args, a.cost, a.pre_pos, a.pre_neg, a.add, a.delete)
+            for a in actions
+        ]
+
+    assert described(actions) == described(planner_oracle.ground(library, registry))
+    for a in actions:
+        assert a.index is actions[0].index
+        views = (a.pre_pos, a.pre_neg, a.add, a.delete)
+        assert tuple(sum(a.index[atom] for atom in view) for view in views) == a.masks
+
+
 @pytest.mark.parametrize("library_name", ["raw", "repaired"])
 @pytest.mark.parametrize("registry_name", ["exec4", "cubes6", "cubes8", "hands2"])
 def test_ground_matches_the_per_binding_oracle(
@@ -596,8 +640,7 @@ def test_ground_matches_the_per_binding_oracle(
         "cubes8": table_registry(COLORS + ("orange", "purple")),
         "hands2": table_registry(COLORS[:4], ("Left_gripper", "Right_gripper")),
     }[registry_name]
-    library = libraries[library_name]
-    assert ground(library, registry) == planner_oracle.ground(library, registry)
+    assert_ground_matches_the_oracle(libraries[library_name], registry)
 
 
 def constant_operators():
@@ -682,18 +725,28 @@ def test_ground_matches_the_per_binding_oracle_on_constants(data):
             for i, fields in enumerate(chosen)
         ]
     )
-    assert ground(library, registry) == planner_oracle.ground(library, registry)
+    assert_ground_matches_the_oracle(library, registry)
 
 
 # --- the A* heuristic ------------------------------------------------------
 
 
+def atoms_of(index, state):
+    """The atoms of ``index`` that ``state`` holds."""
+    return frozenset(atom for atom, bit in index.items() if state & bit)
+
+
 def heuristic_of(problem, actions, mode):
-    """H as ``solve`` builds it, with the atom bits and the weighted
-    action masks it is built over."""
-    masks, init, goal, _, compiled, weights, hand_masks = _compile(problem, actions, mode)
-    heuristic = _HMax(hand_masks, compiled, weights, goal)
-    return heuristic, masks, init, list(zip(compiled, weights))
+    """H as ``solve`` builds it, with a copy of the actions' index that
+    numbers the init and goal atoms too, the initial state, and the
+    weighted action masks H is built over."""
+    index = dict(actions[0].index)
+    init = mask_of(index, problem.init)
+    goal = mask_of(index, [l.atom for l in problem.goal if l.positive])
+    hand_masks = [naming(actions[0].index, hand) for hand in problem.registry.hands]
+    masks = [a.masks for a in actions]
+    weights = [1 if mode == "min_length" else a.cost for a in actions]
+    return _HMax(hand_masks, masks, weights, goal), index, init, list(zip(masks, weights))
 
 
 def heuristic_goals(registry):
@@ -713,7 +766,7 @@ def draw_library(libraries, data):
     hands, actions that name no hand or two project differently."""
     name = data.draw(st.sampled_from(["raw", "repaired", "repaired+handover"]))
     if name == "repaired+handover":
-        return OperatorLibrary(list(libraries["repaired"]) + list(handless_and_two_hand_operators()))
+        return with_handover(libraries["repaired"])
     return libraries[name]
 
 
@@ -735,14 +788,13 @@ def test_heuristic_is_admissible_and_consistent(libraries, data):
     goal = data.draw(heuristic_goals(registry))
     actions = ground(library, registry)
     problem = goal_problem(registry, *goal)
-    heuristic, masks, state, weighted = heuristic_of(problem, actions, mode)
+    heuristic, index, state, weighted = heuristic_of(problem, actions, mode)
     # start with a drawn subset of the goal atoms true, so that sinks in s count
-    state |= sum(masks.bits[l.atom] for l in goal if data.draw(st.booleans()))
-    atoms = {bit: atom for atom, bit in masks.bits.items()}
+    state |= sum(index[l.atom] for l in goal if data.draw(st.booleans()))
     total = "total_cost" if mode == "min_cost" else "total_length"
     for _ in range(data.draw(st.integers(1, 4))):
         h = heuristic(state)
-        here = PlanningProblem(registry, frozenset(a for b, a in atoms.items() if state & b), problem.goal)
+        here = PlanningProblem(registry, atoms_of(index, state), problem.goal)
         to_go = outcome(planner_oracle.solve, here, actions, mode)
         if h == math.inf:
             assert to_go is None
@@ -774,12 +826,11 @@ def test_heuristic_equals_the_reference_h_max(libraries, data):
     actions = ground(library, registry)
     goal = data.draw(heuristic_goals(registry))
     problem = goal_problem(registry, *goal)
-    heuristic, masks, state, weighted = heuristic_of(problem, actions, mode)
+    heuristic, index, state, weighted = heuristic_of(problem, actions, mode)
     # start with a drawn subset of the goal atoms true, so that sinks in s count
-    state |= sum(masks.bits[l.atom] for l in goal if data.draw(st.booleans()))
-    atoms = {bit: atom for atom, bit in masks.bits.items()}
+    state |= sum(index[l.atom] for l in goal if data.draw(st.booleans()))
     for _ in range(data.draw(st.integers(1, 30))):
-        atoms_of_state = frozenset(a for b, a in atoms.items() if state & b)
+        atoms_of_state = atoms_of(index, state)
         assert heuristic(state) == planner_oracle.h_max(problem, actions, mode, atoms_of_state)
         successors = [
             (state & ~dl) | add
@@ -801,9 +852,7 @@ def test_heuristic_parts_merge_and_keep_needed_goals(repaired_library, data):
     exactly the reference h_max on states of random walks."""
     hands = data.draw(st.sampled_from([(GRIPPER,), ("Left_gripper", "Right_gripper")]))
     registry = table_registry(COLORS[:4], hands)
-    actions = ground(repaired_library, registry) + ground(
-        handless_and_two_hand_operators(), registry
-    )
+    actions = ground(with_handover(repaired_library), registry)
     c0, c1, c2, c3 = registry.cubes
     goal = data.draw(
         st.sampled_from(
@@ -816,18 +865,17 @@ def test_heuristic_parts_merge_and_keep_needed_goals(repaired_library, data):
     )
     mode = data.draw(st.sampled_from(["min_cost", "min_length"]))
     problem = goal_problem(registry, *goal)
-    heuristic, masks, state, weighted = heuristic_of(problem, actions, mode)
+    heuristic, index, state, weighted = heuristic_of(problem, actions, mode)
     part_masks = [mask for mask, _, _ in heuristic.parts]
     (merged,) = [mask for mask in part_masks if mask]
-    assert all(merged & masks.naming(hand) for hand in hands)
+    assert all(merged & naming(index, hand) for hand in hands)
     assert (0 in part_masks) == (goal[0].pred == "onTop")
     sinks = sum(heuristic.sinks)
-    assert all(bool(sinks & masks.bits[l.atom]) == (l.pred == "onTop") for l in goal)
+    assert all(bool(sinks & index[l.atom]) == (l.pred == "onTop") for l in goal)
     # start with some goal atoms already true, so that sinks in s count
-    state |= sum(data.draw(st.sets(st.sampled_from([masks.bits[l.atom] for l in goal]))))
-    atoms = {bit: atom for atom, bit in masks.bits.items()}
+    state |= sum(data.draw(st.sets(st.sampled_from([index[l.atom] for l in goal]))))
     for _ in range(data.draw(st.integers(1, 30))):
-        atoms_of_state = frozenset(a for b, a in atoms.items() if state & b)
+        atoms_of_state = atoms_of(index, state)
         assert heuristic(state) == planner_oracle.h_max(problem, actions, mode, atoms_of_state)
         successors = [
             (state & ~dl) | add

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from demoplan import synthgen
-from demoplan.ontology import demonstration_registry
+from demoplan.ontology import EnvironmentRegistry, ObjectInstance, demonstration_registry
 from demoplan.segmentation import ActivityLabel
 from demoplan.synthgen import CUBE_REST_Z, DemoScript, corpus_scripts, generate
 from demoplan.trace import read_trace
@@ -37,6 +37,16 @@ def test_script_validation():
         DemoScript(
             seed=1, hand="Right_hand", cubes_to_stack=("Cube_red1",), noise_sigma=-1.0
         )
+
+
+def test_generate_refuses_an_instance_it_cannot_place(registry):
+    """The demonstrator positions cubes and the table only, so a trace of
+    a registry with a plain Thing would lack its position."""
+    with_lamp = EnvironmentRegistry(
+        registry.role, [*registry.instances, ObjectInstance("lamp1", "Thing")]
+    )
+    with pytest.raises(ValueError, match="cannot place lamp1"):
+        generate(corpus_scripts(7, with_lamp)[0], with_lamp)
 
 
 def test_corpus_scripts_cover_styles_and_tasks(registry):
