@@ -1,8 +1,9 @@
 """Planning model: predicates, learned operators, world states, ground actions.
 
-World states are closed-world sets of ground atoms. Operators are lifted,
+World states are closed-world sets of ground atoms, which the planner
+searches and replays as bitmasks over an atom index. Operators are lifted,
 typed, and carry an observation count from learning plus an assigned
-integer cost. Applying a ground action deletes before it adds.
+non-negative integer cost. Applying a ground action deletes before it adds.
 """
 
 from __future__ import annotations
@@ -106,21 +107,21 @@ class LearnedOperator:
             raise ModelError("config_index starts at 1")
         if self.count is not None and self.count < 1:
             raise ModelError("observation count must be positive")
+        if self.cost is not None and self.cost < 0:
+            raise ModelError(f"{self.name}: cost must not be negative, got {self.cost}")
         declared = {name for name, _ in self.params}
         for lits, where in ((self.preconditions, "precondition"), (self.effects, "effect")):
-            atoms = {}
+            atoms = set()  # the literals are distinct, so an atom seen twice has both signs
             for lit in lits:
-                if atoms.get(lit.atom, lit.positive) != lit.positive:
-                    raise ModelError(
-                        f"{self.name}: {where}s contain {lit.pred}{lit.args} with both signs"
-                    )
-                atoms[lit.atom] = lit.positive
-                for term in lit.args:
-                    if is_variable(term) and term not in declared:
+                pred, args = atom = lit.pred, lit.args
+                if atom in atoms:
+                    raise ModelError(f"{self.name}: {where}s contain {pred}{args} with both signs")
+                atoms.add(atom)
+                for term in args:
+                    if term not in declared and is_variable(term):
                         raise ModelError(f"{self.name}: variable {term} not in parameters")
-        for lit in self.effects:
-            if lit.pred == NEQ:
-                raise ModelError(f"{self.name}: {NEQ} may only appear in preconditions")
+        if any(lit.pred == NEQ for lit in self.effects):
+            raise ModelError(f"{self.name}: {NEQ} may only appear in preconditions")
 
     @property
     def name(self) -> str:
@@ -167,10 +168,6 @@ class GroundAction:
     index: AtomIndex
     _views: tuple | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise ModelError(f"{self.name}: negative cost")
-
     def _decoded(self) -> tuple:
         if self._views is None:
             atoms = list(self.index)
@@ -187,17 +184,6 @@ class GroundAction:
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(self.args)})"
-
-
-def applicable(state: WorldState, action: GroundAction) -> bool:
-    return action.pre_pos <= state and not (action.pre_neg & state)
-
-
-def apply_action(state: WorldState, action: GroundAction) -> WorldState:
-    """Successor state; deletes are applied before adds."""
-    if not applicable(state, action):
-        raise ModelError(f"action {action} is not applicable")
-    return frozenset((state - action.delete) | action.add)
 
 
 @dataclass(frozen=True)
@@ -227,11 +213,6 @@ class PlanningProblem:
             for term, type_name in zip(lit.args, SCHEMAS[lit.pred]):
                 if type_name not in (THING, self.registry.type_of(term)):
                     raise ModelError(f"{lit}: {term} is not a {type_name}")
-
-    def satisfied(self, state: WorldState) -> bool:
-        return all(
-            (lit.atom in state) == lit.positive for lit in self.goal
-        )
 
 
 @dataclass
@@ -317,14 +298,15 @@ class OperatorLibrary:
         repaired = doc.get("repaired", False)
         if not isinstance(repaired, bool):
             raise ModelError(f"repaired must be true or false, got {repaired!r}")
-        return OperatorLibrary([_operator_from_json(item) for item in operators])
+        known: dict[tuple, Literal] = {}  # each distinct literal is built once
+        return OperatorLibrary([_operator_from_json(item, known) for item in operators])
 
 
 def _is_int(value) -> bool:
     return type(value) is int  # a JSON boolean is not
 
 
-def _operator_from_json(item) -> LearnedOperator:
+def _operator_from_json(item, known: dict[tuple, Literal]) -> LearnedOperator:
     if not isinstance(item, dict):
         raise ModelError(f"an operator must be a JSON object, got {item!r}")
     get = item.get
@@ -354,8 +336,8 @@ def _operator_from_json(item) -> LearnedOperator:
         activity=activity,
         config_index=get("config_index"),
         params=tuple(map(tuple, params)),
-        preconditions=frozenset(map(literal_from_json, get("preconditions"))),
-        effects=frozenset(map(literal_from_json, get("effects"))),
+        preconditions=_literals(get("preconditions"), known),
+        effects=_literals(get("effects"), known),
         count=get("count"),
         cost=get("cost"),
         revokes=tuple(Revocation(r["pred"], r["hand"], r["keep"]) for r in revokes),
@@ -372,6 +354,17 @@ def literal_from_json(doc) -> Literal:
     ``pred`` must be a string, ``args`` a list of strings and
     ``positive`` a JSON boolean, or ModelError says which is not.
     """
+    return Literal(*_literal_fields(doc))
+
+
+def _literals(docs: list, known: dict[tuple, Literal]) -> frozenset[Literal]:
+    """The literals of JSON objects, each built once per ``known``."""
+    fields = map(_literal_fields, docs)
+    return frozenset([known.get(f) or known.setdefault(f, Literal(*f)) for f in fields])
+
+
+def _literal_fields(doc) -> tuple[str, tuple[str, ...], bool]:
+    """The checked ``Literal`` fields of a literal's JSON object."""
     if not isinstance(doc, dict):
         raise ModelError(f"a literal must be a JSON object, got {doc!r}")
     pred, args, positive = doc.get("pred"), doc.get("args"), doc.get("positive", True)
@@ -381,4 +374,4 @@ def literal_from_json(doc) -> Literal:
         raise ModelError(f"{pred}: args must be a list of strings, got {args!r}")
     if not isinstance(positive, bool):
         raise ModelError(f"{pred}{tuple(args)}: positive must be true or false, got {positive!r}")
-    return Literal(pred, tuple(args), positive)
+    return pred, tuple(args), positive

@@ -13,9 +13,9 @@ optimality for speed. An expansion looks only at the actions whose hand
 preconditions hold: each hand's candidates are cached under the hand's
 part of the state and come out in (name, args) order, so every mode
 generates exactly the successors a scan over all actions would.
-Validation replays a plan step by step, optionally under mutex world
-semantics where a newly acquired single-valued atom (``SINGLE_VALUED``)
-displaces the hand's previous one.
+Validation replays a plan step by step on masks, optionally under mutex
+world semantics where a newly acquired single-valued atom
+(``SINGLE_VALUED``) displaces the hand's previous one.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .model import (
     OperatorLibrary,
     PlanningProblem,
     WorldState,
-    applicable,
-    apply_action,
     bits_of,
     mask_of,
 )
@@ -66,15 +64,15 @@ class ValidationReport:
     reason: str
 
 
-def _getters(slots: dict[str, int], literals) -> list[tuple]:
-    """Per literal its predicate and the getter of its args from a row;
-    a unary literal's getter takes a slice, so that it gives a tuple too."""
-    pairs = []
+def _getters(slots: dict[str, int], literals, k: int) -> list[tuple]:
+    """Per literal ``(k, pred, getter of its args from a row)``; a unary
+    literal's getter takes a slice, so that it gives a tuple too."""
+    entries = []
     for l in literals:
         at = [slots[term] for term in l.args]
         get = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
-        pairs.append((l.pred, get))
-    return pairs
+        entries.append((k, l.pred, get))
+    return entries
 
 
 def naming(index: AtomIndex, name: str) -> int:
@@ -99,13 +97,7 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
     cubes = registry.cubes
     index: AtomIndex = {}
     lookup, put = index.get, index.setdefault
-
-    def encode(pairs: list[tuple], row: tuple) -> int:
-        mask = 0
-        for pred, get in pairs:
-            atom = pred, get(row)
-            mask |= lookup(atom) or put(atom, 1 << len(index))
-        return mask
+    revoked: dict[tuple[str, str, str], int] = {}  # (pred, hand, keep) → its deletes
 
     actions: list[GroundAction] = []
     for op in library:
@@ -118,23 +110,33 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
         terms += [t for rev in op.revokes for t in (rev.hand, rev.keep)]
         constants = tuple(dict.fromkeys(t for t in terms if t not in slots))
         slots.update((t, len(op.params) + i) for i, t in enumerate(constants))
-        neqs = [(slots[l.args[0]], slots[l.args[1]]) for l in pre if l.pred == NEQ]
-        pre_pos = _getters(slots, (l for l in pre if l.positive and l.pred != NEQ))
-        pre_neg = _getters(slots, (l for l in pre if not l.positive))
-        add = _getters(slots, (l for l in eff if l.positive))
-        delete = _getters(slots, (l for l in eff if not l.positive))
+        rows = [combo + constants for combo in itertools.product(*domains)]
+        for l in pre:
+            if l.pred == NEQ:
+                i, j = slots[l.args[0]], slots[l.args[1]]
+                rows = [row for row in rows if row[i] != row[j]]
+        # a row's new atoms take bits in this order: deletes, revocations, the rest
+        delete = _getters(slots, (l for l in eff if not l.positive), 3)
+        rest = _getters(slots, (l for l in pre if l.positive and l.pred != NEQ), 0)
+        rest += _getters(slots, (l for l in pre if not l.positive), 1)
+        rest += _getters(slots, (l for l in eff if l.positive), 2)
         revokes = [(rev.pred, slots[rev.hand], slots[rev.keep]) for rev in op.revokes]
-        name, activity, cost = op.name, op.activity, op.cost
-        for combo in itertools.product(*domains):
-            row = combo + constants
-            if any(row[i] == row[j] for i, j in neqs):
-                continue
-            deleted = encode(delete, row)
+        name, activity, cost, arity = op.name, op.activity, op.cost, len(op.params)
+        for row in rows:
+            masks = [0, 0, 0, 0]
+            for k, pred, get in delete:
+                atom = pred, get(row)
+                masks[k] |= lookup(atom) or put(atom, 1 << len(index))
             for pred, hand, keep in revokes:
                 hand, keep = row[hand], row[keep]
-                deleted |= mask_of(index, [(pred, (hand, cube)) for cube in cubes if cube != keep])
-            masks = encode(pre_pos, row), encode(pre_neg, row), encode(add, row), deleted
-            actions.append(GroundAction(name, activity, combo, cost, masks, index))
+                if (pred, hand, keep) not in revoked:
+                    others = [(pred, (hand, c)) for c in cubes if c != keep]
+                    revoked[pred, hand, keep] = mask_of(index, others)
+                masks[3] |= revoked[pred, hand, keep]
+            for k, pred, get in rest:
+                atom = pred, get(row)
+                masks[k] |= lookup(atom) or put(atom, 1 << len(index))
+            actions.append(GroundAction(name, activity, row[:arity], cost, tuple(masks), index))
     actions.sort(key=_KEY)
     return actions
 
@@ -155,12 +157,17 @@ class _Successors:
 
     def __init__(self, hand_masks: list[int], compiled, weights) -> None:
         groups = [(m, ~m, [], {}) for m in hand_masks]
+        # an atom names at most one hand unless it is in ``shared``
+        owner = {bit: group for group in groups for bit in bits_of(group[0])}
+        hands = shared = 0
+        for m in hand_masks:
+            shared |= hands & m
+            hands |= m
         self.always: list[tuple] = []
         for i, ((pp, pn, add, dl), weight) in enumerate(zip(compiled, weights)):
-            pre = pp | pn
-            owners = [group for group in groups if pre & group[0]]
-            if len(owners) == 1:
-                m, rest, members, _ = owners[0]
+            named = (pp | pn) & hands
+            m, rest, members, _ = owner.get(named & -named, (0, 0, None, None))
+            if named and not named & (shared | rest):
                 members.append((pp & m, pn & m, (i, pp & rest, pn & rest, add, dl, weight)))
             else:
                 self.always.append((i, pp, pn, add, dl, weight))
@@ -275,9 +282,10 @@ class _HMax:
         for mask, actions in members.items():
             atoms = bits_of(mask)
             index = {bit: i for i, bit in enumerate(atoms + sink_bits)}
+            known: dict[int, list[int]] = {}
 
             def numbered(mask: int) -> list[int]:
-                return [index[bit] for bit in bits_of(mask)]
+                return known.get(mask) or known.setdefault(mask, [index[b] for b in bits_of(mask)])
 
             triggers: list[list[int]] = [[] for _ in index]
             counts, effects, free = [], [], []
@@ -459,35 +467,44 @@ def solve(
 def validate(
     problem: PlanningProblem, plan: Plan, mutex: bool = False
 ) -> ValidationReport:
-    """Replay a plan from the problem's initial state."""
+    """Replay a plan from the problem's initial state, on bitmasks over a
+    copy of the steps' atom index; atoms are decoded only to word a failure."""
     registry = problem.registry
     for step in plan.steps:
         for arg in step.args:
             if arg not in registry:
                 raise PlannerError(f"plan step {step} names unknown instance {arg!r}")
+    index: AtomIndex = plan.steps[0].index if plan.steps else {}
+    if any(step.index is not index for step in plan.steps):
+        raise PlannerError("the plan's steps come from more than one grounding")
+    bits = dict(index)
+    state = mask_of(bits, problem.init)
+    goal = [(lit, mask_of(bits, [lit.atom])) for lit in problem.goal]
+    atoms = list(bits)  # the atom of bit 1 << i is atoms[i]
 
-    state: WorldState = frozenset(problem.init)
+    def named(mask: int) -> list[str]:
+        decoded = [atoms[bit.bit_length() - 1] for bit in bits_of(mask)]
+        return sorted(f"{p}{list(a)}" for p, a in decoded)
+
+    groups: dict[tuple[str, str], int] = {}  # (pred, hand) → its single-valued atoms
+    for (pred, args), bit in bits.items() if mutex else ():
+        if pred in SINGLE_VALUED:
+            groups[pred, args[0]] = groups.get((pred, args[0]), 0) | bit
+    single = sum(groups.values())
     for i, step in enumerate(plan.steps):
-        if not applicable(state, step):
-            missing = sorted(f"{p}{list(a)}" for p, a in step.pre_pos - state)
-            blocking = sorted(f"{p}{list(a)}" for p, a in step.pre_neg & state)
-            detail = "; ".join(
-                f"{label} {', '.join(atoms)}"
-                for label, atoms in (("missing", missing), ("blocked by", blocking))
-                if atoms
-            )
+        pre_pos, pre_neg, add, delete = step.masks
+        if state & pre_pos != pre_pos or state & pre_neg:
+            found = (("missing", pre_pos & ~state), ("blocked by", pre_neg & state))
+            detail = "; ".join(f"{label} {', '.join(named(m))}" for label, m in found if m)
             return ValidationReport(False, i, f"step {i} ({step}): {detail}")
-        before = state
-        state = apply_action(state, step)
-        if mutex:
-            acquired = [(p, a) for p, a in step.add - before if p in SINGLE_VALUED]
-            for pred, (hand, kept) in acquired:
-                state = frozenset(
-                    (p, a) for p, a in state if (p, a[0]) != (pred, hand) or a[1] == kept
-                )
-    if problem.satisfied(state):
+        acquired = add & ~state & single
+        state = state & ~delete | add
+        for bit in bits_of(acquired):
+            pred, (hand, _) = atoms[bit.bit_length() - 1]
+            state &= ~(groups[pred, hand] ^ bit)
+    unmet = [str(lit) for lit, bit in goal if bool(state & bit) != lit.positive]
+    if not unmet:
         return ValidationReport(True, None, "ok")
-    unmet = [str(l) for l in problem.goal if (l.atom in state) != l.positive]
     return ValidationReport(False, None, f"goal not reached: {', '.join(unmet)}")
 
 

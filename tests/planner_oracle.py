@@ -17,6 +17,10 @@ operator literal by literal through a fresh dict per binding into atom
 sets, where ``planner.ground`` fills a slot template once per operator
 straight into bitmasks. ``action`` builds a ``GroundAction`` from atom
 sets, for the oracle and for tests that build actions by hand.
+
+``validate`` is the reference for ``planner.validate``: it replays a
+plan on frozensets of atoms through ``applicable``, ``apply_action`` and
+``satisfied``, where ``planner.validate`` replays it on bitmasks.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 
 from demoplan.model import (
     NEQ,
+    SINGLE_VALUED,
     Atom,
     AtomIndex,
     GroundAction,
@@ -34,10 +39,11 @@ from demoplan.model import (
     ModelError,
     OperatorLibrary,
     PlanningProblem,
+    WorldState,
     mask_of,
 )
 from demoplan.ontology import EnvironmentRegistry
-from demoplan.planner import MODES, Plan, PlannerError
+from demoplan.planner import MODES, Plan, PlannerError, ValidationReport
 from demoplan.segmentation import ActivityLabel
 
 
@@ -224,3 +230,53 @@ def h_max(
                     cost[atom] = reach
                     changed = True
     return max((cost_of(atom) for atom in goal), default=0)
+
+
+def applicable(state: WorldState, action: GroundAction) -> bool:
+    return action.pre_pos <= state and not (action.pre_neg & state)
+
+
+def apply_action(state: WorldState, action: GroundAction) -> WorldState:
+    """Successor state; deletes are applied before adds."""
+    if not applicable(state, action):
+        raise ModelError(f"action {action} is not applicable")
+    return frozenset((state - action.delete) | action.add)
+
+
+def satisfied(problem: PlanningProblem, state: WorldState) -> bool:
+    return all((lit.atom in state) == lit.positive for lit in problem.goal)
+
+
+def validate(problem: PlanningProblem, plan: Plan, mutex: bool = False) -> ValidationReport:
+    """Replay a plan on frozensets from the problem's initial state; under
+    ``mutex`` a newly acquired single-valued atom displaces the hand's
+    previous one."""
+    registry = problem.registry
+    for step in plan.steps:
+        for arg in step.args:
+            if arg not in registry:
+                raise PlannerError(f"plan step {step} names unknown instance {arg!r}")
+
+    state: WorldState = frozenset(problem.init)
+    for i, step in enumerate(plan.steps):
+        if not applicable(state, step):
+            missing = sorted(f"{p}{list(a)}" for p, a in step.pre_pos - state)
+            blocking = sorted(f"{p}{list(a)}" for p, a in step.pre_neg & state)
+            detail = "; ".join(
+                f"{label} {', '.join(atoms)}"
+                for label, atoms in (("missing", missing), ("blocked by", blocking))
+                if atoms
+            )
+            return ValidationReport(False, i, f"step {i} ({step}): {detail}")
+        before = state
+        state = apply_action(state, step)
+        if mutex:
+            acquired = [(p, a) for p, a in step.add - before if p in SINGLE_VALUED]
+            for pred, (hand, kept) in acquired:
+                state = frozenset(
+                    (p, a) for p, a in state if (p, a[0]) != (pred, hand) or a[1] == kept
+                )
+    if satisfied(problem, state):
+        return ValidationReport(True, None, "ok")
+    unmet = [str(l) for l in problem.goal if (l.atom in state) != l.positive]
+    return ValidationReport(False, None, f"goal not reached: {', '.join(unmet)}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planner_oracle import action
+from planner_oracle import action, applicable, apply_action, satisfied
 
 from demoplan import pddl, planner
 from demoplan.model import (
@@ -18,8 +18,6 @@ from demoplan.model import (
     OperatorLibrary,
     PlanningProblem,
     Revocation,
-    applicable,
-    apply_action,
     literal_from_json,
 )
 from demoplan.ontology import CUBE, HAND, execution_registry
@@ -128,10 +126,14 @@ def test_type_count_requires_counts():
 
 
 def test_apply_deletes_before_adding():
-    opened = ("handOpen", ("g",))
-    toggle = action("Toggle", ("g",), pre_pos={opened}, add={opened}, delete={opened})
-    state = frozenset({("handOpen", ("g",))})
+    """The oracle's apply and planner.validate both delete first."""
+    registry = execution_registry()
+    opened = ("handOpen", (registry.hands[0],))
+    toggle = action("Toggle", opened[1], pre_pos={opened}, add={opened}, delete={opened})
+    state = frozenset({opened})
     assert apply_action(state, toggle) == state
+    problem = PlanningProblem(registry, state, (Literal(*opened),))
+    assert planner.validate(problem, planner.Plan((toggle,), 1, 1)).valid
 
 
 def test_apply_requires_applicability():
@@ -197,13 +199,14 @@ def test_problem_satisfaction_honours_negative_goals():
         lit("handMove", "Robot_gripper", positive=False),
     )
     problem = PlanningProblem(reg, frozenset(), goal)
-    assert problem.satisfied(frozenset({("handOpen", ("Robot_gripper",))}))
-    assert not problem.satisfied(
+    assert satisfied(problem, frozenset({("handOpen", ("Robot_gripper",))}))
+    assert not satisfied(
+        problem,
         frozenset(
             {("handOpen", ("Robot_gripper",)), ("handMove", ("Robot_gripper",))}
         )
     )
-    assert not problem.satisfied(frozenset())
+    assert not satisfied(problem, frozenset())
 
 
 def test_library_json_round_trip():
@@ -280,6 +283,7 @@ def _operator_doc(**overrides) -> dict:
         ({"config_index": 1.0}, "config_index must be an integer"),
         ({"cost": "5"}, "cost must be an integer or null"),
         ({"cost": False}, "cost must be an integer or null"),
+        ({"cost": -5}, r"^Reach: cost must not be negative, got -5$"),
         ({"count": "2"}, "count must be an integer or null"),
         ({"count": True}, "count must be an integer or null"),
         ({"params": [["?Hand1", HAND, "extra"]]}, "params must be a list of"),

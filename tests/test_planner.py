@@ -15,6 +15,7 @@ import planner_oracle
 from demoplan import planner
 from demoplan.model import (
     NEQ,
+    SINGLE_VALUED,
     LearnedOperator,
     Literal,
     ModelError,
@@ -292,6 +293,76 @@ def test_validate_reports_missing_atoms(exec_actions, exec_registry):
     assert "missing" in report.reason
 
 
+def test_validate_refuses_steps_of_two_groundings(combined_library, exec_registry):
+    """Like solve, validate reads the steps' masks over one atom index."""
+    first, second = (ground(combined_library, exec_registry) for _ in range(2))
+    steps = (
+        pick(first, "Reach", GRIPPER, "Cube_blue3"),
+        pick(second, "Take", GRIPPER, "Cube_blue3"),
+    )
+    problem = goal_problem(exec_registry, Literal("inHand", (GRIPPER, "Cube_blue3")))
+    with pytest.raises(PlannerError, match="more than one grounding"):
+        validate(problem, Plan(steps, sum(s.cost for s in steps), len(steps)))
+
+
+@pytest.fixture(scope="module")
+def validate_groundings(libraries, exec_registry):
+    """(registry, actions) of the raw and repaired libraries on the
+    execution table and on a two-gripper table."""
+    hands2 = table_registry(COLORS[:4], ("Left_gripper", "Right_gripper"))
+    return {
+        (name, table): (registry, ground(library, registry))
+        for name, library in libraries.items()
+        for table, registry in (("exec4", exec_registry), ("hands2", hands2))
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_validate_matches_the_frozenset_replay(validate_groundings, data):
+    """validate on masks gives the oracle's report on plans that mostly
+    replay, some with a stray step, from the tabletop with some
+    single-valued atoms held, and on goals drawn from the atoms with
+    either sign, so that goals are met, unmet or negated."""
+    key = data.draw(st.sampled_from(sorted(validate_groundings)), label="grounding")
+    registry, actions = validate_groundings[key]
+    held = sorted(atom for atom in actions[0].index if atom[0] in SINGLE_VALUED)
+    init = tabletop_init(registry) | set(data.draw(st.lists(st.sampled_from(held), max_size=3)))
+    state, steps = init, []
+    for _ in range(data.draw(st.integers(0, 6), label="length")):
+        ready = [a for a in actions if planner_oracle.applicable(state, a)]
+        if not ready or data.draw(st.integers(0, 4), label="stray") == 0:
+            ready = actions
+        step = data.draw(st.sampled_from(ready))
+        steps.append(step)
+        if planner_oracle.applicable(state, step):
+            state = planner_oracle.apply_action(state, step)
+    atoms = sorted(
+        {atom for atom in [*init, *actions[0].index] if len(set(atom[1])) == len(atom[1])}
+    )
+    goal = tuple(
+        Literal(*atom, atom in state if data.draw(st.booleans()) else data.draw(st.booleans()))
+        for atom in data.draw(st.lists(st.sampled_from(atoms), max_size=3, unique=True))
+    )
+    problem = PlanningProblem(registry, init, goal)
+    plan = Plan(tuple(steps), sum(s.cost for s in steps), len(steps))
+    mutex = data.draw(st.booleans(), label="mutex")
+    assert validate(problem, plan, mutex) == planner_oracle.validate(problem, plan, mutex)
+
+
+def test_mutex_displaces_only_for_a_newly_acquired_atom(exec_registry):
+    """A step that adds a single-valued atom the hand already holds
+    displaces nothing."""
+    a, b = exec_registry.cubes[:2]
+    held = {("actedOn", (GRIPPER, a)), ("actedOn", (GRIPPER, b))}
+    touch = planner_oracle.action("Touch", (GRIPPER, a), add={("actedOn", (GRIPPER, a))})
+    init = tabletop_init(exec_registry) | held
+    problem = PlanningProblem(exec_registry, init, (Literal("actedOn", (GRIPPER, b)),))
+    plan = Plan((touch,), 1, 1)
+    assert validate(problem, plan, mutex=True) == planner_oracle.validate(problem, plan, mutex=True)
+    assert validate(problem, plan, mutex=True).valid
+
+
 def test_tabletop_init(exec_registry):
     init = tabletop_init(exec_registry)
     assert ("handOpen", (GRIPPER,)) in init
@@ -427,6 +498,18 @@ def test_solve_matches_the_scan_on_larger_tables(
     actions = ground(repaired_library, registry)
     problem = goal_problem(registry, *standard_goals(registry)[goal_name])
     assert_same_plans(problem, actions)
+
+
+@pytest.mark.parametrize("goal_name", ["goal1", "goal2", "goal3", "goal4"])
+def test_solve_ignores_the_order_of_the_actions(repaired_library, exec_registry, goal_name):
+    """solve gives the same plan for the grounding reversed, as a list or
+    a tuple, in every mode."""
+    actions = ground(repaired_library, exec_registry)
+    problem = goal_problem(exec_registry, *standard_goals(exec_registry)[goal_name])
+    for mode in MODES:
+        expected = plan_to_json(solve(problem, actions, mode))
+        for shuffled in (actions[::-1], tuple(actions[::-1])):
+            assert plan_to_json(solve(problem, shuffled, mode)) == expected, mode
 
 
 def on_top_goals(registry, min_size=1, signs=st.booleans()):
