@@ -2,9 +2,9 @@
 
 Each stage is independently invokable on the previous stage's files, and
 ``pipeline`` runs the whole chain through the same helpers: synthesize or
-ingest traces, ground, segment, learn, emit PDDL, plan, validate. Exit codes: 0 success, 1
-unexpected failure, 2 bad input or configuration, 3 unsolvable goal, 4
-failed plan validation.
+ingest traces, ground, segment, learn, emit PDDL, plan, and validate
+under mutex semantics. Exit codes: 0 success, 1 unexpected failure, 2
+bad input or configuration, 3 unsolvable goal, 4 failed plan validation.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def cmd_pipeline(args) -> int:
     if plan is None:
         print("unsolvable")
         return 3
-    report = planner.validate(problem, plan, mutex=args.mutex_validate)
+    report = planner.validate(problem, plan, mutex=True)
     _write_json(out / "plan.json", planner.plan_to_json(plan, report))
     print(f"plan: {plan.total_length} steps, cost {plan.total_cost}")
     if not report.valid:
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--debounce", type=int, default=segmentation.DEFAULT_DEBOUNCE)
     p.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--mode", choices=PLANNER_MODES, default="cost")
-    p.add_argument("--mutex-validate", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--max-expansions", type=int)
     _add_grounding_config(p)
     p.set_defaults(func=cmd_pipeline)

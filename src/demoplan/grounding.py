@@ -24,7 +24,8 @@ _ZERO_DIST = 1e-9
 
 @dataclass(frozen=True)
 class GroundingConfig:
-    """Distance and motion thresholds for the grounding rules."""
+    """Distance and motion thresholds for the grounding rules: the two
+    distances and the speed are non-negative, the cosine lies in [-1, 1]."""
 
     acted_on_dist: float = 0.16
     graspable_dist: float = 0.10
@@ -35,6 +36,13 @@ class GroundingConfig:
         for name, value in self.__dict__.items():
             if not _is_number(value):
                 raise ValueError(f"grounding config {name} must be a finite number, got {value!r}")
+        for name in ("acted_on_dist", "graspable_dist", "move_speed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"grounding config {name} must not be negative, got {value}")
+        cosine = self.approach_cosine
+        if not -1 <= cosine <= 1:
+            raise ValueError(f"grounding config approach_cosine must lie in [-1, 1], got {cosine}")
 
     @staticmethod
     def from_file(path: str | Path) -> "GroundingConfig":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .ontology import CUBE, HAND, THING, EnvironmentRegistry
+from .ontology import BUILTIN_TYPES, CUBE, HAND, THING, EnvironmentRegistry
 from .segmentation import ActivityLabel
 
 NEQ = "neq"
@@ -109,7 +109,18 @@ class LearnedOperator:
             raise ModelError("observation count must be positive")
         if self.cost is not None and self.cost < 0:
             raise ModelError(f"{self.name}: cost must not be negative, got {self.cost}")
-        declared = {name for name, _ in self.params}
+        declared = dict(self.params)  # name → type
+        if len(declared) < len(self.params):
+            names = [name for name, _ in self.params]
+            twice = min(name for name in declared if names.count(name) > 1)
+            raise ModelError(f"{self.name}: parameter {twice} is declared twice")
+        unknown = set(declared.values()).difference(BUILTIN_TYPES)
+        if unknown:
+            raise ModelError(f"{self.name}: unknown parameter type {min(unknown)}")
+        for rev in self.revokes:
+            for term in (rev.hand, rev.keep):
+                if term not in declared and is_variable(term):
+                    raise ModelError(f"{self.name}: revocation variable {term} not in parameters")
         for lits, where in ((self.preconditions, "precondition"), (self.effects, "effect")):
             atoms = set()  # the literals are distinct, so an atom seen twice has both signs
             for lit in lits:
@@ -217,9 +228,17 @@ class PlanningProblem:
 
 @dataclass
 class OperatorLibrary:
-    """Ordered collection of learned operators with observation counts."""
+    """Ordered collection of learned operators with observation counts;
+    no two operators share a name."""
 
     operators: list[LearnedOperator] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        names: set[str] = set()
+        for op in self.operators:
+            if op.name in names:
+                raise ModelError(f"two operators are named {op.name}")
+            names.add(op.name)
 
     @property
     def repaired(self) -> bool:

@@ -396,7 +396,7 @@ def _parse_domain(root: _List) -> OperatorLibrary:
             operators.append(_action(section))
         elif head not in (":types", ":predicates", ":functions", ":constants"):
             _error(section, f"unsupported section {head!r}")
-    return OperatorLibrary(operators)
+    return _make(root, OperatorLibrary, operators)
 
 
 def _parse_problem(root: _List) -> PlanningProblem:

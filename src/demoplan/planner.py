@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from operator import attrgetter, itemgetter
 
 from .model import (
@@ -52,9 +52,19 @@ class PlannerError(Exception):
 
 @dataclass(frozen=True)
 class Plan:
+    """Ground actions in order; the totals are sums over the steps, and
+    ``Plan(steps, total_cost, total_length)`` is refused if they differ."""
+
     steps: tuple[GroundAction, ...]
-    total_cost: int
-    total_length: int
+    cost: InitVar[int | None] = None
+    length: InitVar[int | None] = None
+
+    def __post_init__(self, *totals) -> None:
+        if totals != (None, None) and totals != (self.total_cost, self.total_length):
+            raise PlannerError(f"plan totals {totals} are not the sums over its steps")
+
+    total_cost = property(lambda self: sum(step.cost for step in self.steps))
+    total_length = property(lambda self: len(self.steps))
 
 
 @dataclass(frozen=True)
@@ -64,11 +74,11 @@ class ValidationReport:
     reason: str
 
 
-def _getters(slots: dict[str, int], literals, k: int) -> list[tuple]:
-    """Per literal ``(k, pred, getter of its args from a row)``; a unary
-    literal's getter takes a slice, so that it gives a tuple too."""
+def _getters(slots: dict[str, int], literals) -> list[tuple]:
+    """Per ``(k, literal)`` the entry ``(k, pred, getter of its args from a
+    row)``; a unary literal's getter takes a slice, to give a tuple too."""
     entries = []
-    for l in literals:
+    for k, l in literals:
         at = [slots[term] for term in l.args]
         get = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
         entries.append((k, l.pred, get))
@@ -85,14 +95,13 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
 
     Each operator is compiled once into a slot template. A binding's row
     is its parameter values followed by the operator's constants, the
-    terms that name no parameter, a revocation's hand and keep included;
-    a repeated parameter name takes its last slot, as a dict of the
-    binding would. An atom is then a literal's predicate and the row's
-    values at the literal's slots, and a ``neq`` holds when its two
-    slots differ. Universal revocations are expanded over the registry's
-    cubes into plain deletes; deleting an absent atom is a no-op, so the
-    expansion is equivalent to the conditional form. The atom sets go
-    straight into bitmasks over one ``AtomIndex`` the actions share.
+    terms that name no parameter, a revocation's hand and keep included.
+    An atom is then a literal's predicate and the row's values at the
+    literal's slots, and a ``neq`` holds when its two slots differ.
+    Universal revocations are expanded over the registry's cubes into
+    plain deletes; deleting an absent atom is a no-op, so the expansion
+    is equivalent to the conditional form. The atom sets go straight
+    into bitmasks over one ``AtomIndex`` the actions share.
     """
     cubes = registry.cubes
     index: AtomIndex = {}
@@ -115,16 +124,14 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
             if l.pred == NEQ:
                 i, j = slots[l.args[0]], slots[l.args[1]]
                 rows = [row for row in rows if row[i] != row[j]]
-        # a row's new atoms take bits in this order: deletes, revocations, the rest
-        delete = _getters(slots, (l for l in eff if not l.positive), 3)
-        rest = _getters(slots, (l for l in pre if l.positive and l.pred != NEQ), 0)
-        rest += _getters(slots, (l for l in pre if not l.positive), 1)
-        rest += _getters(slots, (l for l in eff if l.positive), 2)
+        # k is the mask a literal's atom goes into: pre_pos, pre_neg, add, delete
+        getters = _getters(slots, [(0 if l.positive else 1, l) for l in pre if l.pred != NEQ])
+        getters += _getters(slots, [(2 if l.positive else 3, l) for l in eff])
         revokes = [(rev.pred, slots[rev.hand], slots[rev.keep]) for rev in op.revokes]
         name, activity, cost, arity = op.name, op.activity, op.cost, len(op.params)
         for row in rows:
             masks = [0, 0, 0, 0]
-            for k, pred, get in delete:
+            for k, pred, get in getters:
                 atom = pred, get(row)
                 masks[k] |= lookup(atom) or put(atom, 1 << len(index))
             for pred, hand, keep in revokes:
@@ -133,9 +140,6 @@ def ground(library: OperatorLibrary, registry: EnvironmentRegistry) -> list[Grou
                     others = [(pred, (hand, c)) for c in cubes if c != keep]
                     revoked[pred, hand, keep] = mask_of(index, others)
                 masks[3] |= revoked[pred, hand, keep]
-            for k, pred, get in rest:
-                atom = pred, get(row)
-                masks[k] |= lookup(atom) or put(atom, 1 << len(index))
             actions.append(GroundAction(name, activity, row[:arity], cost, tuple(masks), index))
     actions.sort(key=_KEY)
     return actions
@@ -377,6 +381,16 @@ class _HMax:
         return h
 
 
+def _encoded(problem: PlanningProblem, actions) -> tuple[AtomIndex, AtomIndex, int]:
+    """The atom index ``actions`` share, a copy of it that can also number
+    atoms no action names, and the initial state's mask over the copy."""
+    index: AtomIndex = actions[0].index if actions else {}
+    if any(a.index is not index for a in actions):
+        raise PlannerError("the actions come from more than one grounding")
+    bits = dict(index)
+    return index, bits, mask_of(bits, problem.init)
+
+
 def solve(
     problem: PlanningProblem,
     actions: list[GroundAction],
@@ -389,11 +403,7 @@ def solve(
     if max_expansions is not None and max_expansions < 0:
         raise PlannerError(f"expansion budget must not be negative, got {max_expansions}")
     actions = sorted(actions, key=_KEY)
-    index: AtomIndex = actions[0].index if actions else {}
-    if any(a.index is not index for a in actions):
-        raise PlannerError("the actions come from more than one grounding")
-    bits = dict(index)  # init and goal atoms no action names take bits here
-    init = mask_of(bits, problem.init)
+    index, bits, init = _encoded(problem, actions)
     goal_pos = mask_of(bits, [l.atom for l in problem.goal if l.positive])
     goal_neg = mask_of(bits, [l.atom for l in problem.goal if not l.positive])
     compiled = [a.masks for a in actions]
@@ -414,8 +424,7 @@ def solve(
                 break
             state, action_index = prev
             indices.append(action_index)
-        steps = tuple(actions[i] for i in reversed(indices))
-        return Plan(steps, sum(s.cost for s in steps), len(steps))
+        return Plan(tuple(actions[i] for i in reversed(indices)))
 
     def unsatisfied(state: int) -> int:
         return (goal_pos & ~state).bit_count() + (goal_neg & state).bit_count()
@@ -474,11 +483,7 @@ def validate(
         for arg in step.args:
             if arg not in registry:
                 raise PlannerError(f"plan step {step} names unknown instance {arg!r}")
-    index: AtomIndex = plan.steps[0].index if plan.steps else {}
-    if any(step.index is not index for step in plan.steps):
-        raise PlannerError("the plan's steps come from more than one grounding")
-    bits = dict(index)
-    state = mask_of(bits, problem.init)
+    _, bits, state = _encoded(problem, plan.steps)
     goal = [(lit, mask_of(bits, [lit.atom])) for lit in problem.goal]
     atoms = list(bits)  # the atom of bit 1 << i is atoms[i]
 
@@ -506,21 +511,6 @@ def validate(
     if not unmet:
         return ValidationReport(True, None, "ok")
     return ValidationReport(False, None, f"goal not reached: {', '.join(unmet)}")
-
-
-def compare_cost_modes(
-    problem: PlanningProblem, actions: list[GroundAction]
-) -> tuple[Plan, Plan, float]:
-    """Cost-optimal vs length-optimal plans and the percent cost saving."""
-    cost_plan = solve(problem, actions, "min_cost")
-    length_plan = solve(problem, actions, "min_length")
-    if cost_plan is None or length_plan is None:
-        raise PlannerError("cost mode comparison needs a solvable problem")
-    baseline = length_plan.total_cost
-    if baseline == 0:
-        return cost_plan, length_plan, 0.0
-    improvement = 100.0 * (baseline - cost_plan.total_cost) / baseline
-    return cost_plan, length_plan, improvement
 
 
 def tabletop_init(registry: EnvironmentRegistry) -> WorldState:
@@ -588,7 +578,7 @@ def plan_from_json(doc, actions: list[GroundAction]) -> Plan:
         if key not in by_key:
             raise ValueError(f"plan step {key} does not exist in the grounded library")
         plan.append(by_key[key])
-    return Plan(tuple(plan), sum(s.cost for s in plan), len(plan))
+    return Plan(tuple(plan))
 
 
 def report_to_json(report: ValidationReport) -> dict:

@@ -47,7 +47,6 @@ class DemoScript:
     seed: int
     hand: str
     cubes_to_stack: tuple[str, ...]
-    pause_at_take: bool = True
     approach_speed: float = 0.25
     noise_sigma: float = 0.002
     false_starts: int = 0
@@ -248,7 +247,7 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
 
         # Without a pause the fingers close on the arrival frame itself.
         tl.open, tl.held = False, cube
-        if script.pause_at_take:
+        if script.take_frames:
             tl.hold(script.take_frames)
         else:
             tl.redo_last()
@@ -302,12 +301,9 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
 
 
 _STYLES: list[dict] = [
-    dict(pause_at_take=True, approach_speed=0.25, noise_sigma=0.0, false_starts=0,
-         hover_frames=4, take_frames=8),
-    dict(pause_at_take=True, approach_speed=0.25, noise_sigma=0.001, false_starts=2,
-         hover_frames=5, take_frames=6),
-    dict(pause_at_take=False, approach_speed=0.5, noise_sigma=0.002, false_starts=0,
-         hover_frames=0, take_frames=0),
+    dict(approach_speed=0.25, noise_sigma=0.0, false_starts=0, hover_frames=4, take_frames=8),
+    dict(approach_speed=0.25, noise_sigma=0.001, false_starts=2, hover_frames=5, take_frames=6),
+    dict(approach_speed=0.5, noise_sigma=0.002, false_starts=0, hover_frames=0, take_frames=0),
 ]
 
 

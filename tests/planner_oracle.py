@@ -157,8 +157,7 @@ def solve(
                 break
             state, action_index = prev
             indices.append(action_index)
-        steps = tuple(actions[i] for i in reversed(indices))
-        return Plan(steps, sum(s.cost for s in steps), len(steps))
+        return Plan(tuple(actions[i] for i in reversed(indices)))
 
     def unsatisfied(state: int) -> int:
         return bin(goal_pos & ~state).count("1") + bin(goal_neg & state).count("1")

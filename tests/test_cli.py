@@ -194,6 +194,36 @@ def test_mistyped_library_field_is_bad_input(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit", ["copy", "type", "twice", "revoke"])
+def test_malformed_operator_is_bad_input(tmp_path, library_file, goal_file, capsys, edit):
+    """Operators that would emit invalid PDDL: a second operator of one
+    name, a parameter of an unknown type or declared twice, and a
+    revocation on an undeclared variable."""
+    doc = json.loads(library_file.read_text())
+    op = doc["operators"][0]
+    name = OperatorLibrary.from_json(doc).operators[0].name
+    param, type_name = op["params"][0]
+    if edit == "copy":
+        doc["operators"].append(op)
+        message = f"two operators are named {name}"
+    elif edit == "type":
+        op["params"][0] = [param, "Gripper"]
+        message = f"{name}: unknown parameter type Gripper"
+    elif edit == "twice":
+        op["params"].append([param, type_name])
+        message = f"{name}: parameter {param} is declared twice"
+    else:
+        op["revokes"] = [{"pred": "actedOn", "hand": "?Hand9", "keep": "Cube_blue3"}]
+        message = f"{name}: revocation variable ?Hand9 not in parameters"
+    library = tmp_path / "library.json"
+    library.write_text(json.dumps(doc))
+    out = tmp_path / "plan.json"
+    code = main(["plan", "--library", str(library), "--goal", str(goal_file), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_plan_writes_a_validated_plan(tmp_path, library_file, goal_file):
     out = tmp_path / "plan.json"
     code = main(
@@ -416,17 +446,28 @@ def test_incomplete_frames_fail_at_the_reader(tmp_path, trace_dir, goal_file, ca
 
 
 @pytest.mark.parametrize(
-    "text",
-    ['{"move_speed": "fast"}', '{"move_speed": NaN}', "5", '"abc"'],
-    ids=["string-value", "nan-value", "number", "string"],
+    "text, key",
+    [
+        ('{"move_speed": "fast"}', "move_speed"),
+        ('{"move_speed": NaN}', "move_speed"),
+        ("5", ""),
+        ('"abc"', ""),
+        ('{"move_speed": -1}', "move_speed"),
+        ('{"graspable_dist": -0.5}', "graspable_dist"),
+        ('{"acted_on_dist": -0.1}', "acted_on_dist"),
+        ('{"approach_cosine": 3}', "approach_cosine"),
+    ],
+    ids=["string-value", "nan-value", "number", "string", "negative-speed",
+         "negative-grasp-distance", "negative-contact-distance", "cosine-above-one"],
 )
-def test_malformed_grounding_config_is_bad_input(tmp_path, trace_dir, capsys, text):
+def test_malformed_grounding_config_is_bad_input(tmp_path, trace_dir, capsys, text, key):
     config = tmp_path / "grounding.json"
     config.write_text(text)
     trace = str(trace_dir / "trace_00.jsonl")
     code = main(["ground", trace, "--grounding-config", str(config), "--out", str(tmp_path / "s.json")])
     assert code == 2
-    assert "error: grounding config" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: grounding config {key}")
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -526,8 +567,8 @@ CLI_SURFACE = {
     "validate": ["--goal", "--help", "--library", "--mutex", "--plan", "--registry", "-h"],
     "pipeline": [
         "--debounce", "--demo-registry", "--exec-registry", "--goal", "--grounding-config",
-        "--help", "--max-expansions", "--mode", "--mutex-validate", "--no-mutex-validate",
-        "--no-repair", "--out", "--repair", "--seed", "--synth-corpus", "--traces", "-h",
+        "--help", "--max-expansions", "--mode", "--no-repair", "--out", "--repair", "--seed",
+        "--synth-corpus", "--traces", "-h",
     ],
 }
 
@@ -581,6 +622,27 @@ def test_pipeline_synth_corpus(seed7_run):
     plan = json.loads((out / "plan.json").read_text())
     assert plan["validation"]["valid"] is True
     assert plan["total_length"] == 7
+
+
+def test_pipeline_validates_under_mutex_semantics(tmp_path, capsys):
+    """Without repair, the seed-7 library's plan acts on two cubes with
+    one hand, and mutex replay lets the second displace the first; the
+    plan is written with its failed validation. `--no-mutex-validate` is
+    no option of pipeline."""
+    goal = tmp_path / "goal.json"
+    goal.write_text(json.dumps([
+        {"pred": "actedOn", "args": ["Robot_gripper", "Cube_blue3"], "positive": True},
+        {"pred": "actedOn", "args": ["Robot_gripper", "Cube_green3"], "positive": True},
+    ]))
+    out = tmp_path / "run"
+    argv = ["pipeline", "--out", str(out), "--goal", str(goal), "--synth-corpus", "--seed", "7"]
+    assert main([*argv, "--no-repair"]) == 4
+    assert "validation failed: goal not reached" in capsys.readouterr().err
+    validation = json.loads((out / "plan.json").read_text())["validation"]
+    assert validation["valid"] is False
+    with pytest.raises(SystemExit) as refused:
+        main([*argv, "--no-mutex-validate"])
+    assert refused.value.code == 2
 
 
 def test_pipeline_needs_input(tmp_path, goal_file, capsys):

@@ -94,6 +94,26 @@ def test_config_file_rejects_values_that_are_not_finite_numbers(tmp_path, text, 
         GroundingConfig.from_file(path)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"acted_on_dist": -0.01}, "acted_on_dist must not be negative, got -0.01"),
+        ({"graspable_dist": -0.5}, "graspable_dist must not be negative, got -0.5"),
+        ({"move_speed": -1}, "move_speed must not be negative, got -1"),
+        ({"approach_cosine": 3}, r"approach_cosine must lie in \[-1, 1\], got 3"),
+        ({"approach_cosine": -1.5}, r"approach_cosine must lie in \[-1, 1\], got -1.5"),
+    ],
+)
+def test_config_rejects_values_out_of_range(doc, message):
+    with pytest.raises(ValueError, match=message):
+        GroundingConfig(**doc)
+
+
+def test_config_accepts_the_ends_of_its_ranges():
+    GroundingConfig(acted_on_dist=0.0, graspable_dist=0.0, move_speed=0.0, approach_cosine=-1.0)
+    GroundingConfig(approach_cosine=1.0)
+
+
 def test_still_hand_grounds_to_rest_state():
     trace = make_trace((0.5, 0.5, 1.0), (0.5, 0.5, 1.0))
     hand = gripper(trace)
@@ -351,7 +371,7 @@ def test_distances_speeds_and_cosines_are_numpys_to_the_bit():
         assert gripper(trace, GroundingConfig(move_speed=down(speed))).handMove
         assert gripper(trace, GroundingConfig(graspable_dist=d)).graspable is None
         assert gripper(trace, GroundingConfig(graspable_dist=up(d))).graspable == "Cube_red3"
-        acted = dict(move_speed=0.0, approach_cosine=-2.0)
+        acted = dict(move_speed=0.0, approach_cosine=-1.0)
         assert gripper(trace, GroundingConfig(acted_on_dist=d, **acted)).actedOn is None
         assert gripper(trace, GroundingConfig(acted_on_dist=up(d), **acted)).actedOn == "Cube_red3"
         acted = dict(move_speed=0.0, acted_on_dist=1.0)

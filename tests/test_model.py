@@ -133,7 +133,7 @@ def test_apply_deletes_before_adding():
     state = frozenset({opened})
     assert apply_action(state, toggle) == state
     problem = PlanningProblem(registry, state, (Literal(*opened),))
-    assert planner.validate(problem, planner.Plan((toggle,), 1, 1)).valid
+    assert planner.validate(problem, planner.Plan((toggle,))).valid
 
 
 def test_apply_requires_applicability():
@@ -295,11 +295,30 @@ def _operator_doc(**overrides) -> dict:
         ({"activity": "Juggle"}, "not a valid ActivityLabel"),
         ({"preconditions": [{"pred": "neq", "args": ["?Hand1", "?Hand2"], "positive": False}]},
          r"^neq is never negated, got not neq\(\?Hand1, \?Hand2\)$"),
+        ({"params": [["?Hand1", "Gripper"], ["?Wooden_cube1", CUBE]]},
+         r"^Reach: unknown parameter type Gripper$"),
+        ({"params": [["?Hand1", HAND], ["?Wooden_cube1", CUBE], ["?Hand1", HAND]]},
+         r"^Reach: parameter \?Hand1 is declared twice$"),
+        ({"revokes": [{"pred": "actedOn", "hand": "?Hand9", "keep": "?Wooden_cube1"}]},
+         r"^Reach: revocation variable \?Hand9 not in parameters$"),
+        ({"revokes": [{"pred": "graspable", "hand": "?Hand1", "keep": "?Cube9"}]},
+         r"^Reach: revocation variable \?Cube9 not in parameters$"),
     ],
 )
 def test_library_loader_rejects_mistyped_operator_fields(overrides, message):
     with pytest.raises(ModelError, match=message):
         OperatorLibrary.from_json({"operators": [_operator_doc(**overrides)]})
+
+
+def test_library_refuses_two_operators_of_one_name():
+    """A second ``Reach`` would be emitted as a second ``(:action Reach``."""
+    with pytest.raises(ModelError, match="^two operators are named Reach$"):
+        OperatorLibrary([reach_operator(), reach_operator(cost=3)])
+    with pytest.raises(ModelError, match="^two operators are named Reach2$"):
+        OperatorLibrary.from_json({"operators": [_operator_doc(config_index=2)] * 2})
+    revokes = (Revocation("actedOn", "Robot_gripper", "Cube_red3"),)
+    library = OperatorLibrary([reach_operator(), reach_operator(config_index=2, revokes=revokes)])
+    assert [op.name for op in library] == ["Reach", "Reach2"]
 
 
 @pytest.mark.parametrize("doc", [{"repaired": "no"}, {"repaired": 0}, {"operators": {}}, []])
@@ -409,7 +428,7 @@ def test_acquiring_a_single_valued_atom_displaces_the_previous_one(pred, single_
         "Reach", (hand, new), pre_neg={(pred, (hand, new))}, add={(pred, (hand, new))},
         activity=ActivityLabel.REACH,
     )
-    plan = planner.Plan((step,), 1, 1)
+    plan = planner.Plan((step,))
     kept = (lit(pred, hand, old), lit(pred, hand, new))
     problem = PlanningProblem(registry, frozenset({(pred, (hand, old))}), kept)
     assert planner.validate(problem, plan, mutex=False).valid

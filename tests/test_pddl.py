@@ -459,6 +459,15 @@ def _problem(init: str, metric: str = "") -> str:
         (_reach("(and (increase (total-cost x) 5))"), "malformed cost increase", "(increase"),
         (_reach(COST_1, "(and (not (= ?a)))"), "neq takes 2 arguments", "(= ?a"),
         (_reach(COST_1).replace("Reach", "Reach²"), "matches no activity", "Reach²"),
+        (_reach(COST_1).replace("?Hand1 - Hand", "?Hand1 - Gripper"),
+         "Reach: unknown parameter type Gripper", "(:action"),
+        (_reach(COST_1).replace("?Hand1 - Hand", "?Hand1 - Hand ?Hand1 - Hand"),
+         "Reach: parameter ?Hand1 is declared twice", "(:action"),
+        (_reach("(and (forall (?x - Wooden_cube) (when (not (= ?x Cube_red3))"
+                " (not (actedOn ?Hand9 ?x)))) (increase (total-cost) 1))"),
+         "Reach: revocation variable ?Hand9 not in parameters", "(:action"),
+        ("(define (domain d) (:action Reach :parameters ()) (:action Reach :parameters ()))",
+         "two operators are named Reach", "(define"),
         (_problem("(= (foo bar) 7) (handOpen h)"), "malformed cost init", "(= (foo"),
         (_problem("(= (total-cost) 5)"), "malformed cost init", "(= (total"),
         (_problem("", "(:metric maximize (nothing))"), "unsupported metric", "(:metric"),
@@ -477,8 +486,10 @@ def _problem(init: str, metric: str = "") -> str:
 def test_malformed_text_raises_a_positioned_syntax_error(text, message, at):
     """Inputs that used to escape as IndexError, ModelError or ValueError,
     cost effects, cost inits, metrics, atoms naming one instance twice,
-    mistyped atoms and neq atoms that used to parse, and an object of a
-    type outside the header's."""
+    mistyped atoms and neq atoms that used to parse, an object of a
+    type outside the header's, and actions the library refuses: a
+    parameter of an unknown type or declared twice, a revocation on an
+    undeclared variable, and a second action of one name."""
     with pytest.raises(PddlSyntaxError, match=re.escape(message)) as info:
         parse(text)
     assert (info.value.line, info.value.col) == (1, text.index(at) + 1)

@@ -31,7 +31,6 @@ from demoplan.planner import (
     Plan,
     PlannerError,
     _HMax,
-    compare_cost_modes,
     ground,
     naming,
     plan_from_json,
@@ -107,7 +106,7 @@ def test_ground_requires_costs(exec_registry):
 def test_satisfied_goal_yields_empty_plan(exec_actions, exec_registry):
     problem = goal_problem(exec_registry, Literal("handOpen", (GRIPPER,)))
     plan = solve(problem, exec_actions)
-    assert plan == Plan((), 0, 0)
+    assert plan == Plan(())
     report = validate(problem, plan)
     assert report.valid and report.failing_step is None
 
@@ -120,7 +119,7 @@ def test_empty_library_solves(exec_registry):
     met = goal_problem(exec_registry, Literal("handOpen", (GRIPPER,)))
     unmet = goal_problem(exec_registry, *standard_goals(exec_registry)["goal1"])
     for mode in MODES:
-        assert solve(met, actions, mode) == Plan((), 0, 0)
+        assert solve(met, actions, mode) == Plan(())
         assert solve(unmet, actions, mode) is None
 
 
@@ -222,26 +221,24 @@ def test_cost_mode_comparison():
 
     skewed = assign_costs(OperatorLibrary([put(1, 1), put(2, 9)]))
     assert [(op.name, op.cost) for op in skewed] == [("Put", 90), ("Put2", 10)]
-    cost_plan, length_plan, improvement = compare_cost_modes(
-        problem, ground(skewed, registry)
-    )
+    actions = ground(skewed, registry)
+    cost_plan, length_plan = (solve(problem, actions, mode) for mode in ("min_cost", "min_length"))
     assert [s.name for s in cost_plan.steps] == ["Put2"]
     assert cost_plan.total_cost == 10
     assert [s.name for s in length_plan.steps] == ["Put"]
     assert length_plan.total_cost == 90
-    assert improvement == pytest.approx(100.0 * 80 / 90)
 
     balanced = assign_costs(OperatorLibrary([put(1, 5), put(2, 5)]))
     assert all(op.cost == 50 for op in balanced)
-    _, _, flat = compare_cost_modes(problem, ground(balanced, registry))
-    assert flat == 0.0
+    actions = ground(balanced, registry)
+    assert [solve(problem, actions, m).total_cost for m in ("min_cost", "min_length")] == [50, 50]
 
     # no Put adds onTop
     impossible = PlanningProblem(
         registry, frozenset(), (Literal("onTop", ("Cube_red3", "high_table")),)
     )
-    with pytest.raises(PlannerError, match="needs a solvable problem"):
-        compare_cost_modes(impossible, ground(skewed, registry))
+    for mode in ("min_cost", "min_length"):
+        assert solve(impossible, ground(skewed, registry), mode) is None
 
 
 def test_mutex_replay_rejects_stale_contact(exec_actions, exec_registry):
@@ -253,7 +250,7 @@ def test_mutex_replay_rejects_stale_contact(exec_actions, exec_registry):
         pick(exec_actions, "Reach4", GRIPPER, "Cube_green3"),
         pick(exec_actions, "Take", GRIPPER, "Cube_blue3"),
     )
-    plan = Plan(steps, sum(s.cost for s in steps), len(steps))
+    plan = Plan(steps)
     problem = goal_problem(exec_registry, Literal("inHand", (GRIPPER, "Cube_blue3")))
 
     assert validate(problem, plan).valid
@@ -280,13 +277,13 @@ def test_validate_rejects_unknown_instance(exec_actions, exec_registry):
     )
     problem = goal_problem(exec_registry, Literal("handOpen", (GRIPPER,)))
     with pytest.raises(PlannerError, match="unknown instance 'Cube_missing'"):
-        validate(problem, Plan((ghost,), ghost.cost, 1))
+        validate(problem, Plan((ghost,)))
 
 
 def test_validate_reports_missing_atoms(exec_actions, exec_registry):
     take = pick(exec_actions, "Take", GRIPPER, "Cube_blue3")
     problem = goal_problem(exec_registry, Literal("inHand", (GRIPPER, "Cube_blue3")))
-    report = validate(problem, Plan((take,), take.cost, 1))
+    report = validate(problem, Plan((take,)))
     assert not report.valid
     assert report.failing_step == 0
     assert report.reason.startswith("step 0 (Take(Robot_gripper, Cube_blue3)):")
@@ -302,7 +299,7 @@ def test_validate_refuses_steps_of_two_groundings(combined_library, exec_registr
     )
     problem = goal_problem(exec_registry, Literal("inHand", (GRIPPER, "Cube_blue3")))
     with pytest.raises(PlannerError, match="more than one grounding"):
-        validate(problem, Plan(steps, sum(s.cost for s in steps), len(steps)))
+        validate(problem, Plan(steps))
 
 
 @pytest.fixture(scope="module")
@@ -345,7 +342,7 @@ def test_validate_matches_the_frozenset_replay(validate_groundings, data):
         for atom in data.draw(st.lists(st.sampled_from(atoms), max_size=3, unique=True))
     )
     problem = PlanningProblem(registry, init, goal)
-    plan = Plan(tuple(steps), sum(s.cost for s in steps), len(steps))
+    plan = Plan(tuple(steps))
     mutex = data.draw(st.booleans(), label="mutex")
     assert validate(problem, plan, mutex) == planner_oracle.validate(problem, plan, mutex)
 
@@ -358,7 +355,7 @@ def test_mutex_displaces_only_for_a_newly_acquired_atom(exec_registry):
     touch = planner_oracle.action("Touch", (GRIPPER, a), add={("actedOn", (GRIPPER, a))})
     init = tabletop_init(exec_registry) | held
     problem = PlanningProblem(exec_registry, init, (Literal("actedOn", (GRIPPER, b)),))
-    plan = Plan((touch,), 1, 1)
+    plan = Plan((touch,))
     assert validate(problem, plan, mutex=True) == planner_oracle.validate(problem, plan, mutex=True)
     assert validate(problem, plan, mutex=True).valid
 
@@ -396,9 +393,23 @@ def test_standard_goals(exec_registry):
         standard_goals(one_cube)
 
 
+def test_plan_totals_are_the_sums_over_its_steps(exec_actions):
+    steps = (
+        pick(exec_actions, "Reach", GRIPPER, "Cube_blue3"),
+        pick(exec_actions, "Take", GRIPPER, "Cube_blue3"),
+    )
+    cost = steps[0].cost + steps[1].cost
+    plan = Plan(steps)
+    assert (plan.total_cost, plan.total_length) == (cost, 2)
+    assert Plan(steps, cost, 2) == plan
+    for totals in ((cost + 1, 2), (cost, 1), (cost, None)):
+        with pytest.raises(PlannerError, match="are not the sums over its steps"):
+            Plan(steps, *totals)
+
+
 def test_plan_to_json(exec_actions, exec_registry):
     reach = pick(exec_actions, "Reach", GRIPPER, "Cube_blue3")
-    plan = Plan((reach,), reach.cost, 1)
+    plan = Plan((reach,))
     doc = plan_to_json(plan)
     assert doc == {
         "steps": [
@@ -729,8 +740,7 @@ def test_ground_matches_the_per_binding_oracle(
 def constant_operators():
     """Hand-built operators whose literals and revocations name constants:
     a constant argument, a neq on a constant, a revocation keeping a
-    constant cube and one on a constant hand, no parameters at all, and
-    one parameter name given twice, whose last value binds it."""
+    constant cube and one on a constant hand, and no parameters at all."""
 
     def operator(activity, params, pre, eff, revokes=()):
         return dict(
@@ -782,7 +792,7 @@ def constant_operators():
         ),
         operator(
             ActivityLabel.STACK,
-            (("?Thing1", "Thing"), hand, ("?Thing1", "Wooden_cube")),
+            (hand, ("?Thing1", "Thing")),
             [
                 Literal(NEQ, ("?Thing1", "high_table")),
                 Literal(NEQ, ("?Hand1", "?Thing1")),

@@ -53,7 +53,7 @@ def test_corpus_scripts_cover_styles_and_tasks(registry):
     scripts = corpus_scripts(7, registry)
     assert len(scripts) == 12
     assert [s.noise_sigma for s in scripts] == [0.0] * 4 + [0.001] * 4 + [0.002] * 4
-    assert [s.pause_at_take for s in scripts] == [True] * 8 + [False] * 4
+    assert [s.take_frames > 0 for s in scripts] == [True] * 8 + [False] * 4
     assert all(s.false_starts == 2 for s in scripts[4:8])
     # Tasks alternate hands and single/double stacks within each style.
     for block in (scripts[0:4], scripts[4:8], scripts[8:12]):
