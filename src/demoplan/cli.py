@@ -2,9 +2,10 @@
 
 Each stage is independently invokable on the previous stage's files, and
 ``pipeline`` runs the whole chain through the same helpers: synthesize or
-ingest traces, ground, segment, learn, emit PDDL, plan, and validate
-under mutex semantics. Exit codes: 0 success, 1 unexpected failure, 2
-bad input or configuration, 3 unsolvable goal, 4 failed plan validation.
+ingest traces, ground, segment, learn and repair, emit PDDL, plan, and
+validate. ``plan``, ``pipeline`` and ``validate`` all replay under mutex
+semantics. Exit codes: 0 success, 1 unexpected failure, 2 bad input or
+configuration, 3 unsolvable goal, 4 failed plan validation.
 """
 
 from __future__ import annotations
@@ -74,19 +75,15 @@ def _write_json(path: Path, doc) -> None:
     _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _segments_for(trace, config, debounce):
-    states = grounding.ground_trace(trace, config)
-    return states, segmentation.segment(states, debounce)
-
-
 def _learn(trace_paths, registry, config, args, segment_dir=None) -> OperatorLibrary:
     """The library learned from every trace, with costs assigned and,
-    with ``args.repair``, repaired. Each trace's segments are also
+    unless ``--no-repair``, repaired. Each trace's segments are also
     written to ``segment_dir`` when one is given."""
     library = OperatorLibrary()
     for path in trace_paths:
         trace = read_trace(path, registry)
-        states, segments = _segments_for(trace, config, args.debounce)
+        states = grounding.ground_trace(trace, config)
+        segments = segmentation.segment(states)
         if segment_dir is not None:
             sidecar = segment_dir / f"{Path(path).stem}.segments.json"
             _write_json(sidecar, segmentation.segments_to_json(segments))
@@ -96,9 +93,21 @@ def _learn(trace_paths, registry, config, args, segment_dir=None) -> OperatorLib
     return oplearn.repair_exclusivity(library) if args.repair else library
 
 
-def _solve(library, problem, args) -> planner.Plan | None:
+def _plan(library, problem, args, out: Path) -> int:
+    """Solve, validate under mutex semantics and write the plan with its
+    report: exit 3 when no plan exists, 4 when the plan fails replay."""
     actions = planner.ground(library, problem.registry)
-    return planner.solve(problem, actions, PLANNER_MODES[args.mode], args.max_expansions)
+    plan = planner.solve(problem, actions, PLANNER_MODES[args.mode], args.max_expansions)
+    if plan is None:
+        print("unsolvable")
+        return 3
+    report = planner.validate(problem, plan, mutex=True)
+    _write_json(out, planner.plan_to_json(plan, report))
+    print(f"plan: {plan.total_length} steps, cost {plan.total_cost}")
+    if not report.valid:
+        print(f"validation failed: {report.reason}", file=sys.stderr)
+        return 4
+    return 0
 
 
 def cmd_gen(args) -> int:
@@ -123,7 +132,7 @@ def cmd_ground(args) -> int:
 def cmd_segment(args) -> int:
     registry = _registry(args.registry)
     trace = read_trace(args.trace, registry)
-    _, segments = _segments_for(trace, _grounding_config(args), args.debounce)
+    segments = segmentation.segment(grounding.ground_trace(trace, _grounding_config(args)))
     _write_json(Path(args.out), segmentation.segments_to_json(segments))
     print(args.out)
     return 0
@@ -152,17 +161,7 @@ def cmd_emit(args) -> int:
 def cmd_plan(args) -> int:
     library = _load_library(args.library)
     problem = _problem(_registry(args.registry), _load_goal(args.goal))
-    plan = _solve(library, problem, args)
-    if plan is None:
-        print("unsolvable")
-        return 3
-    report = planner.validate(problem, plan, mutex=True) if args.mutex_validate else None
-    _write_json(Path(args.out), planner.plan_to_json(plan, report))
-    print(args.out)
-    if report is not None and not report.valid:
-        print(f"validation failed: {report.reason}", file=sys.stderr)
-        return 4
-    return 0
+    return _plan(library, problem, args, Path(args.out))
 
 
 def cmd_validate(args) -> int:
@@ -170,7 +169,7 @@ def cmd_validate(args) -> int:
     problem = _problem(_registry(args.registry), _load_goal(args.goal))
     actions = planner.ground(library, problem.registry)
     plan = planner.plan_from_json(json.loads(Path(args.plan).read_text()), actions)
-    report = planner.validate(problem, plan, mutex=args.mutex)
+    report = planner.validate(problem, plan, mutex=True)
     print(json.dumps(planner.report_to_json(report)))
     return 0 if report.valid else 4
 
@@ -187,8 +186,6 @@ def cmd_pipeline(args) -> int:
         trace_paths = synthgen.write_corpus(demos, trace_dir)
         save_registry(demo_registry, trace_dir / "registry.json")
     else:
-        if not args.traces:
-            raise ValueError("pipeline needs --synth-corpus or --traces")
         trace_paths = [Path(p) for p in args.traces]
     print(f"traces: {len(trace_paths)}")
 
@@ -199,17 +196,7 @@ def cmd_pipeline(args) -> int:
     problem = _problem(exec_registry, _load_goal(args.goal))
     _write_text(out / "domain.pddl", pddl.emit_domain(library).text)
     _write_text(out / "problem.pddl", pddl.emit_problem(problem).text)
-    plan = _solve(library, problem, args)
-    if plan is None:
-        print("unsolvable")
-        return 3
-    report = planner.validate(problem, plan, mutex=True)
-    _write_json(out / "plan.json", planner.plan_to_json(plan, report))
-    print(f"plan: {plan.total_length} steps, cost {plan.total_cost}")
-    if not report.valid:
-        print(f"validation failed: {report.reason}", file=sys.stderr)
-        return 4
-    return 0
+    return _plan(library, problem, args, out / "plan.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--registry", default="demo")
     p.add_argument("--out", required=True)
-    p.add_argument("--debounce", type=int, default=segmentation.DEFAULT_DEBOUNCE)
     _add_grounding_config(p)
     p.set_defaults(func=cmd_segment)
 
@@ -245,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("traces", nargs="+")
     p.add_argument("--library", required=True)
     p.add_argument("--registry", default="demo")
-    p.add_argument("--debounce", type=int, default=segmentation.DEFAULT_DEBOUNCE)
-    p.add_argument("--repair", action="store_true", help="add exclusivity revocations")
+    p.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)
     _add_grounding_config(p)
     p.set_defaults(func=cmd_learn)
 
@@ -263,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", required=True)
     p.add_argument("--registry", default="exec")
     p.add_argument("--mode", choices=PLANNER_MODES, default="cost")
-    p.add_argument("--mutex-validate", action="store_true")
     p.add_argument("--max-expansions", type=int)
     p.add_argument("--out", default="plan.json")
     p.set_defaults(func=cmd_plan)
@@ -273,18 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--goal", required=True)
     p.add_argument("--registry", default="exec")
-    p.add_argument("--mutex", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("pipeline", help="run the full chain into one directory")
     p.add_argument("--out", required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--synth-corpus", action="store_true")
+    corpus = p.add_mutually_exclusive_group(required=True)
+    corpus.add_argument("--synth-corpus", action="store_true")
+    corpus.add_argument("--traces", nargs="+")
     p.add_argument("--seed", type=int, default=synthgen.DEFAULT_CORPUS_SEED)
-    p.add_argument("--traces", nargs="*")
     p.add_argument("--demo-registry", default="demo")
     p.add_argument("--exec-registry", default="exec")
-    p.add_argument("--debounce", type=int, default=segmentation.DEFAULT_DEBOUNCE)
     p.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--mode", choices=PLANNER_MODES, default="cost")
     p.add_argument("--max-expansions", type=int)

@@ -464,7 +464,6 @@ def solve(
                 if nxt in parent:
                     continue
                 parent[nxt] = (state, i)
-                best_g[nxt] = ng
                 heapq.heappush(heap, (unsatisfied(nxt), 0, next(counter), ng, nxt))
             elif ng < best_g.get(nxt, ng + 1):
                 best_g[nxt] = ng

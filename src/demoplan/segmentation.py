@@ -68,17 +68,15 @@ def debounce_labels(labels: list[ActivityLabel], debounce: int) -> list[Activity
     return smoothed
 
 
-def segment(
-    states: list[SymbolicState],
-    debounce: int = DEFAULT_DEBOUNCE,
-) -> list[ActivitySegment]:
-    """Partition every hand's state sequence into labelled segments."""
+def segment(states: list[SymbolicState]) -> list[ActivitySegment]:
+    """Partition every hand's state sequence into labelled segments,
+    debounced over ``DEFAULT_DEBOUNCE`` frames."""
     if not states:
         return []
     segments: list[ActivitySegment] = []
     for hand in sorted(states[0].hands):
         raw = [classify(state.hands[hand]) for state in states]
-        smoothed = debounce_labels(raw, debounce)
+        smoothed = debounce_labels(raw, DEFAULT_DEBOUNCE)
         for label, start, end in runs(smoothed):
             segments.append(ActivitySegment(hand, label, start, end))
     return segments

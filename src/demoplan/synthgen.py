@@ -145,9 +145,7 @@ def _above(point, z: float) -> np.ndarray:
     return np.array([point[0], point[1], z])
 
 
-def _evaluate_labels(
-    timeline: list[_Frame], hand: str, config: GroundingConfig
-) -> list[str]:
+def _evaluate_labels(timeline: list[_Frame], config: GroundingConfig) -> list[str]:
     """Per-frame activity of the scripted hand on the clean trajectory.
 
     Mirrors the grounding thresholds analytically; serves as the oracle
@@ -268,7 +266,7 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
     tl.hold(TAIL_FRAMES)
 
     clean = tl.frames
-    labels = _evaluate_labels(clean, script.hand, GroundingConfig())
+    labels = _evaluate_labels(clean, GroundingConfig())
     rows = [
         {"hand": script.hand, "label": label, "start_frame": start, "end_frame": end}
         for label, start, end in runs(labels)

@@ -8,6 +8,8 @@ out. Exit codes are the contract: 0 success, 2 bad input, 3 unsolvable,
 import argparse
 import hashlib
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -65,7 +67,8 @@ def seed7_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def library_file(tmp_path_factory, trace_dir):
-    """Library learned from the two-cube careful demo via the CLI."""
+    """Library learned, and by default repaired, from the two-cube careful
+    demo via the CLI."""
     path = tmp_path_factory.mktemp("lib") / "library.json"
     code = main(["learn", str(trace_dir / "trace_01.jsonl"), "--library", str(path)])
     assert code == 0
@@ -139,7 +142,8 @@ def test_segment_writes_segments(tmp_path, trace_dir, demo_registry):
     assert {s.hand for s in segments} == {"Left_hand", "Right_hand"}
 
 
-def test_learn_matches_direct_api(trace_dir, library_file, corpus, demo_registry):
+def test_learn_matches_direct_api(tmp_path, trace_dir, library_file, corpus, demo_registry):
+    """`learn` writes the repaired library, `learn --no-repair` the raw one."""
     from demoplan import oplearn
 
     states = grounding.ground_trace(corpus[2].trace)
@@ -147,7 +151,13 @@ def test_learn_matches_direct_api(trace_dir, library_file, corpus, demo_registry
     library = OperatorLibrary()
     oplearn.learn_from_demo(states, segments, library, demo_registry, corpus[2].trace)
     oplearn.assign_costs(library)
-    assert json.loads(library_file.read_text()) == library.to_json()
+    repaired = oplearn.repair_exclusivity(library)
+    assert repaired.to_json() != library.to_json()
+    assert json.loads(library_file.read_text()) == repaired.to_json()
+    raw = tmp_path / "raw.json"
+    trace = str(trace_dir / "trace_01.jsonl")
+    assert main(["learn", trace, "--library", str(raw), "--no-repair"]) == 0
+    assert json.loads(raw.read_text()) == library.to_json()
 
 
 def test_emit_is_deterministic(tmp_path, library_file, goal_file):
@@ -224,22 +234,16 @@ def test_malformed_operator_is_bad_input(tmp_path, library_file, goal_file, caps
     assert not out.exists()
 
 
-def test_plan_writes_a_validated_plan(tmp_path, library_file, goal_file):
+def test_plan_writes_a_validated_plan(tmp_path, library_file, goal_file, capsys):
     out = tmp_path / "plan.json"
-    code = main(
-        [
-            "plan",
-            "--library", str(library_file),
-            "--goal", str(goal_file),
-            "--out", str(out),
-            "--mutex-validate",
-        ]
-    )
+    code = main(["plan", "--library", str(library_file), "--goal", str(goal_file), "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["total_length"] >= 3
     assert doc["total_cost"] == sum(step["cost"] for step in doc["steps"])
     assert doc["validation"]["valid"] is True
+    printed = f"plan: {doc['total_length']} steps, cost {doc['total_cost']}"
+    assert capsys.readouterr().out.splitlines() == [printed]
 
 
 def test_plan_mode_length(tmp_path, library_file, goal_file):
@@ -303,11 +307,12 @@ def test_validate_round_trip(tmp_path, library_file, goal_file, capsys):
 
     code = main(
         ["validate", "--library", str(library_file), "--plan", str(plan_path),
-         "--goal", str(goal_file), "--mutex"]
+         "--goal", str(goal_file)]
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert report == {"valid": True, "failing_step": None, "reason": "ok"}
+    assert report == json.loads(plan_path.read_text())["validation"]
 
     # same plan against the mirrored goal replays fine but misses the goal
     wrong_goal = tmp_path / "mirror.json"
@@ -325,8 +330,9 @@ def test_validate_round_trip(tmp_path, library_file, goal_file, capsys):
 
 
 def test_validate_mutex_flags_double_reach(tmp_path, combined_library, capsys):
-    """A hand-written plan that reaches elsewhere before taking replays
-    under closed-world validation but must fail the mutex check."""
+    """A hand-written plan that reaches elsewhere before taking fails
+    replay: the second reach displaces the first under mutex semantics.
+    `--mutex` is no option of validate, since replay is always mutex."""
     lib_path = tmp_path / "library.json"
     lib_path.write_text(json.dumps(combined_library.to_json()))
     plan_path = tmp_path / "plan.json"
@@ -345,14 +351,15 @@ def test_validate_mutex_flags_double_reach(tmp_path, combined_library, capsys):
     goal.write_text(
         json.dumps([{"pred": "inHand", "args": ["Robot_gripper", "Cube_blue3"]}])
     )
-    base = ["validate", "--library", str(lib_path), "--plan", str(plan_path),
+    argv = ["validate", "--library", str(lib_path), "--plan", str(plan_path),
             "--goal", str(goal)]
-    assert main(base) == 0
-    capsys.readouterr()
-    assert main(base + ["--mutex"]) == 4
+    assert main(argv) == 4
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert report["valid"] is False
     assert report["failing_step"] == 2
+    with pytest.raises(SystemExit) as refused:
+        main([*argv, "--mutex"])
+    assert refused.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -555,18 +562,17 @@ CLI_SURFACE = {
     "": ["--help", "--verbose", "-h", "-v"],
     "gen": ["--help", "--out", "--registry", "--seed", "-h"],
     "ground": ["--grounding-config", "--help", "--out", "--registry", "-h"],
-    "segment": ["--debounce", "--grounding-config", "--help", "--out", "--registry", "-h"],
+    "segment": ["--grounding-config", "--help", "--out", "--registry", "-h"],
     "learn": [
-        "--debounce", "--grounding-config", "--help", "--library", "--registry", "--repair", "-h",
+        "--grounding-config", "--help", "--library", "--no-repair", "--registry", "--repair", "-h",
     ],
     "emit": ["--goal", "--help", "--library", "--out", "--problem-out", "--registry", "-h"],
     "plan": [
-        "--goal", "--help", "--library", "--max-expansions", "--mode", "--mutex-validate",
-        "--out", "--registry", "-h",
+        "--goal", "--help", "--library", "--max-expansions", "--mode", "--out", "--registry", "-h",
     ],
-    "validate": ["--goal", "--help", "--library", "--mutex", "--plan", "--registry", "-h"],
+    "validate": ["--goal", "--help", "--library", "--plan", "--registry", "-h"],
     "pipeline": [
-        "--debounce", "--demo-registry", "--exec-registry", "--goal", "--grounding-config",
+        "--demo-registry", "--exec-registry", "--goal", "--grounding-config",
         "--help", "--max-expansions", "--mode", "--no-repair", "--out", "--repair", "--seed",
         "--synth-corpus", "--traces", "-h",
     ],
@@ -583,6 +589,27 @@ def test_cli_surface_is_pinned():
     surface = {"": _options(parser)}
     surface.update({name: _options(sub) for name, sub in commands.choices.items()})
     assert surface == CLI_SURFACE
+
+
+def _readme_commands() -> list[str]:
+    """Every `demoplan` command in README's sh blocks, continuations joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("demoplan ")]
+
+
+def test_readme_commands_parse(capsys):
+    """The documented commands name only options the CLI has."""
+    commands = _readme_commands()
+    assert len(commands) == 8
+    parser = build_parser()
+    refused = []
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            refused.append(command)
+    assert refused == [], capsys.readouterr().err
 
 
 def test_src_reads_no_environment():
@@ -645,10 +672,22 @@ def test_pipeline_validates_under_mutex_semantics(tmp_path, capsys):
     assert refused.value.code == 2
 
 
-def test_pipeline_needs_input(tmp_path, goal_file, capsys):
-    code = main(["pipeline", "--out", str(tmp_path / "run"), "--goal", str(goal_file)])
-    assert code == 2
-    assert "needs --synth-corpus or --traces" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ([], "one of the arguments --synth-corpus --traces is required"),
+        (["--synth-corpus", "--traces", "a.jsonl"], "argument --traces: not allowed with argument"),
+    ],
+    ids=["none", "both"],
+)
+def test_pipeline_needs_input(tmp_path, goal_file, capsys, corpus, message):
+    """pipeline takes exactly one corpus and refuses before writing anything."""
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as refused:
+        main(["pipeline", "--out", str(out), "--goal", str(goal_file), *corpus])
+    assert refused.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed7_artifacts_are_pinned(seed7_run, tmp_path):
@@ -698,8 +737,7 @@ def test_search_budget_is_bad_input(seed7_run, tmp_path, capsys, budget, message
 
 
 def test_stages_equal_the_pipeline(seed7_run, tmp_path):
-    """gen, learn --repair and plan --mutex-validate write the bytes
-    pipeline writes."""
+    """gen, learn and plan with no flags write the bytes pipeline writes."""
     out, code = seed7_run
     assert code == 0
     corpus = tmp_path / "corpus"
@@ -708,11 +746,27 @@ def test_stages_equal_the_pipeline(seed7_run, tmp_path):
     for trace in traces:
         assert trace.read_bytes() == (out / "traces" / trace.name).read_bytes()
     library = tmp_path / "library.json"
-    assert main(["learn", *map(str, traces), "--library", str(library), "--repair"]) == 0
+    assert main(["learn", *map(str, traces), "--library", str(library)]) == 0
     assert library.read_bytes() == (out / "library.json").read_bytes()
     plan = tmp_path / "plan.json"
     assert main(
-        ["plan", "--library", str(library), "--goal", str(GOALS / "goal2.json"),
-         "--mutex-validate", "--out", str(plan)]
+        ["plan", "--library", str(library), "--goal", str(GOALS / "goal2.json"), "--out", str(plan)]
     ) == 0
     assert plan.read_bytes() == (out / "plan.json").read_bytes()
+
+
+def test_plan_rejects_what_mutex_replay_rejects(seed7_run, tmp_path, capsys):
+    """The raw seed-7 library's fewest-step plan for the 2-tower goal
+    uses one hand on two cubes at once: `plan` writes it with its failed
+    validation and exits 4."""
+    out, code = seed7_run
+    assert code == 0
+    library = tmp_path / "library.json"
+    traces = sorted(map(str, (out / "traces").glob("trace_*.jsonl")))
+    assert main(["learn", *traces, "--library", str(library), "--no-repair"]) == 0
+    plan = tmp_path / "plan.json"
+    argv = ["plan", "--library", str(library), "--goal", str(GOALS / "goal2.json"),
+            "--mode", "length", "--out", str(plan)]
+    assert main(argv) == 4
+    assert "validation failed:" in capsys.readouterr().err
+    assert json.loads(plan.read_text())["validation"]["valid"] is False

@@ -112,7 +112,7 @@ def test_segment_splits_per_hand():
         state(0.6, still, still),
         state(0.7, still, still),
     ]
-    segments = segment(states, debounce=3)
+    segments = segment(states)
     by_hand = {}
     for s in segments:
         by_hand.setdefault(s.hand, []).append(s)
