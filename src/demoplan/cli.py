@@ -148,13 +148,16 @@ def cmd_learn(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    if not args.goal and (args.registry or args.problem_out):
+        raise ValueError("--registry and --problem-out only shape the problem file of --goal")
     library = _load_library(args.library)
     _write_text(Path(args.out), pddl.emit_domain(library).text)
     print(args.out)
     if args.goal:
-        problem = _problem(_registry(args.registry), _load_goal(args.goal))
-        _write_text(Path(args.problem_out), pddl.emit_problem(problem).text)
-        print(args.problem_out)
+        problem = _problem(_registry(args.registry or "exec"), _load_goal(args.goal))
+        problem_out = args.problem_out or "problem.pddl"
+        _write_text(Path(problem_out), pddl.emit_problem(problem).text)
+        print(problem_out)
     return 0
 
 
@@ -175,6 +178,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.traces and args.seed is not None:
+        raise ValueError("--seed picks the --synth-corpus demos and means nothing with --traces")
     out = Path(args.out)
     demo_registry = _registry(args.demo_registry)
     exec_registry = _registry(args.exec_registry)
@@ -182,7 +187,8 @@ def cmd_pipeline(args) -> int:
 
     trace_dir = out / "traces"
     if args.synth_corpus:
-        demos = synthgen.generate_corpus(args.seed, demo_registry)
+        seed = synthgen.DEFAULT_CORPUS_SEED if args.seed is None else args.seed
+        demos = synthgen.generate_corpus(seed, demo_registry)
         trace_paths = synthgen.write_corpus(demos, trace_dir)
         save_registry(demo_registry, trace_dir / "registry.json")
     else:
@@ -239,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", required=True)
     p.add_argument("--out", default="domain.pddl")
     p.add_argument("--goal", help="also emit a problem file for this goal")
-    p.add_argument("--registry", default="exec")
-    p.add_argument("--problem-out", default="problem.pddl")
+    p.add_argument("--registry", help="the problem's registry with --goal (default: exec)")
+    p.add_argument("--problem-out", help="the problem file of --goal (default: problem.pddl)")
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("plan", help="solve a goal with a learned library")
@@ -265,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     corpus = p.add_mutually_exclusive_group(required=True)
     corpus.add_argument("--synth-corpus", action="store_true")
     corpus.add_argument("--traces", nargs="+")
-    p.add_argument("--seed", type=int, default=synthgen.DEFAULT_CORPUS_SEED)
+    p.add_argument(
+        "--seed", type=int, help=f"with --synth-corpus (default: {synthgen.DEFAULT_CORPUS_SEED})"
+    )
     p.add_argument("--demo-registry", default="demo")
     p.add_argument("--exec-registry", default="exec")
     p.add_argument("--repair", action=argparse.BooleanOptionalAction, default=True)

@@ -3,17 +3,20 @@
 Each grounded frame summarises one hand with five state variables
 (handMove, handOpen, inHand, actedOn, graspable) and the environment
 with contact and support relations (inTouch, onTop) over cubes and
-tables. Hands never take part in the environment relations.
+tables. Hands never take part in the environment relations. Each state
+spells its true atoms in the predicates of ``model.SCHEMAS``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .model import Atom
 from .ontology import CUBE, TABLE
 from .trace import DemoTrace, _is_number
 
@@ -69,6 +72,15 @@ class HandSymState:
         if self.inHand is not None and self.handOpen:
             raise ValueError("a held cube requires a closed hand")
 
+    def atoms(self, hand: str) -> frozenset[Atom]:
+        """The true atoms of ``hand``: each field that is true or names a
+        cube is the predicate of its name, over the hand and that cube."""
+        return frozenset(
+            (pred, (hand, value) if isinstance(value, str) else (hand,))
+            for pred, value in vars(self).items()
+            if isinstance(value, str) or value
+        )
+
 
 @dataclass(frozen=True)
 class EnvSymState:
@@ -79,6 +91,11 @@ class EnvSymState:
         for above, below in self.on_top:
             if frozenset((above, below)) not in self.in_touch:
                 raise ValueError(f"onTop({above}, {below}) without contact")
+
+    def atoms(self) -> frozenset[Atom]:
+        """The true atoms: inTouch both ways, onTop as (above, below)."""
+        touch = [("inTouch", ab) for pair in self.in_touch for ab in itertools.permutations(pair)]
+        return frozenset(touch + [("onTop", pair) for pair in self.on_top])
 
 
 @dataclass(frozen=True)
@@ -200,26 +217,15 @@ def ground_trace(
 
 
 def states_to_json(states: list[SymbolicState]) -> list[dict]:
-    out = []
-    for i, state in enumerate(states):
-        out.append(
-            {
-                "frame": i + 1,
-                "t": state.t,
-                "hands": {
-                    name: {
-                        "handMove": h.handMove,
-                        "handOpen": h.handOpen,
-                        "inHand": h.inHand,
-                        "actedOn": h.actedOn,
-                        "graspable": h.graspable,
-                    }
-                    for name, h in sorted(state.hands.items())
-                },
-                "env": {
-                    "inTouch": sorted(sorted(pair) for pair in state.env.in_touch),
-                    "onTop": sorted(list(pair) for pair in state.env.on_top),
-                },
-            }
-        )
-    return out
+    return [
+        {
+            "frame": frame,
+            "t": state.t,
+            "hands": {name: dict(vars(h)) for name, h in sorted(state.hands.items())},
+            "env": {
+                "inTouch": sorted(sorted(pair) for pair in state.env.in_touch),
+                "onTop": sorted(list(pair) for pair in state.env.on_top),
+            },
+        }
+        for frame, state in enumerate(states, 1)
+    ]

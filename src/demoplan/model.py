@@ -1,19 +1,29 @@
-"""Planning model: predicates, learned operators, world states, ground actions.
+"""Planning model: the world vocabulary, operators, states, ground actions.
 
-World states are closed-world sets of ground atoms, which the planner
-searches and replays as bitmasks over an atom index. Operators are lifted,
-typed, and carry an observation count from learning plus an assigned
-non-negative integer cost. Applying a ground action deletes before it adds.
+Activities and typed predicates are the one world vocabulary that
+grounding, learning and planning share. World states are closed-world
+sets of ground atoms, which the planner searches and replays as
+bitmasks over an atom index. Operators are lifted, typed, and carry an
+observation count from learning plus an assigned non-negative integer
+cost. Applying a ground action deletes before it adds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from enum import Enum
 
 from .ontology import BUILTIN_TYPES, CUBE, HAND, THING, EnvironmentRegistry
-from .segmentation import ActivityLabel
 
 NEQ = "neq"
+
+
+class ActivityLabel(str, Enum):
+    IDLE = "IdleMotion"
+    REACH = "Reach"
+    PUT = "Put"
+    TAKE = "Take"
+    STACK = "Stack"
 
 
 # Each predicate with the types of its arguments.

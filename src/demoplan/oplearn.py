@@ -22,13 +22,14 @@ from .grounding import EnvSymState, HandSymState, SymbolicState
 from .model import (
     NEQ,
     SINGLE_VALUED,
+    ActivityLabel,
     Atom,
     Literal,
     OperatorLibrary,
     Revocation,
 )
 from .ontology import CUBE, EnvironmentRegistry
-from .segmentation import ActivityLabel, ActivitySegment
+from .segmentation import ActivitySegment
 from .trace import DemoTrace
 
 
@@ -51,37 +52,17 @@ class OperatorDraft:
     env_pairs: dict[Atom, tuple[bool, bool]] = field(default_factory=dict)
 
 
-def _true_atoms(hand: str, state: HandSymState) -> frozenset[Atom]:
-    atoms: set[Atom] = set()
-    if state.handMove:
-        atoms.add(("handMove", (hand,)))
-    if state.handOpen:
-        atoms.add(("handOpen", (hand,)))
-    if state.inHand is not None:
-        atoms.add(("inHand", (hand, state.inHand)))
-    if state.actedOn is not None:
-        atoms.add(("actedOn", (hand, state.actedOn)))
-    if state.graspable is not None:
-        atoms.add(("graspable", (hand, state.graspable)))
-    return frozenset(atoms)
-
-
 def _env_atom_changes(
     before: EnvSymState, after: EnvSymState
 ) -> list[tuple[Atom, bool, bool, tuple[str, ...]]]:
-    """Atoms whose value flips between two environment states.
-
-    Contact is symmetric, so a touched pair yields both orientations.
-    """
+    """Atoms whose value flips between two environment states, each with
+    its pair: a contact's in name order, a support's as (above, below)."""
+    now = after.atoms()
     changes = []
-    for pair in before.in_touch ^ after.in_touch:
-        a, b = sorted(pair)
-        now = pair in after.in_touch
-        changes.append((("inTouch", (a, b)), not now, now, (a, b)))
-        changes.append((("inTouch", (b, a)), not now, now, (a, b)))
-    for ordered in before.on_top ^ after.on_top:
-        now = ordered in after.on_top
-        changes.append((("onTop", ordered), not now, now, ordered))
+    for atom in before.atoms() ^ now:
+        pred, args = atom
+        pair = tuple(sorted(args)) if pred == "inTouch" else args
+        changes.append((atom, atom not in now, atom in now, pair))
     return sorted(changes)
 
 
@@ -112,9 +93,8 @@ def extract(
         draft = None
         if lane:
             pre_state = states[seg.start - 1].hands[hand]
-            const_true = _true_atoms(hand, pre_state).intersection(
-                *(_true_atoms(hand, s.hands[hand]) for s in states[seg.start : seg.end + 1])
-            )
+            seen = {s.hands[hand] for s in states[seg.start : seg.end + 1]}
+            const_true = pre_state.atoms(hand).intersection(*(h.atoms(hand) for h in seen))
             draft = OperatorDraft(seg, pre_state, states[seg.end].hands[hand], const_true)
             drafts.append(draft)
         lane += [(seg.label, draft)] * (seg.end - seg.start + 1)
@@ -171,8 +151,8 @@ def filter_relevant(draft: OperatorDraft) -> tuple[list[Literal], list[Literal]]
     activity appear positively on both sides; constantly false atoms are
     dropped. Environment atoms appear only when they changed.
     """
-    pre_true = _true_atoms(draft.segment.hand, draft.pre_state)
-    eff_true = _true_atoms(draft.segment.hand, draft.final_state)
+    pre_true = draft.pre_state.atoms(draft.segment.hand)
+    eff_true = draft.final_state.atoms(draft.segment.hand)
     pre: list[Literal] = []
     eff: list[Literal] = []
     for pred, args in sorted(pre_true | eff_true):

@@ -16,6 +16,7 @@ from typing import NoReturn
 from .model import (
     NEQ,
     SCHEMAS,
+    ActivityLabel,
     LearnedOperator,
     Literal,
     ModelError,
@@ -30,7 +31,6 @@ from .ontology import (
     ObjectInstance,
     OntologyError,
 )
-from .segmentation import ActivityLabel
 
 BASE_REQUIREMENTS = (":strips", ":typing", ":negative-preconditions", ":action-costs")
 REPAIR_REQUIREMENTS = (":universal-preconditions", ":conditional-effects")

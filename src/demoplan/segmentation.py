@@ -1,26 +1,18 @@
 """Per-frame activity classification and run-based segmentation.
 
-The classifier is a closed decision table over the hand state variables.
-Segmentation merges equal labels into maximal runs, a debounce window
-rejects label blips shorter than the window.
+The classifier is a closed decision table from the hand state variables
+to ``model.ActivityLabel``. Segmentation merges equal labels into
+maximal runs, a debounce window rejects label blips shorter than it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .grounding import HandSymState, SymbolicState, runs
+from .model import ActivityLabel
 
 DEFAULT_DEBOUNCE = 3
-
-
-class ActivityLabel(str, Enum):
-    IDLE = "IdleMotion"
-    REACH = "Reach"
-    PUT = "Put"
-    TAKE = "Take"
-    STACK = "Stack"
 
 
 def classify(hand: HandSymState) -> ActivityLabel:

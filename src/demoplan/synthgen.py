@@ -62,6 +62,9 @@ class DemoScript:
             raise ValueError("approach_speed must exceed 0.1 m/s")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
+        for name in ("false_starts", "hover_frames", "take_frames"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass

@@ -690,6 +690,44 @@ def test_pipeline_needs_input(tmp_path, goal_file, capsys, corpus, message):
     assert not out.exists()
 
 
+def test_pipeline_refuses_a_seed_for_given_traces(tmp_path, trace_dir, goal_file, capsys):
+    """--seed only picks the synthesized corpus; with --traces it would
+    change nothing, so pipeline refuses it before writing anything."""
+    out = tmp_path / "run"
+    argv = ["pipeline", "--out", str(out), "--goal", str(goal_file),
+            "--traces", str(trace_dir / "trace_01.jsonl"), "--seed", "99"]
+    assert main(argv) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_synthesizes_the_default_seed(tmp_path, goal_file, monkeypatch):
+    """Without --seed, --synth-corpus draws the default corpus."""
+    seeds = []
+
+    def stop(seed, registry):
+        seeds.append(seed)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(synthgen, "generate_corpus", stop)
+    argv = ["pipeline", "--out", str(tmp_path / "run"), "--goal", str(goal_file), "--synth-corpus"]
+    assert main(argv) == 2
+    assert seeds == [synthgen.DEFAULT_CORPUS_SEED]
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--registry", "/nonexistent/reg.json"), ("--problem-out", "p.pddl")]
+)
+def test_emit_refuses_problem_options_without_a_goal(
+    tmp_path, library_file, capsys, option, value
+):
+    """--registry and --problem-out shape only the problem file of --goal."""
+    domain = tmp_path / "domain.pddl"
+    assert main(["emit", "--library", str(library_file), "--out", str(domain), option, value]) == 2
+    assert "--goal" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_seed7_artifacts_are_pinned(seed7_run, tmp_path):
     """library.json and domain.pddl hash to the benchmark's reference,
     the 25 files of the traces directory to their pinned digest, the goal

@@ -21,9 +21,11 @@ from demoplan.grounding import (
     ground_trace,
     states_to_json,
 )
+from demoplan.model import NEQ, SCHEMAS, Literal
 from demoplan.ontology import (
     CUBE,
     HAND,
+    THING,
     EnvironmentRegistry,
     ObjectInstance,
     execution_registry,
@@ -377,3 +379,55 @@ def test_distances_speeds_and_cosines_are_numpys_to_the_bit():
         acted = dict(move_speed=0.0, acted_on_dist=1.0)
         assert gripper(trace, GroundingConfig(approach_cosine=cosine, **acted)).actedOn is None
         assert gripper(trace, GroundingConfig(approach_cosine=down(cosine), **acted)).actedOn == "Cube_red3"
+
+
+def test_hand_atoms_spell_each_set_field():
+    """Each true flag is a unary atom, each named cube a binary one."""
+    busy = HandSymState(True, False, "Cube_red3", "Cube_blue3", "Cube_blue3")
+    assert busy.atoms("Robot_gripper") == {
+        ("handMove", ("Robot_gripper",)),
+        ("inHand", ("Robot_gripper", "Cube_red3")),
+        ("actedOn", ("Robot_gripper", "Cube_blue3")),
+        ("graspable", ("Robot_gripper", "Cube_blue3")),
+    }
+    open_still = HandSymState(False, True, None, None, "Cube_red3")
+    assert open_still.atoms("Left_hand") == {
+        ("handOpen", ("Left_hand",)),
+        ("graspable", ("Left_hand", "Cube_red3")),
+    }
+    assert HandSymState(False, False, None, None, None).atoms("Left_hand") == frozenset()
+
+
+def test_env_atoms_are_contact_both_ways_and_support_one_way():
+    stacked = EnvSymState(
+        frozenset({frozenset({"Cube_red3", "Cube_blue3"}), frozenset({"Cube_blue3", "high_table"})}),
+        frozenset({("Cube_red3", "Cube_blue3"), ("Cube_blue3", "high_table")}),
+    )
+    assert stacked.atoms() == {
+        ("inTouch", ("Cube_red3", "Cube_blue3")),
+        ("inTouch", ("Cube_blue3", "Cube_red3")),
+        ("inTouch", ("Cube_blue3", "high_table")),
+        ("inTouch", ("high_table", "Cube_blue3")),
+        ("onTop", ("Cube_red3", "Cube_blue3")),
+        ("onTop", ("Cube_blue3", "high_table")),
+    }
+    touching = EnvSymState(frozenset({frozenset({"Cube_red3", "Cube_blue3"})}), frozenset())
+    assert touching.atoms() == {
+        ("inTouch", ("Cube_red3", "Cube_blue3")),
+        ("inTouch", ("Cube_blue3", "Cube_red3")),
+    }
+    assert EnvSymState(frozenset(), frozenset()).atoms() == frozenset()
+
+
+def test_grounded_atoms_are_schema_literals(corpus, demo_registry):
+    """Every atom of every grounded seed-7 state is a literal that
+    SCHEMAS accepts, each argument of its declared type."""
+    atoms = set()
+    for demo in corpus:
+        for state in ground_trace(demo.trace):
+            atoms |= state.env.atoms().union(*(h.atoms(n) for n, h in state.hands.items()))
+    assert {pred for pred, _ in atoms} == set(SCHEMAS) - {NEQ}
+    for pred, args in atoms:
+        Literal(pred, args)
+        for term, type_name in zip(args, SCHEMAS[pred]):
+            assert type_name in (THING, demo_registry.type_of(term)), (pred, args)

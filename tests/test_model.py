@@ -1,6 +1,10 @@
 """Tests for model.py."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from planner_oracle import action, applicable, apply_action, satisfied
 
+import demoplan
 from demoplan import pddl, planner
 from demoplan.model import (
     NEQ,
@@ -433,3 +438,21 @@ def test_acquiring_a_single_valued_atom_displaces_the_previous_one(pred, single_
     problem = PlanningProblem(registry, frozenset({(pred, (hand, old))}), kept)
     assert planner.validate(problem, plan, mutex=False).valid
     assert planner.validate(problem, plan, mutex=True).valid != single_valued
+
+
+def test_the_planning_half_loads_no_perception():
+    """The planner and the PDDL codec need only the model and the
+    ontology: importing them loads neither numpy nor trace reading,
+    grounding or segmentation."""
+    perception = ("numpy", "demoplan.trace", "demoplan.grounding", "demoplan.segmentation")
+    code = (
+        "import sys, demoplan.planner, demoplan.pddl\n"
+        f"print(*[m for m in {perception!r} if m in sys.modules])"
+    )
+    src = str(Path(demoplan.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == []

@@ -10,6 +10,7 @@ from demoplan.model import Literal, Revocation
 from demoplan.oplearn import (
     AttributionError,
     OperatorDraft,
+    _env_atom_changes,
     extract,
     filter_relevant,
     generalize,
@@ -164,6 +165,24 @@ def test_generalize_is_invariant_under_instance_renaming(names):
 
 
 # --- extraction and attribution ------------------------------------------
+
+def test_env_changes_carry_contact_pairs_in_name_order_and_supports_as_placed():
+    """Stacking red on blue: both contact orientations flip with the
+    name-ordered pair, and onTop keeps (above, below)."""
+    before = env(("Cube_red1", "table1"), ("Cube_blue1", "table1"),
+                 on_top=[("Cube_red1", "table1"), ("Cube_blue1", "table1")])
+    after = env(("Cube_red1", "Cube_blue1"), ("Cube_blue1", "table1"),
+                on_top=[("Cube_red1", "Cube_blue1"), ("Cube_blue1", "table1")])
+    red_blue, red_table = ("Cube_blue1", "Cube_red1"), ("Cube_red1", "table1")
+    assert _env_atom_changes(before, after) == [
+        (("inTouch", ("Cube_blue1", "Cube_red1")), False, True, red_blue),
+        (("inTouch", ("Cube_red1", "Cube_blue1")), False, True, red_blue),
+        (("inTouch", ("Cube_red1", "table1")), True, False, red_table),
+        (("inTouch", ("table1", "Cube_red1")), True, False, red_table),
+        (("onTop", ("Cube_red1", "Cube_blue1")), False, True, ("Cube_red1", "Cube_blue1")),
+        (("onTop", ("Cube_red1", "table1")), True, False, red_table),
+    ]
+
 
 def test_extract_skips_the_opening_segment():
     states = [

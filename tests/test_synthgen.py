@@ -39,6 +39,17 @@ def test_script_validation():
         )
 
 
+@pytest.mark.parametrize("field", ["false_starts", "hover_frames", "take_frames"])
+def test_script_refuses_negative_counts(registry, field):
+    """A negative count would silently drop a scripted step (take_frames
+    -2 loses the Take activity); zero stays a valid script."""
+    with pytest.raises(ValueError, match=f"{field} must be non-negative, got -2"):
+        DemoScript(seed=1, hand="Right_hand", cubes_to_stack=("Cube_red1",), **{field: -2})
+    script = DemoScript(seed=1, hand="Right_hand", cubes_to_stack=("Cube_red1",), **{field: 0})
+    labels = [row["label"] for row in generate(script, registry).labels]
+    assert {"Reach", "Stack"} <= set(labels)
+
+
 def test_generate_refuses_an_instance_it_cannot_place(registry):
     """The demonstrator positions cubes and the table only, so a trace of
     a registry with a plain Thing would lack its position."""
