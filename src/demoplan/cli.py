@@ -151,10 +151,12 @@ def cmd_emit(args) -> int:
     if not args.goal and (args.registry or args.problem_out):
         raise ValueError("--registry and --problem-out only shape the problem file of --goal")
     library = _load_library(args.library)
-    _write_text(Path(args.out), pddl.emit_domain(library).text)
-    print(args.out)
+    problem = None
     if args.goal:
         problem = _problem(_registry(args.registry or "exec"), _load_goal(args.goal))
+    _write_text(Path(args.out), pddl.emit_domain(library).text)
+    print(args.out)
+    if problem is not None:
         problem_out = args.problem_out or "problem.pddl"
         _write_text(Path(problem_out), pddl.emit_problem(problem).text)
         print(problem_out)
@@ -182,7 +184,7 @@ def cmd_pipeline(args) -> int:
         raise ValueError("--seed picks the --synth-corpus demos and means nothing with --traces")
     out = Path(args.out)
     demo_registry = _registry(args.demo_registry)
-    exec_registry = _registry(args.exec_registry)
+    problem = _problem(_registry(args.exec_registry), _load_goal(args.goal))
     config = _grounding_config(args)
 
     trace_dir = out / "traces"
@@ -199,7 +201,6 @@ def cmd_pipeline(args) -> int:
     _write_json(out / "library.json", library.to_json())
     print(f"library: {len(library)} operators")
 
-    problem = _problem(exec_registry, _load_goal(args.goal))
     _write_text(out / "domain.pddl", pddl.emit_domain(library).text)
     _write_text(out / "problem.pddl", pddl.emit_problem(problem).text)
     return _plan(library, problem, args, out / "plan.json")

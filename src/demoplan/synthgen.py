@@ -3,9 +3,13 @@
 A script drives one hand through reach, grasp, carry, and stack cycles
 over a cube scene at 30 Hz. Trajectories are piecewise straight lines at
 constant speed: horizontal transits at a fixed cruise height, vertical
-descents onto targets. Ground-truth labels are evaluated on the clean
-trajectory with the same threshold rules the grounding stage uses, so
-they act as an independent oracle for the segmentation pipeline.
+descents onto targets. The timeline keeps the motion as runs of frames,
+one per straight leg or pause, each leg filled as one array, and the
+trace and the labels are computed on columns over all frames.
+Ground-truth labels are evaluated on the clean trajectory with the same
+threshold rules the grounding stage uses, but in code of their own, so
+they act as an independent oracle for the grounding and segmentation
+pipeline.
 
 Optional positional jitter emulates human hand variability. Offsets are
 drawn per axis at one-second knots and interpolated in between, which
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,13 +63,23 @@ class DemoScript:
             raise ValueError("script must stack at least one cube")
         if len(set(self.cubes_to_stack)) != len(self.cubes_to_stack):
             raise ValueError("cubes_to_stack contains duplicates")
-        if self.approach_speed <= 0.1:
-            raise ValueError("approach_speed must exceed 0.1 m/s")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        for name in ("false_starts", "hover_frames", "take_frames"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        speed, sigma = self.approach_speed, self.noise_sigma
+        if not (_is_real(speed) and speed > 0.1):
+            message = f"approach_speed must be a finite number exceeding 0.1 m/s, got {speed!r}"
+            raise ValueError(message)
+        if not (_is_real(sigma) and sigma >= 0):
+            raise ValueError(f"noise_sigma must be a finite non-negative number, got {sigma!r}")
+        for name in ("seed", "false_starts", "hover_frames", "take_frames"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def _is_real(value) -> bool:
+    """A finite real number, numpy scalars included; booleans are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -74,18 +89,11 @@ class GeneratedDemo:
     labels: list[dict]
 
 
-@dataclass(frozen=True)
-class _Frame:
-    hand_pos: tuple[float, float, float]
-    open: bool
-    held: str | None
-    cube_pos: dict[str, tuple[float, float, float]]
-    contacts: frozenset[frozenset[str]]
-
-
 class _Timeline:
-    """Clean snapshots of one scene as the scripted hand moves through it;
-    the script edits ``open``, ``held`` and ``contacts`` in between."""
+    """The clean motion of one scene as the scripted hand moves through
+    it, kept as runs of frames that share one state: a straight leg or a
+    pause. The script reads ``cube_pos`` and edits ``open``, ``held`` and
+    ``contacts`` in between."""
 
     def __init__(
         self,
@@ -98,35 +106,66 @@ class _Timeline:
         self.held: str | None = None
         self.cube_pos = dict(cube_pos)
         self.contacts = {frozenset((cube, table)) for cube in cube_pos}
-        self.frames: list[_Frame] = []
+        # Per run: the hand's positions (frames, 3), then the open flag,
+        # held cube, cube positions (cubes in name order, 3) and contacts
+        # of all its frames.
+        self._runs: list[tuple] = []
+
+    def _add(self, hand_pos: np.ndarray) -> None:
+        cubes = np.array([self.cube_pos[cube] for cube in sorted(self.cube_pos)])
+        self._runs.append((hand_pos, self.open, self.held, cubes, frozenset(self.contacts)))
 
     def hold(self, n_frames: int = 1) -> None:
-        snapshot = _Frame(
-            tuple(self.pos), self.open, self.held, dict(self.cube_pos), frozenset(self.contacts)
-        )
-        self.frames += [snapshot] * n_frames
+        if n_frames:
+            self._add(np.tile(self.pos, (n_frames, 1)))
 
     def redo_last(self) -> None:
-        """Retake the last snapshot, so it shows the edits made since."""
-        self.frames.pop()
+        """Retake the last frame, so it shows the edits made since."""
+        hand_pos, *state = self._runs.pop()
+        if len(hand_pos) > 1:
+            self._runs.append((hand_pos[:-1], *state))
         self.hold()
 
     def move_to(self, target, speed: float) -> None:
         """Straight leg at constant speed; the final step absorbs the
-        division remainder so no frame moves slower than requested."""
+        division remainder so no frame moves slower than requested.
+
+        A held cube travels with the hand, but the leg's frames keep its
+        position from before the leg: the labels skip a held cube and the
+        trace places it at the hand.
+        """
         target = np.asarray(target, dtype=float)
-        start = self.pos.copy()
+        start = self.pos
         dist = float(np.linalg.norm(target - start))
         step = speed * DT
         n_full = math.floor(dist / step)
         if n_full < 1:
             raise ValueError(f"leg of {dist:.4f} m is shorter than one step")
         direction = (target - start) / dist
-        for i in range(1, n_full + 1):
-            self.pos = target if i == n_full else start + direction * step * i
-            if self.held is not None:
-                self.cube_pos[self.held] = tuple(self.pos)
-            self.hold()
+        # Step i is start + (direction * step) * i, as a scalar loop adds it.
+        hand_pos = start + (direction * step) * np.arange(1, n_full + 1)[:, None]
+        hand_pos[-1] = target
+        self._add(hand_pos)
+        self.pos = target
+        if self.held is not None:
+            self.cube_pos[self.held] = tuple(target)
+
+    def columns(self) -> tuple[np.ndarray, list[bool], list[str | None], np.ndarray, list]:
+        """Per frame: the hand's position, open flag and held cube, the cube
+        positions (frames, cubes in name order, 3) and the contacts."""
+        hand_pos, opens, helds, cubes, contacts = zip(*self._runs)
+        counts = [len(pos) for pos in hand_pos]
+
+        def per_frame(values: tuple) -> list:
+            return [value for value, count in zip(values, counts) for _ in range(count)]
+
+        return (
+            np.concatenate(hand_pos),
+            per_frame(opens),
+            per_frame(helds),
+            np.repeat(np.stack(cubes), counts, axis=0),
+            per_frame(contacts),
+        )
 
 
 def _hand_homes(registry: EnvironmentRegistry) -> dict[str, np.ndarray]:
@@ -148,40 +187,46 @@ def _above(point, z: float) -> np.ndarray:
     return np.array([point[0], point[1], z])
 
 
-def _evaluate_labels(timeline: list[_Frame], config: GroundingConfig) -> list[str]:
-    """Per-frame activity of the scripted hand on the clean trajectory.
+def _evaluate_labels(
+    hand_pos: np.ndarray,
+    helds: list[str | None],
+    cube_pos: np.ndarray,
+    cubes: list[str],
+    config: GroundingConfig,
+) -> list[str]:
+    """Per-frame activity of the scripted hand on the clean trajectory,
+    from its positions and held cubes and the positions (frames, cubes, 3)
+    of ``cubes`` at every frame.
 
-    Mirrors the grounding thresholds analytically; serves as the oracle
-    the segmentation pipeline is checked against.
+    Mirrors the grounding thresholds over all frames and cubes at once,
+    but in code of its own: it is the oracle the grounding and
+    segmentation pipeline is checked against. Every reduction is an
+    ``np.vecdot``, which reduces as ``np.dot`` does, so each threshold
+    sees the bits a per-vector ``np.linalg.norm`` and ``np.dot`` give.
     """
+    velocity = (hand_pos[1:] - hand_pos[:-1]) / DT
+    speed = np.sqrt(np.vecdot(velocity, velocity))
+    moving = speed > config.move_speed
+    offset = cube_pos[1:] - hand_pos[1:, None, :]
+    dist = np.sqrt(np.vecdot(offset, offset))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosine = np.vecdot(velocity[:, None, :], offset) / (speed[:, None] * dist)
+    held = [cubes.index(cube) if cube is not None else -1 for cube in helds[1:]]
+    # A cube is approached by a moving hand that does not hold it, from
+    # within reach and along the motion; a hand on the cube itself has no
+    # direction and counts as approaching it.
+    approached = (
+        moving[:, None]
+        & (np.arange(len(cubes)) != np.array(held)[:, None])
+        & (dist < config.acted_on_dist)
+        & ((dist < 1e-9) | (cosine > config.approach_cosine))
+    ).any(axis=1)
     labels = ["IdleMotion"]
-    for i in range(1, len(timeline)):
-        cur, prev = timeline[i], timeline[i - 1]
-        v = (np.asarray(cur.hand_pos) - np.asarray(prev.hand_pos)) / DT
-        speed = float(np.linalg.norm(v))
-        moving = speed > config.move_speed
-        held = cur.held
-        acted_on = None
-        if moving:
-            best: tuple[float, str] | None = None
-            for cube in sorted(cur.cube_pos):
-                if cube == held:
-                    continue
-                offset = np.asarray(cur.cube_pos[cube]) - np.asarray(cur.hand_pos)
-                d = float(np.linalg.norm(offset))
-                if d >= config.acted_on_dist:
-                    continue
-                if d >= 1e-9:
-                    cosine = float(np.dot(v, offset) / (speed * d))
-                    if cosine <= config.approach_cosine:
-                        continue
-                if best is None or d < best[0]:
-                    best = (d, cube)
-            acted_on = best[1] if best else None
-        if acted_on is not None:
-            labels.append("Stack" if held else "Reach")
-        elif held is not None:
-            labels.append("Put" if moving else "Take")
+    for acted_on, cube, move in zip(approached.tolist(), helds[1:], moving.tolist()):
+        if acted_on:
+            labels.append("Stack" if cube else "Reach")
+        elif cube is not None:
+            labels.append("Put" if move else "Take")
         else:
             labels.append("IdleMotion")
     return labels
@@ -198,20 +243,14 @@ def _noise_offsets(n_frames: int, sigma: float, rng: np.random.Generator) -> np.
     )
 
 
-def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo:
-    """Run one script into a trace plus ground-truth label rows."""
-    unplaced = sorted(registry.non_hands.difference(registry.cubes, [registry.table]))
-    if unplaced:
-        raise ValueError(f"cannot place {', '.join(unplaced)}: only cubes and tables are placed")
-    if script.hand not in registry.hands:
-        raise ValueError(f"unknown hand {script.hand!r}")
-    for cube in script.cubes_to_stack:
-        if cube not in registry.cubes:
-            raise ValueError(f"unknown cube {cube!r}")
-
-    rng = np.random.default_rng(script.seed)
+def _demonstrate(
+    tl: _Timeline, script: DemoScript, registry: EnvironmentRegistry, rng: np.random.Generator
+) -> None:
+    """Drive ``tl`` through the script's stacking cycles, from its hand's
+    home and back, drawing the stack base and false-start decoy from
+    ``rng``."""
     slots = _cube_slots(registry)
-    homes = _hand_homes(registry)
+    home = _hand_homes(registry)[script.hand]
     table = registry.table
     cruise = CUBE_REST_Z + CRUISE_CLEARANCE
     speed = script.approach_speed
@@ -222,7 +261,6 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
     base = spare[int(rng.integers(len(spare)))]
     decoys = [c for c in spare if c != base]
 
-    tl = _Timeline(homes[script.hand], slots, table)
     tl.hold(IDLE_LEAD)
 
     for k, cube in enumerate(script.cubes_to_stack):
@@ -265,16 +303,36 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
         tl.hold(RELEASE_FRAMES)
         tl.move_to(_above(placement, cruise), speed)
 
-    tl.move_to(homes[script.hand], speed)
+    tl.move_to(home, speed)
     tl.hold(TAIL_FRAMES)
 
-    clean = tl.frames
-    labels = _evaluate_labels(clean, GroundingConfig())
+
+def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo:
+    """Run one script into a trace plus ground-truth label rows."""
+    unplaced = sorted(registry.non_hands.difference(registry.cubes, [registry.table]))
+    if unplaced:
+        raise ValueError(f"cannot place {', '.join(unplaced)}: only cubes and tables are placed")
+    if script.hand not in registry.hands:
+        raise ValueError(f"unknown hand {script.hand!r}")
+    for cube in script.cubes_to_stack:
+        if cube not in registry.cubes:
+            raise ValueError(f"unknown cube {cube!r}")
+
+    rng = np.random.default_rng(script.seed)
+    homes = _hand_homes(registry)
+    table = registry.table
+    tl = _Timeline(homes[script.hand], _cube_slots(registry), table)
+    _demonstrate(tl, script, registry, rng)
+    clean, opens, helds, cube_pos, contacts = tl.columns()
+    n = len(clean)
+
+    cubes = sorted(registry.cubes)
+    labels = _evaluate_labels(clean, helds, cube_pos, cubes, GroundingConfig())
     rows = [
         {"hand": script.hand, "label": label, "start_frame": start, "end_frame": end}
         for label, start, end in runs(labels)
     ] + [
-        {"hand": other, "label": "IdleMotion", "start_frame": 0, "end_frame": len(clean) - 1}
+        {"hand": other, "label": "IdleMotion", "start_frame": 0, "end_frame": n - 1}
         for other in registry.hands
         if other != script.hand
     ]
@@ -282,22 +340,20 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
 
     # The scripted hand and the cube it holds follow the noisy path; the
     # other hands rest open at home.
-    offsets = _noise_offsets(len(clean), script.noise_sigma, rng)
-    hand_pos = np.array([f.hand_pos for f in clean]) + offsets
-    names = sorted([*registry.cubes, table])
-    places = ({**f.cube_pos, table: (0.5, 0.35, TABLE_BODY_Z)} for f in clean)
-    positions = np.array([[place[name] for name in names] for place in places])
-    for i, f in enumerate(clean):
-        if f.held is not None:
-            positions[i, names.index(f.held)] = hand_pos[i]
+    hand_pos = clean + _noise_offsets(n, script.noise_sigma, rng)
+    names = sorted([*cubes, table])
+    positions = np.empty((n, len(names), 3))
+    positions[:, [names.index(cube) for cube in cubes]] = cube_pos
+    positions[:, names.index(table)] = (0.5, 0.35, TABLE_BODY_Z)
+    held = [i for i, cube in enumerate(helds) if cube is not None]
+    positions[held, [names.index(helds[i]) for i in held]] = hand_pos[held]
     hands = {
-        hand: (hand_pos, tuple(f.open for f in clean), tuple(f.held for f in clean))
+        hand: (hand_pos, tuple(opens), tuple(helds))
         if hand == script.hand
-        else (np.tile(homes[hand], (len(clean), 1)), (True,) * len(clean), (None,) * len(clean))
+        else (np.tile(homes[hand], (n, 1)), (True,) * n, (None,) * n)
         for hand in registry.hands
     }
-    times = np.arange(len(clean)) * DT
-    trace = DemoTrace(registry, times, hands, names, positions, [f.contacts for f in clean])
+    trace = DemoTrace(registry, np.arange(n) * DT, hands, names, positions, contacts)
     return GeneratedDemo(script, trace, rows)
 
 

@@ -226,19 +226,38 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
 
 def write_trace(trace: DemoTrace, path: str | Path) -> None:
     """Write one line per frame, with hands, objects and contact pairs
-    sorted by name and every coordinate a float."""
+    sorted by name and every coordinate a float.
+
+    Each line is, byte for byte, ``json.dumps`` of the frame document
+    above with its keys in that order. It is joined from the
+    ``json.dumps`` of its sections: the objects are encoded again only
+    when their row's bytes differ from the row before (``-0.0 == 0.0``,
+    but the two print differently), and each contact set once. The file
+    is written at once.
+    """
+    dumps = json.dumps
     hands = sorted(
         (hand, pos.tolist(), opens, helds) for hand, (pos, opens, helds) in trace.hands.items()
     )
-    with open(path, "w") as fh:
-        for i, (t, row) in enumerate(zip(trace.times.tolist(), trace.positions.tolist())):
-            doc = {
-                "t": t,
-                "hands": {
-                    hand: {"pos": pos[i], "open": opens[i], "held": helds[i]}
-                    for hand, pos, opens, helds in hands
-                },
-                "objects": dict(sorted(zip(trace.names, row))),
-                "contacts": sorted(sorted(pair) for pair in trace.contacts[i]),
-            }
-            fh.write(json.dumps(doc) + "\n")
+    order = sorted(range(len(trace.names)), key=trace.names.__getitem__)
+    names = [trace.names[j] for j in order]
+    positions = trace.positions[:, order]
+    bits = positions.reshape(len(positions), 3 * len(names)).view(np.uint64)
+    changed = [True, *(bits[1:] != bits[:-1]).any(axis=1).tolist()]
+    contacts_text: dict[frozenset, str] = {}
+    lines = []
+    for i, t in enumerate(trace.times.tolist()):
+        if changed[i]:
+            objects = dumps(dict(zip(names, positions[i].tolist())))
+        contacts = trace.contacts[i]
+        if contacts not in contacts_text:
+            contacts_text[contacts] = dumps(sorted(sorted(pair) for pair in contacts))
+        sample = {
+            hand: {"pos": pos[i], "open": opens[i], "held": helds[i]}
+            for hand, pos, opens, helds in hands
+        }
+        lines.append(
+            f'{{"t": {dumps(t)}, "hands": {dumps(sample)}, "objects": {objects},'
+            f' "contacts": {contacts_text[contacts]}}}\n'
+        )
+    Path(path).write_text("".join(lines))

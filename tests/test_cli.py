@@ -33,6 +33,9 @@ GOALS = ROOT / "goals"
 # sha256 over the seed-7 pipeline's traces directory, file by file in name
 # order: the name, a NUL byte, then the bytes.
 SEED7_CORPUS_DIGEST = "ea9c80c265be18c309216d4c93ee8bc85946cd4f206fb8196f3530c6b08af000"
+# The same digest over the tree `gen --seed 11` writes: traces, labels and
+# the registry.
+SEED11_GEN_DIGEST = "7c1b816c3cfaf8eb25960c37b4df23101801eac66b7386eb95c888b62db797a1"
 # sha256 of what `ground` and `segment` write for the seed-7 trace_00.jsonl.
 SEED7_GROUND_DIGEST = "5e7f35752b46b180c41377106046200c1318529cf53fab7b776488e428d10969"
 SEED7_SEGMENT_DIGEST = "697f5ce6ad48c3128a811736a02196c24a49e5adf98eefad13cdcfc9c44cf8f0"
@@ -87,13 +90,25 @@ def test_gen_writes_corpus(tmp_path, capsys):
     assert printed == [str(p) for p in traces]
 
 
+def _tree_digest(directory: Path) -> str:
+    """sha256 over the files of ``directory`` in name order: each name,
+    a NUL byte, then its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def test_gen_is_reproducible(tmp_path):
-    """Same seed, byte-identical artifact tree."""
+    """Same seed, byte-identical artifact tree, and the seed-11 tree is
+    pinned."""
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["gen", "--out", str(a), "--seed", "11"]) == 0
     assert main(["gen", "--out", str(b), "--seed", "11"]) == 0
     for path in sorted(a.iterdir()):
         assert path.read_bytes() == (b / path.name).read_bytes()
+    assert len(list(a.iterdir())) == 25
+    assert _tree_digest(a) == SEED11_GEN_DIGEST
 
 
 def test_ground_writes_states(tmp_path, trace_dir, corpus):
@@ -728,6 +743,28 @@ def test_emit_refuses_problem_options_without_a_goal(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_emit_reads_the_goal_before_writing(tmp_path, library_file, capsys):
+    """A goal file that cannot be read leaves no domain file behind."""
+    out = tmp_path / "emitted"
+    argv = ["emit", "--library", str(library_file), "--out", str(out / "domain.pddl"),
+            "--goal", "/nonexistent/goal.json"]
+    assert main(argv) == 2
+    assert "/nonexistent/goal.json" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["--synth-corpus", "--traces"])
+def test_pipeline_reads_the_goal_before_writing(tmp_path, trace_dir, capsys, source):
+    """A goal file that cannot be read leaves the output directory empty:
+    no traces, segments or library are written first."""
+    out = tmp_path / "run"
+    traces = [str(trace_dir / "trace_00.jsonl")] if source == "--traces" else []
+    argv = ["pipeline", "--out", str(out), "--goal", "/nonexistent/goal.json", source, *traces]
+    assert main(argv) == 2
+    assert "/nonexistent/goal.json" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_seed7_artifacts_are_pinned(seed7_run, tmp_path):
     """library.json and domain.pddl hash to the benchmark's reference,
     the 25 files of the traces directory to their pinned digest, the goal
@@ -738,10 +775,7 @@ def test_seed7_artifacts_are_pinned(seed7_run, tmp_path):
     reference = json.loads((ROOT / "perfbench" / "reference_seed7.json").read_text())
     for name, digest in reference["digests"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
-    corpus = hashlib.sha256()
-    for path in sorted((out / "traces").iterdir()):
-        corpus.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert corpus.hexdigest() == SEED7_CORPUS_DIGEST
+    assert _tree_digest(out / "traces") == SEED7_CORPUS_DIGEST
 
     costs = []
     for name, goal in planner.standard_goals(execution_registry()).items():

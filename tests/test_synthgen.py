@@ -5,13 +5,20 @@ pin its determinism, the physical plausibility of the motion, and the
 shape of the ground truth sidecar.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
+import synth_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoplan import synthgen
+from demoplan.grounding import GroundingConfig
 from demoplan.ontology import EnvironmentRegistry, ObjectInstance, demonstration_registry
 from demoplan.segmentation import ActivityLabel
-from demoplan.synthgen import CUBE_REST_Z, DemoScript, corpus_scripts, generate
+from demoplan.synthgen import CUBE_REST_Z, DT, DemoScript, corpus_scripts, generate
 from demoplan.trace import read_trace
 
 # One frame count per corpus trace; any drift in the choreography shows
@@ -37,6 +44,28 @@ def test_script_validation():
         DemoScript(
             seed=1, hand="Right_hand", cubes_to_stack=("Cube_red1",), noise_sigma=-1.0
         )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("approach_speed", math.nan, "approach_speed must be a finite number exceeding 0.1 m/s"),
+        ("approach_speed", math.inf, "approach_speed must be a finite number exceeding 0.1 m/s"),
+        ("approach_speed", "0.3", "approach_speed must be a finite number exceeding 0.1 m/s"),
+        ("noise_sigma", math.nan, "noise_sigma must be a finite non-negative number"),
+        ("noise_sigma", math.inf, "noise_sigma must be a finite non-negative number"),
+        ("hover_frames", 2.5, "hover_frames must be an integer, got 2.5"),
+        ("take_frames", True, "take_frames must be an integer, got True"),
+        ("seed", -1, "seed must be non-negative, got -1"),
+        ("seed", 1.0, "seed must be an integer, got 1.0"),
+    ],
+)
+def test_script_refuses_values_generate_cannot_run(field, value, message):
+    """Each of these used to pass the script and fail deep inside
+    generate, with an error that did not name the field."""
+    fields = {"seed": 1, "hand": "Right_hand", "cubes_to_stack": ("Cube_red1",), field: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        DemoScript(**fields)
 
 
 @pytest.mark.parametrize("field", ["false_starts", "hover_frames", "take_frames"])
@@ -185,3 +214,131 @@ def test_write_corpus_layout(tmp_path, registry):
     assert (tmp_path / "trace_00.labels.json").exists()
     again = read_trace(paths[0], registry)
     assert len(again) == len(demos[0].trace)
+
+
+# --- the columns against the per-frame oracle --------------------------------
+
+
+@st.composite
+def scripts(draw):
+    """Scripts over the demonstration registry. Three cubes always fail,
+    since the third lands at cruise height and the leg up from it is
+    empty; generate and its oracle must then fail alike."""
+    registry = demonstration_registry()
+    return DemoScript(
+        seed=draw(st.integers(0, 2**32)),
+        hand=draw(st.sampled_from(registry.hands)),
+        cubes_to_stack=tuple(
+            draw(st.lists(st.sampled_from(registry.cubes), min_size=1, max_size=3, unique=True))
+        ),
+        approach_speed=draw(st.floats(0.1, 1.0, exclude_min=True)),
+        noise_sigma=draw(st.floats(0.0, 0.002)),
+        false_starts=draw(st.integers(0, 2)),
+        hover_frames=draw(st.integers(0, 10)),
+        take_frames=draw(st.integers(0, 10)),
+    )
+
+
+def _bits(values) -> tuple:
+    """An array's dtype, shape and bytes: equal only if bit for bit equal,
+    so 0.0 and -0.0 differ."""
+    values = np.asarray(values)
+    return values.dtype, values.shape, values.tobytes()
+
+
+def _snapshot_columns(frames, cubes):
+    """The arguments of ``synthgen._evaluate_labels`` for ``frames``."""
+    hand_pos = np.array([f.hand_pos for f in frames])
+    cube_pos = np.array([[f.cube_pos[cube] for cube in cubes] for f in frames])
+    return hand_pos, [f.held for f in frames], cube_pos
+
+
+@settings(max_examples=60, deadline=None)
+@given(script=scripts())
+def test_generate_matches_the_per_frame_oracle(registry, script):
+    """Labels and every trace column are bit for bit those of the
+    snapshot timeline and the per-frame label loop; the timeline's own
+    columns are the snapshots', except where a held cube is, and the
+    label rule gives the oracle's labels on the snapshots."""
+    try:
+        expected = synth_oracle.generate(script, registry)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            generate(script, registry)
+        return
+    got = generate(script, registry)
+    assert got.labels == expected.labels
+    a, b = got.trace, expected.trace
+    assert _bits(a.times) == _bits(b.times)
+    assert a.hands.keys() == b.hands.keys()
+    for hand, (pos, opens, helds) in a.hands.items():
+        assert _bits(pos) == _bits(b.hands[hand][0])
+        assert (opens, helds) == b.hands[hand][1:]
+    assert a.names == b.names
+    assert _bits(a.positions) == _bits(b.positions)
+    assert a.contacts == b.contacts
+
+    frames = synth_oracle.perform(synth_oracle.SnapshotTimeline, script, registry)[0].frames
+    timeline = synth_oracle.perform(synthgen._Timeline, script, registry)[0]
+    hand_pos, opens, helds, cube_pos, contacts = timeline.columns()
+    cubes = sorted(registry.cubes)
+    snap_pos, snap_helds, snap_cubes = _snapshot_columns(frames, cubes)
+    assert _bits(hand_pos) == _bits(snap_pos)
+    assert opens == [f.open for f in frames]
+    assert helds == snap_helds
+    assert contacts == [f.contacts for f in frames]
+    free = np.array([[cube != held for cube in cubes] for held in helds])
+    assert _bits(cube_pos[free]) == _bits(snap_cubes[free])
+
+    config = GroundingConfig()
+    labels = synthgen._evaluate_labels(snap_pos, snap_helds, snap_cubes, cubes, config)
+    assert labels == synth_oracle.evaluate_labels(frames, config)
+
+
+def _threshold_configs(frames, cubes):
+    """(frame, config) pairs that put one threshold exactly at a speed,
+    distance or cosine the oracle evaluates at that frame, or one step
+    to the side where its test flips. A value that differs from the
+    oracle's in the last bit passes a different test under one of them."""
+    default = GroundingConfig()
+    for i in range(1, len(frames)):
+        cur, prev = frames[i], frames[i - 1]
+        v = (np.asarray(cur.hand_pos) - np.asarray(prev.hand_pos)) / DT
+        speed = float(np.linalg.norm(v))
+        if cur.held is not None:
+            # Put and Take differ only in whether the hand moves.
+            for move_speed in (speed, np.nextafter(speed, 0)):
+                yield i, GroundingConfig(move_speed=float(move_speed))
+        if speed <= default.move_speed:
+            continue
+        for cube in cubes:
+            offset = np.asarray(cur.cube_pos[cube]) - np.asarray(cur.hand_pos)
+            d = float(np.linalg.norm(offset))
+            if cube == cur.held or not 1e-9 <= d < default.acted_on_dist:
+                continue
+            cosine = float(np.dot(v, offset) / (speed * d))
+            if cosine > default.approach_cosine:
+                for dist in (d, np.nextafter(d, np.inf)):
+                    yield i, GroundingConfig(acted_on_dist=float(dist))
+            for bound in (cosine, np.nextafter(cosine, -np.inf)):
+                if -1 <= bound <= 1:
+                    yield i, GroundingConfig(approach_cosine=float(bound))
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=scripts())
+def test_labels_agree_at_their_thresholds(registry, script):
+    """The label rule reduces with np.vecdot, so every speed, distance
+    and cosine it tests has the bits of np.linalg.norm and np.dot: at
+    each threshold placed on one of the oracle's values, both label the
+    frame alike."""
+    try:
+        frames = synth_oracle.perform(synth_oracle.SnapshotTimeline, script, registry)[0].frames
+    except ValueError:
+        return
+    cubes = sorted(registry.cubes)
+    hand_pos, helds, cube_pos = _snapshot_columns(frames, cubes)
+    for i, config in _threshold_configs(frames, cubes):
+        pair = slice(i - 1, i + 1)
+        got = synthgen._evaluate_labels(hand_pos[pair], helds[pair], cube_pos[pair], cubes, config)
+        assert got == synth_oracle.evaluate_labels(frames[pair], config), (i, config)

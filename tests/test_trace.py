@@ -1,9 +1,12 @@
 """Tests for trace.py."""
 
+import itertools
 import json
+import math
 from dataclasses import replace
 
 import grounding_oracle
+import numpy as np
 import pytest
 import trace_oracle
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from demoplan.ontology import (
     execution_registry,
 )
 from demoplan.synthgen import write_corpus
-from demoplan.trace import TraceError, read_trace, write_trace
+from demoplan.trace import DemoTrace, TraceError, read_trace, write_trace
 
 
 def _frame(t, pos, held=None, open_=True, cube_pos=(0.5, 0.5, 0.775)):
@@ -221,6 +224,88 @@ def test_seed7_traces_are_written_back_byte_for_byte(tmp_path, corpus, demo_regi
         again = tmp_path / "again.jsonl"
         write_trace(read_trace(path, demo_registry), again)
         assert again.read_bytes() == path.read_bytes(), path.name
+
+
+# --- the column writer against the per-line oracle -------------------------
+
+# Names JSON must escape, beside plain ones; the writer does not check
+# them against the registry.
+WRITER_HANDS = ["Robot_gripper", 'Hand "left"', "Hand\\right"]
+WRITER_OBJECTS = ["Cube_red3", "high_table", "Cube\tblue", "Cubé", "Cube\u2028", "cube\n\x00"]
+COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 5e-324, -2.5e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def written_traces(draw):
+    """Traces of 1-2 hands whose rows and contact sets repeat, change, or
+    change only in the sign of a zero, and whose hands hold cubes."""
+    registry = execution_registry()
+    hands = draw(st.lists(st.sampled_from(WRITER_HANDS), min_size=1, max_size=2, unique=True))
+    names = draw(st.lists(st.sampled_from(WRITER_OBJECTS), max_size=4, unique=True))
+    n = draw(st.integers(1, 8))
+
+    def evolving(fresh, variant):
+        """n values: a fresh one, then each the one before, a variant of
+        it or a fresh one."""
+        values = [fresh()]
+        for _ in range(n - 1):
+            step = draw(st.sampled_from([lambda v: v, variant, lambda v: fresh()]))
+            values.append(step(values[-1]))
+        return values
+
+    def rows(k):
+        coords = st.lists(COORDS, min_size=3 * k, max_size=3 * k)
+        return lambda: np.array(draw(coords)).reshape(k, 3)
+
+    def flip_zeros(row):
+        return np.where(row == 0, -row, row)
+
+    pairs = [frozenset(pair) for pair in itertools.combinations(names + hands, 2)]
+
+    def contact_set():
+        if not pairs:
+            return frozenset()
+        return frozenset(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+
+    def equal_copy(contacts):
+        return frozenset(set(contacts))
+
+    columns = {}
+    for hand in hands:
+        helds = tuple(draw(st.lists(st.sampled_from([None, *names]), min_size=n, max_size=n)))
+        opens = tuple(held is None and draw(st.booleans()) for held in helds)
+        columns[hand] = (np.concatenate(evolving(rows(1), flip_zeros)), opens, helds)
+    positions = np.stack(evolving(rows(len(names)), flip_zeros))
+    times = np.array(draw(st.lists(COORDS, min_size=n, max_size=n)))
+    contacts = evolving(contact_set, equal_copy)
+    return DemoTrace(registry, times, columns, names, positions, contacts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=written_traces())
+def test_write_matches_the_per_line_oracle(tmp_path_factory, trace):
+    """The column writer writes the bytes of one json.dumps per frame."""
+    out = tmp_path_factory.getbasetemp() / "written"
+    out.mkdir(exist_ok=True)
+    write_trace(trace, out / "columns.jsonl")
+    trace_oracle.write_trace(trace, out / "frames.jsonl")
+    assert (out / "columns.jsonl").read_bytes() == (out / "frames.jsonl").read_bytes()
+
+
+def test_write_reencodes_a_row_whose_zero_changes_sign(tmp_path, registry, two_frames):
+    """-0.0 == 0.0, yet the two print differently."""
+    positions = two_frames.positions.copy()
+    positions[1, 0, 0] = -0.0
+    positions[0, 0, 0] = 0.0
+    trace = replace(two_frames, positions=positions)
+    write_trace(trace, tmp_path / "trace.jsonl")
+    lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+    first, second = map(json.loads, lines)
+    name = trace.names[0]
+    assert math.copysign(1, first["objects"][name][0]) == 1
+    assert math.copysign(1, second["objects"][name][0]) == -1
 
 
 @pytest.mark.parametrize("what", ["time", "hand Right_hand pos", "object Cube_red1 pos"])

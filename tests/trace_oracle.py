@@ -1,10 +1,13 @@
-"""Traces as frames: the per-frame reader, the oracle for the column reader.
+"""Traces as frames: the per-frame reader and writer, the oracles for
+the column reader and writer.
 
 This is the original reader of ``demoplan.trace``: it validates one
 frame document at a time, in a fixed order of checks, and builds a
 ``DemoFrame`` with a ``HandSample`` per hand. The tests compare
 ``read_trace`` against it: the same files accepted with equal frames,
 the same files rejected with the same ``TraceError`` text and line.
+``write_trace`` is the original writer, one ``json.dumps`` of a whole
+frame document per line; the column writer must write its bytes.
 
 Frames are also how the tests build traces by hand: ``trace_of`` turns
 a list of them into a ``DemoTrace`` and ``frames_of`` turns one back.
@@ -179,3 +182,23 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> list[DemoFram
     if len(frames) < 2:
         raise TraceError(f"trace has {len(frames)} frames, need at least 2")
     return frames
+
+
+def write_trace(trace: DemoTrace, path: str | Path) -> None:
+    """Write one line per frame, with hands, objects and contact pairs
+    sorted by name and every coordinate a float."""
+    hands = sorted(
+        (hand, pos.tolist(), opens, helds) for hand, (pos, opens, helds) in trace.hands.items()
+    )
+    with open(path, "w") as fh:
+        for i, (t, row) in enumerate(zip(trace.times.tolist(), trace.positions.tolist())):
+            doc = {
+                "t": t,
+                "hands": {
+                    hand: {"pos": pos[i], "open": opens[i], "held": helds[i]}
+                    for hand, pos, opens, helds in hands
+                },
+                "objects": dict(sorted(zip(trace.names, row))),
+                "contacts": sorted(sorted(pair) for pair in trace.contacts[i]),
+            }
+            fh.write(json.dumps(doc) + "\n")
