@@ -10,14 +10,13 @@ spells its true atoms in the predicates of ``model.SCHEMAS``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .model import Atom
-from .ontology import CUBE, TABLE
+from .ontology import CUBE, TABLE, parse_json
 from .trace import DemoTrace, _is_number
 
 # A hand sitting essentially on an object has no usable approach
@@ -49,7 +48,7 @@ class GroundingConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "GroundingConfig":
-        doc = json.loads(Path(path).read_text())
+        doc = parse_json(Path(path).read_text())
         if not isinstance(doc, dict):
             raise ValueError(f"grounding config {path} must be a JSON object")
         bad = doc.keys() - GroundingConfig.__dataclass_fields__.keys()

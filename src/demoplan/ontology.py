@@ -3,6 +3,8 @@
 The tabletop world has one fixed set of types: hands, wooden cubes and
 tables, all under ``Thing``. A registry names the object instances of one
 environment, either the demonstration side or the execution side.
+``parse_json`` decodes the JSON inputs the package reads, reporting what
+the decoder cannot hold as invalid JSON.
 """
 
 from __future__ import annotations
@@ -111,10 +113,24 @@ class EnvironmentRegistry:
         }
 
 
+def parse_json(text: str):
+    """``json.loads(text)``, where a document the decoder cannot hold, one
+    nested too deeply or an integer of too many digits, raises
+    ``json.JSONDecodeError`` like any other invalid JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply to decode", text, 0) from None
+    except ValueError as exc:
+        raise json.JSONDecodeError(str(exc), text, 0) from None
+
+
 def load_registry(path: str | Path) -> EnvironmentRegistry:
     """Load a registry from a JSON file, validating structure and types."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = parse_json(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise RegistryError(f"registry {path} is not valid JSON: {exc}") from exc
     return registry_from_json(doc)

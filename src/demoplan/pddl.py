@@ -217,10 +217,23 @@ def _head(node: _Word | _List) -> str:
 
 
 def _text(node: _Word | _List) -> str:
-    """``node`` as one line of lower-case text, to match a fixed form."""
-    if isinstance(node, _Word):
-        return node.lower()
-    return "(" + " ".join(map(_text, node)) + ")"
+    """``node`` as one line of lower-case text, to match a fixed form.
+
+    Built from a stack, not by recursion, so that no depth of nesting
+    overflows; ``")"`` on the stack closes a list, as no word is ``")"``.
+    """
+    parts, stack = [], [node]
+    while stack:
+        item = stack.pop()
+        if parts and parts[-1] != "(" and item != ")":
+            parts.append(" ")
+        if isinstance(item, _List):
+            parts.append("(")
+            stack.append(")")
+            stack.extend(reversed(item))
+        else:
+            parts.append(item.lower())
+    return "".join(parts)
 
 
 def _words(items: list) -> list[_Word]:

@@ -2,10 +2,11 @@
 
 A script drives one hand through reach, grasp, carry, and stack cycles
 over a cube scene at 30 Hz. Trajectories are piecewise straight lines at
-constant speed: horizontal transits at a fixed cruise height, vertical
-descents onto targets. The timeline keeps the motion as runs of frames,
-one per straight leg or pause, each leg filled as one array, and the
-trace and the labels are computed on columns over all frames.
+constant speed: horizontal transits at a cruise height that clears the
+script's tallest stack, vertical descents onto targets. The timeline
+keeps the motion as runs of frames, one per straight leg or pause, each
+leg filled as one array, and the trace and the labels are computed on
+columns over all frames.
 Ground-truth labels are evaluated on the clean trajectory with the same
 threshold rules the grounding stage uses, but in code of their own, so
 they act as an independent oracle for the grounding and segmentation
@@ -252,7 +253,11 @@ def _demonstrate(
     slots = _cube_slots(registry)
     home = _hand_homes(registry)[script.hand]
     table = registry.table
-    cruise = CUBE_REST_Z + CRUISE_CLEARANCE
+    # At CRUISE_CLEARANCE the hand cruises one cube above the second
+    # placement; each cube stacked beyond two raises it by one cube, so
+    # that no placement lies at the cruise height with an empty leg up.
+    extra = max(0, len(script.cubes_to_stack) - 2)
+    cruise = CUBE_REST_Z + CRUISE_CLEARANCE + extra * CUBE_SIZE
     speed = script.approach_speed
 
     spare = [c for c in registry.cubes if c not in script.cubes_to_stack]

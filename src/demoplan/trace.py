@@ -19,16 +19,18 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .ontology import CUBE, HAND, EnvironmentRegistry
+from .ontology import CUBE, HAND, EnvironmentRegistry, parse_json
 
 _NUMBER_TYPES = frozenset((int, float))
 _FLOAT_MAX = sys.float_info.max
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class TraceError(Exception):
@@ -111,6 +113,58 @@ def _object_positions(rows: list[list], names: list[str], lines: list[int]) -> n
     return np.array(rows, dtype=float).reshape(len(rows), len(names), 3)
 
 
+def _object_of(text: str) -> dict | None:
+    """The JSON object that is the whole of ``text``, else None."""
+    try:
+        doc, end = _raw_decode(text)
+    except (ValueError, RecursionError):
+        return None
+    return doc if type(doc) is dict and end == len(text) else None
+
+
+def _documents(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of the file at ``path``, by its 1-based number,
+    decoded as JSON; raises ``TraceError`` for the first line that is not
+    UTF-8 or not JSON. Lines with one tail share its decoded values, so
+    the caller must not change them."""
+    last_tail, shared = None, None
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            raw = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            message = f"not UTF-8 at byte {exc.start + 1}: {exc.reason}"
+            raise TraceError(message, lineno) from None
+        if not raw:
+            continue
+        # A line whose tail, its text from ``"objects"`` on, repeats the
+        # line before's decodes only its head and takes the tail's
+        # members, decoded once. A head and a tail that each decode as a
+        # non-empty object ending exactly at the end of their text put the
+        # split at the top level, outside any string, so the merge is the
+        # whole line's decode, repeated keys included. ``{}`` marks a tail
+        # that is not such an object.
+        k = raw.find(', "objects": ')
+        tail = raw[k + 2:] if k > 0 else None
+        doc = None
+        if tail is None or tail != last_tail:
+            last_tail, shared = tail, None
+        else:
+            if shared is None:
+                shared = _object_of("{" + tail) or {}
+            head = _object_of(raw[:k] + "}") if shared else None
+            if head:
+                head.update(shared)
+                doc = head
+        if doc is None:
+            doc = _object_of(raw)
+        if doc is None:
+            try:
+                doc = parse_json(raw)
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"invalid JSON: {exc.msg}", lineno) from exc
+        yield lineno, doc
+
+
 def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
     """Read a UTF-8 JSON Lines trace file into columns, reporting errors
     with line numbers.
@@ -119,6 +173,11 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
     check of the first failing line is reported. Object positions are
     checked last, all at once; a line with its objects in the order of
     ``names`` defers them to that check.
+
+    Any valid JSON layout of a line reads the same. In the writer's
+    layout, a line whose tail, its text from ``"objects"`` on, repeats
+    the line before's has only its head decoded, and lines with one tail
+    share its decoded objects and contacts.
     """
     hand_names, names = frozenset(registry.of_type(HAND)), sorted(registry.non_hands)
     # Per frame: its line, time, objects' positions in ``names`` order and
@@ -126,18 +185,7 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
     lines, times, rows, contacts = [], [], [], []
     hand_rows, hands, last_pairs, reusable = {}, None, None, False
     try:
-        for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-            try:
-                raw = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                message = f"not UTF-8 at byte {exc.start + 1}: {exc.reason}"
-                raise TraceError(message, lineno) from None
-            if not raw:
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"invalid JSON: {exc.msg}", lineno) from exc
+        for lineno, doc in _documents(path):
             lines.append(lineno)
             if not isinstance(doc, dict):
                 raise TraceError("frame must be a JSON object", lineno)

@@ -516,6 +516,33 @@ def test_malformed_plan_file_is_bad_input(tmp_path, library_file, goal_file, cap
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "kind, option",
+    [("trace", None), ("grounding-config", "--grounding-config"), ("goal", "--goal"),
+     ("library", "--library"), ("plan", "--plan"), ("registry", "--registry")],
+)
+def test_json_nested_too_deeply_is_bad_input(
+    tmp_path, library_file, goal_file, trace_dir, capsys, kind, option
+):
+    """A document nested deeper than the decoder can go is invalid JSON:
+    every input file reports it with exit 2, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    if kind in ("trace", "grounding-config"):
+        trace = deep if kind == "trace" else trace_dir / "trace_00.jsonl"
+        argv = ["ground", str(trace), "--out", str(tmp_path / "states.json")]
+    else:
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"steps": []}))
+        inputs = {"--library": library_file, "--goal": goal_file, "--plan": plan}
+        argv = ["validate", *(f"{flag}={path}" for flag, path in inputs.items() if flag != option)]
+    if option is not None:
+        argv.append(f"{option}={deep}")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply to decode" in err
+
+
 def test_library_without_costs_is_bad_input(tmp_path, library_file, goal_file, capsys):
     """Every command that grounds or emits the library exits 2 the same way."""
     doc = json.loads(library_file.read_text())

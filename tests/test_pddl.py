@@ -472,6 +472,11 @@ def _problem(init: str, metric: str = "") -> str:
         (_problem("(= (total-cost) 5)"), "malformed cost init", "(= (total"),
         (_problem("", "(:metric maximize (nothing))"), "unsupported metric", "(:metric"),
         (_problem("", "(:metric minimize (total-cost) 1)"), "unsupported metric", "(:metric"),
+        (_problem("", "(:metric " + "(" * 5000 + ")" * 5000 + ")"),
+         "unsupported metric", "(:metric"),
+        (_problem("(= " + "(" * 5000 + ")" * 5000 + " 0)"), "malformed cost init", "(= (("),
+        (_reach("(and (increase " + "(" * 5000 + ")" * 5000 + " 5))"),
+         "malformed cost increase", "(increase"),
         (_problem("(onTop h h)"), "onTop(h, h) names one instance twice", "(define"),
         (_problem("(inHand t h)"), "inHand(t, h): t is not a Hand", "(define"),
         (_problem("(not (= h t))"), "neq(h, t): neq may not appear", "(define"),
@@ -489,7 +494,8 @@ def test_malformed_text_raises_a_positioned_syntax_error(text, message, at):
     mistyped atoms and neq atoms that used to parse, an object of a
     type outside the header's, and actions the library refuses: a
     parameter of an unknown type or declared twice, a revocation on an
-    undeclared variable, and a second action of one name."""
+    undeclared variable, and a second action of one name. A fixed form
+    nested 5,000 deep is refused where it stands, not by RecursionError."""
     with pytest.raises(PddlSyntaxError, match=re.escape(message)) as info:
         parse(text)
     assert (info.value.line, info.value.col) == (1, text.index(at) + 1)

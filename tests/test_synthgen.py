@@ -197,6 +197,31 @@ def test_stacked_cube_ends_on_its_base(registry):
     assert trace.hands[script.hand][2][-1] is None
 
 
+@pytest.mark.parametrize("false_starts", [0, 1, 2])
+def test_three_cube_script_builds_a_tower_of_three(registry, false_starts):
+    """The cruise clears the tallest stack, so the leg up from the third
+    placement is not empty: the script runs, its oracle agrees, and the
+    last frame holds the three-high tower on its base."""
+    script = DemoScript(
+        seed=3, hand="Right_hand", cubes_to_stack=("Cube_red1", "Cube_green1", "Cube_blue1"),
+        false_starts=false_starts,
+    )
+    demo = generate(script, registry)
+    expected = synth_oracle.generate(script, registry)
+    assert demo.labels == expected.labels
+    assert demo.trace.contacts == expected.trace.contacts
+    assert np.array_equal(demo.trace.positions, expected.trace.positions)
+    contacts = demo.trace.contacts[-1]
+    (base,) = {c for pair in contacts if "Cube_red1" in pair for c in pair}.difference(
+        script.cubes_to_stack
+    )
+    tower = [base, *script.cubes_to_stack]
+    assert all(frozenset(pair) in contacts for pair in zip(tower, tower[1:]))
+    z = demo.trace.positions[-1, :, 2]
+    heights = [z[demo.trace.names.index(cube)] for cube in tower]
+    assert heights == pytest.approx([CUBE_REST_Z + i * synthgen.CUBE_SIZE for i in range(4)])
+
+
 def test_noise_free_style_moves_at_scripted_speed(registry):
     script = corpus_scripts(7, registry)[0]
     assert script.noise_sigma == 0.0
@@ -221,9 +246,8 @@ def test_write_corpus_layout(tmp_path, registry):
 
 @st.composite
 def scripts(draw):
-    """Scripts over the demonstration registry. Three cubes always fail,
-    since the third lands at cruise height and the leg up from it is
-    empty; generate and its oracle must then fail alike."""
+    """Scripts over the demonstration registry. Where a script cannot be
+    run, generate and its oracle must fail alike."""
     registry = demonstration_registry()
     return DemoScript(
         seed=draw(st.integers(0, 2**32)),

@@ -1,5 +1,7 @@
 """Tests for trace.py."""
 
+import copy
+import functools
 import itertools
 import json
 import math
@@ -115,6 +117,20 @@ def test_read_rejects_text_that_is_not_utf8(tmp_path, registry, data, message):
     path.write_bytes(data)
     with pytest.raises(TraceError, match=f"^{message}"):
         read_trace(path, registry)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"t": ' + "1" * 5000 + "}"],
+    ids=["nested-too-deeply", "too-many-digits"],
+)
+def test_read_reports_json_the_decoder_cannot_hold(tmp_path, registry, two_frames, text):
+    path = tmp_path / "trace.jsonl"
+    write_trace(two_frames, path)
+    path.write_text(path.read_text() + text + "\n")
+    with pytest.raises(TraceError, match="^line 3: invalid JSON: ") as raised:
+        read_trace(path, registry)
+    assert raised.value.line == 3
 
 
 def test_blank_lines_are_skipped(tmp_path, registry, two_frames):
@@ -475,10 +491,71 @@ def _repeated_time(draw, docs):
     docs[0]["t"] = 0.0
 
 
+def _tail_repeated(draw, docs):
+    """Every later line repeats this line's objects and contacts: its
+    tail, under the heads of its own."""
+    for doc in docs[1:]:
+        doc["objects"] = copy.deepcopy(docs[0]["objects"])
+        doc["contacts"] = copy.deepcopy(docs[0]["contacts"])
+
+
+def _split_in_a_string(draw, docs):
+    """From this line on, a hand's name or held cube spells the
+    ``"objects"`` key or the whole split."""
+    hand = draw(st.sampled_from(sorted(docs[0]["hands"])))
+    text, rename = draw(st.sampled_from(["objects", ', "objects": '])), draw(st.booleans())
+    for doc in docs:
+        if rename:
+            doc["hands"] = {text if h == hand else h: s for h, s in doc["hands"].items()}
+        else:
+            doc["hands"][hand]["held"] = text
+
+
+# Layout edits: from the chosen line on, each line is written in a layout
+# the writer never uses. A line's ``layout`` turns it into text.
+
+class _Line(dict):
+    """A frame document, written as ``layout`` of it."""
+
+    layout = staticmethod(json.dumps)
+
+
+def _keys_reordered(draw, docs):
+    order = draw(st.permutations(["t", "hands", "objects", "contacts"]))
+    rank = {key: i for i, key in enumerate(order)}
+    for doc in docs:
+        doc.layout = lambda d, write=doc.layout: write(
+            dict(sorted(d.items(), key=lambda item: rank.get(item[0], len(rank))))
+        )
+
+
+def _compact_separators(draw, docs):
+    for doc in docs:
+        doc.layout = functools.partial(json.dumps, separators=(",", ":"))
+
+
+def _key_after_contacts(draw, docs):
+    """A second ``objects``, a head key again, or a new key, after
+    ``contacts``: the last value of a key wins, at its first position."""
+    key = draw(st.sampled_from(["objects", "t", "hands", "extra"]))
+    value = json.dumps(draw(st.just(docs[0].get(key)) | JSON_VALUES))
+    for doc in docs:
+        doc.layout = lambda d, write=doc.layout: f"{write(d)[:-1]}, {json.dumps(key)}: {value}}}"
+
+
+def _head_closed_early(draw, docs):
+    """One line's head closes the frame before its tail: invalid JSON
+    whose head alone decodes as an object."""
+    docs[0].layout = lambda d, write=docs[0].layout: write(d).replace(
+        ', "objects": ', '}, "objects": ', 1
+    )
+
+
 MUTATIONS = [
     _bad_type, _non_finite, _missing_key, _missing_object, _hand_leaves,
     _hand_as_object_and_contact, _z_order_flip, _objects_reordered,
-    _integer_coordinate, _repeated_time,
+    _integer_coordinate, _repeated_time, _tail_repeated, _split_in_a_string,
+    _keys_reordered, _compact_separators, _key_after_contacts, _head_closed_early,
 ]
 SEED7_PATHS = [
     ("t",), ("hands",), ("objects",), ("contacts",),
@@ -492,12 +569,13 @@ SEED7_PATHS = [
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_reader_matches_the_per_frame_oracle(tmp_path_factory, seed7_lines, demo_registry, data):
-    """Mutated windows of a seed-7 trace: both readers accept a file with
-    equal frames and equal grounded states, or reject it with the same
-    message and line. The column reader drops the hands that a line lists
-    among its objects, so the oracle's frames are compared without them."""
+    """Mutated windows of a seed-7 trace, some lines in layouts of their
+    own: both readers accept a file with equal frames and equal grounded
+    states, or reject it with the same message and line. The column
+    reader drops the hands that a line lists among its objects, so the
+    oracle's frames are compared without them."""
     start = data.draw(st.integers(0, len(seed7_lines) - WINDOW))
-    docs = [json.loads(raw) for raw in seed7_lines[start:start + WINDOW]]
+    docs = [_Line(json.loads(raw)) for raw in seed7_lines[start:start + WINDOW]]
     for _ in range(data.draw(st.integers(0, 3))):
         mutate = data.draw(st.sampled_from(MUTATIONS))
         try:
@@ -505,7 +583,7 @@ def test_reader_matches_the_per_frame_oracle(tmp_path_factory, seed7_lines, demo
         except (KeyError, TypeError, IndexError, AttributeError, ValueError):
             pass  # an earlier mutation broke what this one edits
     path = tmp_path_factory.mktemp("diff") / "trace.jsonl"
-    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    path.write_text("".join(doc.layout(doc) + "\n" for doc in docs))
     try:
         expected = trace_oracle.read_trace(path, demo_registry)
     except TraceError as exc:
