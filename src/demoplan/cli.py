@@ -22,8 +22,8 @@ from .ontology import (
     OntologyError,
     demonstration_registry,
     execution_registry,
+    load_json,
     load_registry,
-    parse_json,
     save_registry,
 )
 from .trace import TraceError, read_trace
@@ -52,14 +52,14 @@ def _add_grounding_config(p: argparse.ArgumentParser) -> None:
 
 
 def _load_goal(path: str | Path) -> tuple[Literal, ...]:
-    doc = parse_json(Path(path).read_text())
+    doc = load_json(path, "goal file")
     if not isinstance(doc, list) or not doc:
         raise ValueError(f"goal file {path} must be a non-empty JSON list of literals")
     return tuple(map(literal_from_json, doc))
 
 
 def _load_library(path: str | Path) -> OperatorLibrary:
-    return OperatorLibrary.from_json(parse_json(Path(path).read_text()))
+    return OperatorLibrary.from_json(load_json(path, "library"))
 
 
 def _problem(registry, goal: tuple[Literal, ...]) -> PlanningProblem:
@@ -174,7 +174,7 @@ def cmd_validate(args) -> int:
     library = _load_library(args.library)
     problem = _problem(_registry(args.registry), _load_goal(args.goal))
     actions = planner.ground(library, problem.registry)
-    plan = planner.plan_from_json(parse_json(Path(args.plan).read_text()), actions)
+    plan = planner.plan_from_json(load_json(args.plan, "plan"), actions)
     report = planner.validate(problem, plan, mutex=True)
     print(json.dumps(planner.report_to_json(report)))
     return 0 if report.valid else 4

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Atom
-from .ontology import CUBE, TABLE, parse_json
+from .ontology import CUBE, TABLE, load_json
 from .trace import DemoTrace, _is_number
 
 # A hand sitting essentially on an object has no usable approach
@@ -48,7 +48,7 @@ class GroundingConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "GroundingConfig":
-        doc = parse_json(Path(path).read_text())
+        doc = load_json(path, "grounding config")
         if not isinstance(doc, dict):
             raise ValueError(f"grounding config {path} must be a JSON object")
         bad = doc.keys() - GroundingConfig.__dataclass_fields__.keys()

@@ -4,7 +4,8 @@ The tabletop world has one fixed set of types: hands, wooden cubes and
 tables, all under ``Thing``. A registry names the object instances of one
 environment, either the demonstration side or the execution side.
 ``parse_json`` decodes the JSON inputs the package reads, reporting what
-the decoder cannot hold as invalid JSON.
+the decoder cannot hold as invalid JSON, and ``load_json`` reads a JSON
+file, naming the file when it is not UTF-8 JSON.
 """
 
 from __future__ import annotations
@@ -127,12 +128,25 @@ def parse_json(text: str):
         raise json.JSONDecodeError(str(exc), text, 0) from None
 
 
+def load_json(path: str | Path, what: str):
+    """The JSON document in the file at ``path``, read as UTF-8. A file
+    that is not UTF-8 or not JSON raises ``ValueError`` naming ``what``
+    and ``path``: ``library lib.json is not valid JSON: …``."""
+    try:
+        return parse_json(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 at byte {exc.start + 1}: {exc.reason}"
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+    raise ValueError(f"{what} {path} is not valid JSON: {reason}")
+
+
 def load_registry(path: str | Path) -> EnvironmentRegistry:
     """Load a registry from a JSON file, validating structure and types."""
     try:
-        doc = parse_json(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise RegistryError(f"registry {path} is not valid JSON: {exc}") from exc
+        doc = load_json(path, "registry")
+    except ValueError as exc:
+        raise RegistryError(str(exc)) from exc
     return registry_from_json(doc)
 
 

@@ -10,9 +10,11 @@ Traces are stored as JSON Lines, one frame per line:
 Every frame tracks the same hands as the frame before it and gives a
 position for every non-hand instance of the registry; ``read_trace``
 rejects a trace that does not. A trace is held as columns over its
-frames (``DemoTrace``): ``read_trace`` fills them from a file and
-``write_trace`` writes each line from them. Hands that a line also
-lists under ``objects`` are checked and then dropped.
+frames (``DemoTrace``), whose shapes must line up: ``read_trace`` fills
+them from a file, and ``write_trace`` joins each line from texts it
+renders once per run of equal values in a column, with the bytes of
+``json.dumps`` of the frame. Hands that a line also lists under
+``objects`` are checked and then dropped.
 """
 
 from __future__ import annotations
@@ -50,10 +52,13 @@ class TraceError(Exception):
 class DemoTrace:
     """One demonstration as columns over its frames.
 
-    ``hands`` maps each hand to its positions (frames, 3), open flags and
-    held cubes; ``positions[i, j]`` is where ``names[j]`` is at frame i.
-    Equal consecutive contact sets may be one object. Every time and
-    position is finite, or the constructor raises ``TraceError``.
+    Over n frames, ``times`` is (n,); ``hands`` maps each hand to its
+    positions (n, 3) and its n open flags and n held cubes;
+    ``positions`` is (n, len(names), 3), where ``positions[i, j]`` is
+    where ``names[j]`` is at frame i; and ``contacts`` has n sets. Equal
+    consecutive contact sets may be one object. Every column has its
+    shape and every time and position is a finite float64, or the
+    constructor raises ``TraceError``.
     """
 
     registry: EnvironmentRegistry
@@ -64,6 +69,23 @@ class DemoTrace:
     contacts: list[frozenset[frozenset[str]]]
 
     def __post_init__(self) -> None:
+        if self.times.ndim != 1:
+            raise TraceError(f"times has shape {self.times.shape}, need (frames,)")
+        n = len(self.times)
+        arrays = [("times", self.times, (n,))]
+        arrays += [(f"hand {hand} pos", pos, (n, 3)) for hand, (pos, _, _) in self.hands.items()]
+        arrays.append(("positions", self.positions, (n, len(self.names), 3)))
+        for what, values, shape in arrays:
+            if values.dtype != np.float64:
+                raise TraceError(f"{what} has dtype {values.dtype}, need float64")
+            if values.shape != shape:
+                raise TraceError(f"{what} has shape {values.shape}, need {shape}")
+        lists = [(f"hand {hand} open", opens) for hand, (_, opens, _) in self.hands.items()]
+        lists += [(f"hand {hand} held", helds) for hand, (_, _, helds) in self.hands.items()]
+        lists.append(("contacts", self.contacts))
+        for what, values in lists:
+            if len(values) != n:
+                raise TraceError(f"{what} has {len(values)} entries, need {n}")
         columns = [("time", self.times)]
         columns += [(f"hand {hand} pos", pos) for hand, (pos, _, _) in self.hands.items()]
         columns += [
@@ -272,40 +294,84 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
     return DemoTrace(registry, np.array(times), hand_columns, names, positions, contacts)
 
 
+def _runs(bits: np.ndarray) -> tuple[list[int], list[int]]:
+    """Where runs of equal values start in ``bits``, (frames, columns,
+    values): the (frame, column) pairs, in frame order, of every column
+    at the first frame and of each column at a frame where any of its
+    values differs from the frame before."""
+    starts = np.ones(bits.shape[:2], dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=2)
+    frames, columns = np.nonzero(starts)
+    return frames.tolist(), columns.tolist()
+
+
+def _joined(
+    n: int, width: int, frames: list[int], columns: list[int], entries: list[str]
+) -> list[str]:
+    """The text of a JSON object of ``width`` entries on each of ``n``
+    frames, where ``entries[k]`` is column ``columns[k]``'s entry from
+    ``frames[k]`` on, as ``_runs`` orders them."""
+    current, texts = [""] * width, []
+    for i, j, entry, end in zip(frames, columns, entries, [*frames[1:], n]):
+        current[j] = entry
+        if end != i:
+            texts += ["{" + ", ".join(current) + "}"] * (end - i)
+    return texts or ["{}"] * n
+
+
 def write_trace(trace: DemoTrace, path: str | Path) -> None:
     """Write one line per frame, with hands, objects and contact pairs
     sorted by name and every coordinate a float.
 
     Each line is, byte for byte, ``json.dumps`` of the frame document
-    above with its keys in that order. It is joined from the
-    ``json.dumps`` of its sections: the objects are encoded again only
-    when their row's bytes differ from the row before (``-0.0 == 0.0``,
-    but the two print differently), and each contact set once. The file
-    is written at once.
+    above with its keys in that order. It is joined from texts made once
+    per column: a hand's entry once per run of frames with equal position
+    bits, ``open`` and ``held``, an object's entry once per run of equal
+    position bits (``-0.0 == 0.0``, but the two print differently), and
+    each contact set once. Floats are written with ``repr``, as
+    ``json.dumps`` writes them; names, ``open`` and ``held`` with
+    ``json.dumps``, once per distinct value. The file is written at once.
     """
-    dumps = json.dumps
-    hands = sorted(
-        (hand, pos.tolist(), opens, helds) for hand, (pos, opens, helds) in trace.hands.items()
-    )
+    dumps, n = json.dumps, len(trace)
+    hands = sorted(trace.hands)
+    samples = [trace.hands[hand] for hand in hands]
+    # The hands' open and held values, keyed by type as well (True == 1,
+    # but the two print differently), and a number for each distinct key.
+    flag_keys = [list(zip(map(type, v), v)) for _, opens, helds in samples for v in (opens, helds)]
+    codes = {key: i for i, key in enumerate(dict.fromkeys(chain.from_iterable(flag_keys)))}
+    flag_texts = [dumps(value) for _, value in codes]
+    # (frames, hands, 3) positions, and their bits beside the two codes.
+    hand_pos = np.array([pos for pos, _, _ in samples])
+    hand_pos = hand_pos.reshape(len(hands), n, 3).transpose(1, 0, 2)
+    flags = np.array([[*map(codes.__getitem__, k)] for k in flag_keys], dtype=np.uint64)
+    flags = flags.reshape(len(hands), 2, n).transpose(2, 0, 1)
+    frames, columns = _runs(np.concatenate((hand_pos.view(np.uint64), flags), axis=2))
+    keys = [dumps(hand) for hand in hands]
+    entries = [
+        f'{keys[j]}: {{"pos": [{x!r}, {y!r}, {z!r}],'
+        f' "open": {flag_texts[o]}, "held": {flag_texts[h]}}}'
+        for j, (x, y, z), (o, h) in zip(
+            columns, hand_pos[frames, columns].tolist(), flags[frames, columns].tolist()
+        )
+    ]
+    hand_texts = _joined(n, len(hands), frames, columns, entries)
+
     order = sorted(range(len(trace.names)), key=trace.names.__getitem__)
-    names = [trace.names[j] for j in order]
     positions = trace.positions[:, order]
-    bits = positions.reshape(len(positions), 3 * len(names)).view(np.uint64)
-    changed = [True, *(bits[1:] != bits[:-1]).any(axis=1).tolist()]
+    frames, columns = _runs(positions.view(np.uint64))
+    keys = [dumps(trace.names[k]) for k in order]
+    entries = [
+        f"{keys[j]}: [{x!r}, {y!r}, {z!r}]"
+        for j, (x, y, z) in zip(columns, positions[frames, columns].tolist())
+    ]
+    object_texts = _joined(n, len(order), frames, columns, entries)
+
     contacts_text: dict[frozenset, str] = {}
-    lines = []
-    for i, t in enumerate(trace.times.tolist()):
-        if changed[i]:
-            objects = dumps(dict(zip(names, positions[i].tolist())))
-        contacts = trace.contacts[i]
+    for contacts in trace.contacts:
         if contacts not in contacts_text:
             contacts_text[contacts] = dumps(sorted(sorted(pair) for pair in contacts))
-        sample = {
-            hand: {"pos": pos[i], "open": opens[i], "held": helds[i]}
-            for hand, pos, opens, helds in hands
-        }
-        lines.append(
-            f'{{"t": {dumps(t)}, "hands": {dumps(sample)}, "objects": {objects},'
-            f' "contacts": {contacts_text[contacts]}}}\n'
-        )
-    Path(path).write_text("".join(lines))
+    lines = zip(trace.times.tolist(), hand_texts, object_texts, trace.contacts)
+    Path(path).write_text("".join(
+        f'{{"t": {t!r}, "hands": {h}, "objects": {o}, "contacts": {contacts_text[c]}}}\n'
+        for t, h, o, c in lines
+    ))

@@ -3,15 +3,23 @@
 The seed-7 corpus and the library learned from it are expensive enough
 to build once per session; everything downstream treats them as
 immutable.
+
+Hypothesis runs under the ``derandomized`` profile: every run draws the
+same examples for a test, and a failure prints the blob that replays it.
+A test's own ``@settings`` (``max_examples``, ``deadline``) still apply.
 """
 
 import pytest
+from hypothesis import settings
 
 from demoplan import grounding, oplearn, planner, segmentation, synthgen
 from demoplan.model import OperatorLibrary
 from demoplan.ontology import demonstration_registry, execution_registry
 
 CORPUS_SEED = 7
+
+settings.register_profile("derandomized", derandomize=True, print_blob=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -516,20 +516,33 @@ def test_malformed_plan_file_is_bad_input(tmp_path, library_file, goal_file, cap
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+NOT_JSON = {
+    "nested-too-deeply": (
+        ("[" * 100_000 + "]" * 100_000).encode(),
+        "nested too deeply to decode: line 1 column 1 (char 0)",
+    ),
+    "not-utf8": (b"\xff[]", "not UTF-8 at byte 1: invalid start byte"),
+    "truncated": (b'{"steps": [', "Expecting value: line 1 column 12 (char 11)"),
+}
+
+
+@pytest.mark.parametrize("text", NOT_JSON)
 @pytest.mark.parametrize(
     "kind, option",
-    [("trace", None), ("grounding-config", "--grounding-config"), ("goal", "--goal"),
+    [("trace", None), ("grounding config", "--grounding-config"), ("goal file", "--goal"),
      ("library", "--library"), ("plan", "--plan"), ("registry", "--registry")],
 )
-def test_json_nested_too_deeply_is_bad_input(
-    tmp_path, library_file, goal_file, trace_dir, capsys, kind, option
+def test_input_that_is_not_json_is_bad_input(
+    tmp_path, library_file, goal_file, trace_dir, capsys, kind, option, text
 ):
-    """A document nested deeper than the decoder can go is invalid JSON:
-    every input file reports it with exit 2, not a traceback."""
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000 + "]" * 100_000)
-    if kind in ("trace", "grounding-config"):
-        trace = deep if kind == "trace" else trace_dir / "trace_00.jsonl"
+    """A file that is not UTF-8, is cut short or is nested deeper than the
+    decoder can go is invalid JSON: every input file reports it with exit
+    2, not a traceback, and names itself; a trace names the line."""
+    data, reason = NOT_JSON[text]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    if kind in ("trace", "grounding config"):
+        trace = bad if kind == "trace" else trace_dir / "trace_00.jsonl"
         argv = ["ground", str(trace), "--out", str(tmp_path / "states.json")]
     else:
         plan = tmp_path / "plan.json"
@@ -537,10 +550,13 @@ def test_json_nested_too_deeply_is_bad_input(
         inputs = {"--library": library_file, "--goal": goal_file, "--plan": plan}
         argv = ["validate", *(f"{flag}={path}" for flag, path in inputs.items() if flag != option)]
     if option is not None:
-        argv.append(f"{option}={deep}")
+        argv.append(f"{option}={bad}")
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "nested too deeply to decode" in err
+    if kind == "trace":
+        assert err.startswith("error: line 1: ") and reason.split(":")[0] in err
+    else:
+        assert err == f"error: {kind} {bad} is not valid JSON: {reason}\n"
 
 
 def test_library_without_costs_is_bad_input(tmp_path, library_file, goal_file, capsys):

@@ -255,19 +255,22 @@ COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 5e-324, -2.5e300]) | st.flo
 
 @st.composite
 def written_traces(draw):
-    """Traces of 1-2 hands whose rows and contact sets repeat, change, or
-    change only in the sign of a zero, and whose hands hold cubes."""
+    """Traces of 0-2 hands and up to 40 frames whose rows, hand samples
+    and contact sets repeat, change, change in one column or only in the
+    sign of a zero. A hand may rest while its open or held value changes,
+    and its open values may be 0 or 1, which equal False and True but
+    print differently."""
     registry = execution_registry()
-    hands = draw(st.lists(st.sampled_from(WRITER_HANDS), min_size=1, max_size=2, unique=True))
+    hands = draw(st.lists(st.sampled_from(WRITER_HANDS), max_size=2, unique=True))
     names = draw(st.lists(st.sampled_from(WRITER_OBJECTS), max_size=4, unique=True))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
 
-    def evolving(fresh, variant):
+    def evolving(fresh, *variants):
         """n values: a fresh one, then each the one before, a variant of
         it or a fresh one."""
         values = [fresh()]
         for _ in range(n - 1):
-            step = draw(st.sampled_from([lambda v: v, variant, lambda v: fresh()]))
+            step = draw(st.sampled_from([lambda v: v, *variants, lambda v: fresh()]))
             values.append(step(values[-1]))
         return values
 
@@ -277,6 +280,11 @@ def written_traces(draw):
 
     def flip_zeros(row):
         return np.where(row == 0, -row, row)
+
+    def one_column(row):
+        row = row.copy()
+        row[draw(st.integers(0, len(row) - 1))] = rows(1)()[0]
+        return row
 
     pairs = [frozenset(pair) for pair in itertools.combinations(names + hands, 2)]
 
@@ -290,10 +298,16 @@ def written_traces(draw):
 
     columns = {}
     for hand in hands:
-        helds = tuple(draw(st.lists(st.sampled_from([None, *names]), min_size=n, max_size=n)))
-        opens = tuple(held is None and draw(st.booleans()) for held in helds)
-        columns[hand] = (np.concatenate(evolving(rows(1), flip_zeros)), opens, helds)
-    positions = np.stack(evolving(rows(len(names)), flip_zeros))
+        helds = tuple(evolving(lambda: draw(st.sampled_from([None, *names]))))
+        opens = evolving(lambda: draw(st.booleans() | st.sampled_from([0, 1])))
+        opens = tuple(held is None and is_open for held, is_open in zip(helds, opens))
+        if draw(st.booleans()):
+            pos = np.concatenate(evolving(rows(1), flip_zeros))
+        else:
+            pos = np.tile(rows(1)(), (n, 1))
+        columns[hand] = (pos, opens, helds)
+    variants = [flip_zeros, one_column] if names else [flip_zeros]
+    positions = np.stack(evolving(rows(len(names)), *variants))
     times = np.array(draw(st.lists(COORDS, min_size=n, max_size=n)))
     contacts = evolving(contact_set, equal_copy)
     return DemoTrace(registry, times, columns, names, positions, contacts)
@@ -342,6 +356,47 @@ def test_a_trace_refuses_values_that_are_not_finite(corpus, demo_registry, what)
     }[what]
     with pytest.raises(TraceError, match=f"^{what} at frame {moving} is not finite$"):
         trace_of(frames, demo_registry)
+
+
+def _hand_cut(k):
+    """An edit of a trace: the gripper's k-th column (pos, open, held)
+    a frame short."""
+    def cut(trace):
+        column = list(trace.hands["Robot_gripper"])
+        column[k] = column[k][:-1]
+        return {"hands": {"Robot_gripper": tuple(column)}}
+    return cut
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda trace: {"times": trace.times[:, None]},
+         r"times has shape \(3, 1\), need \(frames,\)"),
+        (_hand_cut(0), r"hand Robot_gripper pos has shape \(2, 3\), need \(3, 3\)"),
+        (_hand_cut(1), "hand Robot_gripper open has 2 entries, need 3"),
+        (_hand_cut(2), "hand Robot_gripper held has 2 entries, need 3"),
+        (lambda trace: {"positions": trace.positions[:, :-1]},
+         r"positions has shape \(3, 4, 3\), need \(3, 5, 3\)"),
+        (lambda trace: {"contacts": trace.contacts[:-1]}, "contacts has 2 entries, need 3"),
+    ],
+    ids=["times", "hand-pos", "hand-open", "hand-held", "positions", "contacts"],
+)
+def test_a_trace_refuses_columns_that_do_not_line_up(registry, cut, message):
+    """A column a frame short would crash the writer, or be cut short by
+    a writer that zips its columns."""
+    trace = trace_of([_frame(0.1 * i, (0.1 * i, 0.0, 1.0)) for i in range(3)], registry)
+    with pytest.raises(TraceError, match=f"^{message}$"):
+        replace(trace, **cut(trace))
+
+
+@pytest.mark.parametrize("what, dtype", [("times", np.float32), ("positions", np.int64)])
+def test_a_trace_refuses_columns_that_are_not_float64(two_frames, what, dtype):
+    """An integer coordinate would be written without its point, and the
+    writer compares coordinates by their 64 bits."""
+    column = getattr(two_frames, what).astype(dtype)
+    with pytest.raises(TraceError, match=f"^{what} has dtype {column.dtype}, need float64$"):
+        replace(two_frames, **{what: column})
 
 
 def _two_hand_registry():
