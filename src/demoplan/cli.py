@@ -26,7 +26,7 @@ from .ontology import (
     load_registry,
     save_registry,
 )
-from .trace import TraceError, read_trace
+from .trace import DemoTrace, TraceError, read_trace
 
 PLANNER_MODES = {"cost": "min_cost", "length": "min_length", "greedy": "greedy"}
 
@@ -67,6 +67,15 @@ def _problem(registry, goal: tuple[Literal, ...]) -> PlanningProblem:
     return PlanningProblem(registry, planner.tabletop_init(registry), goal)
 
 
+def _read_trace(path: str | Path, registry) -> DemoTrace:
+    """``read_trace`` of ``path``, whose errors name the trace:
+    ``trace b.jsonl: line 7: invalid JSON: …``."""
+    try:
+        return read_trace(path, registry)
+    except TraceError as exc:
+        raise TraceError(f"trace {path}: {exc}") from None
+
+
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -82,7 +91,7 @@ def _learn(trace_paths, registry, config, args, segment_dir=None) -> OperatorLib
     written to ``segment_dir`` when one is given."""
     library = OperatorLibrary()
     for path in trace_paths:
-        trace = read_trace(path, registry)
+        trace = _read_trace(path, registry)
         states = grounding.ground_trace(trace, config)
         segments = segmentation.segment(states)
         if segment_dir is not None:
@@ -123,7 +132,7 @@ def cmd_gen(args) -> int:
 
 def cmd_ground(args) -> int:
     registry = _registry(args.registry)
-    trace = read_trace(args.trace, registry)
+    trace = _read_trace(args.trace, registry)
     states = grounding.ground_trace(trace, _grounding_config(args))
     _write_json(Path(args.out), grounding.states_to_json(states))
     print(args.out)
@@ -132,7 +141,7 @@ def cmd_ground(args) -> int:
 
 def cmd_segment(args) -> int:
     registry = _registry(args.registry)
-    trace = read_trace(args.trace, registry)
+    trace = _read_trace(args.trace, registry)
     segments = segmentation.segment(grounding.ground_trace(trace, _grounding_config(args)))
     _write_json(Path(args.out), segmentation.segments_to_json(segments))
     print(args.out)

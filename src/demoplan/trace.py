@@ -10,10 +10,12 @@ Traces are stored as JSON Lines, one frame per line:
 Every frame tracks the same hands as the frame before it and gives a
 position for every non-hand instance of the registry; ``read_trace``
 rejects a trace that does not. A trace is held as columns over its
-frames (``DemoTrace``), whose shapes must line up: ``read_trace`` fills
-them from a file, and ``write_trace`` joins each line from texts it
-renders once per run of equal values in a column, with the bytes of
-``json.dumps`` of the frame. Hands that a line also lists under
+frames (``DemoTrace``), whose shapes must line up. ``write_trace`` joins
+each line from texts it renders once per run of equal values in a
+column, with the bytes of ``json.dumps`` of the frame. ``read_trace``
+reads a file in that layout back by columns, decoding and checking each
+distinct text in a column once, and reads any other file, or reports its
+first error, line by line. Hands that a line also lists under
 ``objects`` are checked and then dropped.
 """
 
@@ -106,7 +108,7 @@ def _is_number(value) -> bool:
     return type(value) in _NUMBER_TYPES and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
-def _check_vec(value, what: str, line: int) -> None:
+def _check_vec(value, what: str, line: int | None) -> None:
     if not (isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))):
         raise TraceError(f"{what} must be a 3-element finite number list, got {value!r}", line)
 
@@ -118,39 +120,61 @@ def _as_dict(doc: dict, key: str, line: int | None) -> dict:
     return value
 
 
-def _object_positions(rows: list[list], names: list[str], lines: list[int]) -> np.ndarray:
-    """The (frames, names, 3) array of ``rows``, the positions of ``names``
-    as given on ``lines``; raises for the first one that is not a
-    3-element finite number list."""
-    vecs = list(chain.from_iterable(rows))
-    if set(map(type, vecs)) <= {list} and set(map(len, vecs)) <= {3}:
-        coords = list(chain.from_iterable(vecs))
-        if set(map(type, coords)) <= {float}:
-            flat = np.array(coords, dtype=float)
-            if np.isfinite(flat).all():
-                return flat.reshape(len(rows), len(names), 3)
-    for row, line in zip(rows, lines):
-        for name, value in zip(names, row):
-            _check_vec(value, f"object {name} pos", line)
-    return np.array(rows, dtype=float).reshape(len(rows), len(names), 3)
+def _hand_sample(name: str, sample, registry: EnvironmentRegistry, line: int | None) -> tuple:
+    """The (pos, open, held) of hand ``name``'s sample; raises
+    ``TraceError`` for the first check it fails."""
+    if name not in registry or registry.type_of(name) != HAND:
+        raise TraceError(f"unknown hand instance: {name}", line)
+    if not isinstance(sample, dict):
+        raise TraceError(f"hand sample for {name} must be an object", line)
+    is_open, held, pos = sample.get("open"), sample.get("held"), sample.get("pos")
+    if type(is_open) is not bool:
+        raise TraceError(f"hand {name} open must be a JSON boolean, got {is_open!r}", line)
+    if held is not None:
+        if held not in registry or registry.type_of(held) != CUBE:
+            raise TraceError(f"held object {held!r} is not a known cube", line)
+        if is_open:
+            raise TraceError(f"hand {name} cannot be open while holding {held}", line)
+    _check_vec(pos, f"hand {name} pos", line)
+    return pos, is_open, held
 
 
-def _object_of(text: str) -> dict | None:
-    """The JSON object that is the whole of ``text``, else None."""
-    try:
-        doc, end = _raw_decode(text)
-    except (ValueError, RecursionError):
-        return None
-    return doc if type(doc) is dict and end == len(text) else None
+def _object_pos(name: str, value, registry: EnvironmentRegistry, line: int | None) -> list:
+    """Object ``name``'s position; raises ``TraceError`` for the first
+    check it fails."""
+    if name not in registry:
+        raise TraceError(f"unknown object instance: {name}", line)
+    _check_vec(value, f"object {name} pos", line)
+    return value
 
 
-def _documents(path: str | Path) -> Iterator[tuple[int, object]]:
-    """Each non-blank line of the file at ``path``, by its 1-based number,
-    decoded as JSON; raises ``TraceError`` for the first line that is not
-    UTF-8 or not JSON. Lines with one tail share its decoded values, so
-    the caller must not change them."""
-    last_tail, shared = None, None
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+def _contact_set(
+    pairs: list, registry: EnvironmentRegistry, placed, line: int | None
+) -> frozenset[frozenset[str]]:
+    """The set of a frame's contact ``pairs``, where ``placed`` holds the
+    names with a position in the frame; raises ``TraceError`` for the
+    first check it fails."""
+    found = set()
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise TraceError(f"contact must be a pair, got {pair!r}", line)
+        a, b = pair
+        for name in (a, b):
+            if name not in registry:
+                raise TraceError(f"contact names unknown instance: {name}", line)
+            if name not in placed:
+                raise TraceError(f"contact instance {name} has no position in frame", line)
+        if a == b:
+            raise TraceError(f"contact pairs an instance with itself: {a}", line)
+        found.add(frozenset((a, b)))
+    return frozenset(found)
+
+
+def _documents(data: bytes) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of ``data`` by its 1-based number, decoded as
+    JSON; raises ``TraceError`` for the first line that is not UTF-8 or
+    not JSON."""
+    for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
             raw = raw.decode("utf-8").strip()
         except UnicodeDecodeError as exc:
@@ -158,140 +182,203 @@ def _documents(path: str | Path) -> Iterator[tuple[int, object]]:
             raise TraceError(message, lineno) from None
         if not raw:
             continue
-        # A line whose tail, its text from ``"objects"`` on, repeats the
-        # line before's decodes only its head and takes the tail's
-        # members, decoded once. A head and a tail that each decode as a
-        # non-empty object ending exactly at the end of their text put the
-        # split at the top level, outside any string, so the merge is the
-        # whole line's decode, repeated keys included. ``{}`` marks a tail
-        # that is not such an object.
-        k = raw.find(', "objects": ')
-        tail = raw[k + 2:] if k > 0 else None
-        doc = None
-        if tail is None or tail != last_tail:
-            last_tail, shared = tail, None
-        else:
-            if shared is None:
-                shared = _object_of("{" + tail) or {}
-            head = _object_of(raw[:k] + "}") if shared else None
-            if head:
-                head.update(shared)
-                doc = head
-        if doc is None:
-            doc = _object_of(raw)
-        if doc is None:
-            try:
-                doc = parse_json(raw)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"invalid JSON: {exc.msg}", lineno) from exc
+        try:
+            doc = parse_json(raw)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"invalid JSON: {exc.msg}", lineno) from exc
         yield lineno, doc
 
 
-def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
-    """Read a UTF-8 JSON Lines trace file into columns, reporting errors
-    with line numbers.
-
-    Each line's checks run in one fixed order and the first failing
-    check of the first failing line is reported. Object positions are
-    checked last, all at once; a line with its objects in the order of
-    ``names`` defers them to that check.
-
-    Any valid JSON layout of a line reads the same. In the writer's
-    layout, a line whose tail, its text from ``"objects"`` on, repeats
-    the line before's has only its head decoded, and lines with one tail
-    share its decoded objects and contacts.
-    """
-    hand_names, names = frozenset(registry.of_type(HAND)), sorted(registry.non_hands)
-    # Per frame: its line, time, objects' positions in ``names`` order and
+def _read_lines(data: bytes, registry: EnvironmentRegistry) -> DemoTrace:
+    """The trace in ``data``, one frame document per line in any JSON
+    layout. Each line's checks run in one fixed order, and the first
+    failing check of the first failing line raises ``TraceError``."""
+    names = sorted(registry.non_hands)
+    # Per frame: its time, objects' positions in ``names`` order and
     # contact set; per hand, its (pos, open, held) rows.
-    lines, times, rows, contacts = [], [], [], []
-    hand_rows, hands, last_pairs, reusable = {}, None, None, False
-    try:
-        for lineno, doc in _documents(path):
-            lines.append(lineno)
-            if not isinstance(doc, dict):
-                raise TraceError("frame must be a JSON object", lineno)
-            for key in ("t", "hands", "objects", "contacts"):
-                if key not in doc:
-                    raise TraceError(f"frame missing {key!r}", lineno)
-            t, pairs = doc["t"], doc["contacts"]
-            if not _is_number(t):
-                raise TraceError(f"timestamp must be a finite number, got {t!r}", lineno)
-            if not isinstance(pairs, list):
-                raise TraceError(f"'contacts' must be a JSON list, got {pairs!r}", lineno)
-
-            before, hands = hands, _as_dict(doc, "hands", lineno)
-            for name, sample in hands.items():
-                if name not in hand_names:
-                    raise TraceError(f"unknown hand instance: {name}", lineno)
-                if not isinstance(sample, dict):
-                    raise TraceError(f"hand sample for {name} must be an object", lineno)
-                is_open, held, pos = sample.get("open"), sample.get("held"), sample.get("pos")
-                if type(is_open) is not bool:
-                    message = f"hand {name} open must be a JSON boolean, got {is_open!r}"
-                    raise TraceError(message, lineno)
-                if held is not None:
-                    if held not in registry or registry.type_of(held) != CUBE:
-                        raise TraceError(f"held object {held!r} is not a known cube", lineno)
-                    if is_open:
-                        raise TraceError(f"hand {name} cannot be open while holding {held}", lineno)
-                _check_vec(pos, f"hand {name} pos", lineno)
-                hand_rows.setdefault(name, []).append((pos, is_open, held))
-
-            objects = _as_dict(doc, "objects", lineno)
-            if list(objects) == names:
-                rows.append([*objects.values()])
-            else:
-                for name, value in objects.items():
-                    if name not in registry:
-                        raise TraceError(f"unknown object instance: {name}", lineno)
-                    _check_vec(value, f"object {name} pos", lineno)
-                missing = ", ".join(sorted(registry.non_hands.difference(objects)))
-                if missing:
-                    raise TraceError(f"objects lacks a position for {missing}", lineno)
-                rows.append([objects[name] for name in names])
-
-            # A contact list equal to the one before and naming no hand
-            # passes the same checks, so its set is shared.
-            if pairs != last_pairs or not reusable:
-                found = set()
-                for pair in pairs:
-                    if not isinstance(pair, list) or len(pair) != 2:
-                        raise TraceError(f"contact must be a pair, got {pair!r}", lineno)
-                    a, b = pair
-                    for name in (a, b):
-                        if name not in registry:
-                            raise TraceError(f"contact names unknown instance: {name}", lineno)
-                        if name not in objects and name not in hands:
-                            message = f"contact instance {name} has no position in frame"
-                            raise TraceError(message, lineno)
-                    if a == b:
-                        raise TraceError(f"contact pairs an instance with itself: {a}", lineno)
-                    found.add(frozenset((a, b)))
-                last_pairs, last_set = pairs, frozenset(found)
-                reusable = all(pair <= registry.non_hands for pair in last_set)
-            contacts.append(last_set)
-
-            t = float(t)
-            if times and t <= times[-1]:
-                raise TraceError(f"timestamp {t} does not increase over {times[-1]}", lineno)
-            if before is not None and hands.keys() != before.keys():
-                raise TraceError(
-                    f"frame tracks hands {sorted(hands)}, the frame before tracks {sorted(before)}",
-                    lineno,
-                )
-            times.append(t)
-    except TraceError:
-        _object_positions(rows, names, lines)
-        raise
-    positions = _object_positions(rows, names, lines)
+    times, rows, contacts, hand_rows, hands = [], [], [], {}, None
+    for lineno, doc in _documents(data):
+        if not isinstance(doc, dict):
+            raise TraceError("frame must be a JSON object", lineno)
+        for key in ("t", "hands", "objects", "contacts"):
+            if key not in doc:
+                raise TraceError(f"frame missing {key!r}", lineno)
+        t, pairs = doc["t"], doc["contacts"]
+        if not _is_number(t):
+            raise TraceError(f"timestamp must be a finite number, got {t!r}", lineno)
+        if not isinstance(pairs, list):
+            raise TraceError(f"'contacts' must be a JSON list, got {pairs!r}", lineno)
+        before, hands = hands, _as_dict(doc, "hands", lineno)
+        for name, sample in hands.items():
+            hand_rows.setdefault(name, []).append(_hand_sample(name, sample, registry, lineno))
+        objects = _as_dict(doc, "objects", lineno)
+        for name, value in objects.items():
+            _object_pos(name, value, registry, lineno)
+        missing = ", ".join(sorted(registry.non_hands.difference(objects)))
+        if missing:
+            raise TraceError(f"objects lacks a position for {missing}", lineno)
+        rows.append([objects[name] for name in names])
+        contacts.append(_contact_set(pairs, registry, objects.keys() | hands.keys(), lineno))
+        t = float(t)
+        if times and t <= times[-1]:
+            raise TraceError(f"timestamp {t} does not increase over {times[-1]}", lineno)
+        if before is not None and hands.keys() != before.keys():
+            raise TraceError(
+                f"frame tracks hands {sorted(hands)}, the frame before tracks {sorted(before)}",
+                lineno,
+            )
+        times.append(t)
     if len(times) < 2:
         raise TraceError(f"trace has {len(times)} frames, need at least 2")
     hand_columns = {}
     for name, column in hand_rows.items():
         pos, opens, helds = zip(*column)
         hand_columns[name] = (np.array(pos, dtype=float), opens, helds)
+    positions = np.array(rows, dtype=float).reshape(len(rows), len(names), 3)
     return DemoTrace(registry, np.array(times), hand_columns, names, positions, contacts)
+
+
+def _whole(text: str):
+    """The JSON value that is the whole of ``text``, else None."""
+    try:
+        value, end = _raw_decode(text)
+    except (ValueError, RecursionError):
+        return None
+    return value if end == len(text) else None
+
+
+def _columns(sections: list[str], sep: str, close: str, check) -> tuple | None:
+    """The members of JSON object texts in the writer's layout, by column.
+
+    Each section must list the same names in one order, its members
+    split at ``sep``, which cuts the ``close`` off every member but the
+    last. In braces, a member must decode whole as an object of one
+    member, so joined back the members are the section and their merge
+    is its decode. Each member is decoded and passed to ``check(name,
+    value)`` once per distinct text in its column. Returns (names,
+    values, codes), where line i's member j is ``values[codes[i, j]]``
+    and ``values`` holds what ``check`` returned, or None if a section
+    is not so.
+    """
+    distinct = dict.fromkeys(sections)
+    rows = []
+    for section in distinct:
+        if not (section.startswith("{") and section.endswith("}")):
+            return None
+        rows.append(section[1:-1].split(sep) if len(section) > 2 else [])
+    k = len(rows[0])
+    if any(len(row) != k for row in rows):
+        return None
+    names, values, columns = [], [], []
+    for j, column in enumerate(zip(*rows)):
+        codes = dict.fromkeys(column)
+        left, right = "{" + '"' * (j > 0), close * (j < k - 1) + "}"
+        for piece in codes:
+            doc = _whole(left + piece + right)
+            if type(doc) is not dict or len(doc) != 1:
+                return None
+            [(name, value)] = doc.items()
+            if len(names) == j:
+                names.append(name)
+            elif name != names[j]:
+                return None
+            codes[piece] = len(values)
+            values.append(check(name, value))
+        columns.append(list(map(codes.__getitem__, column)))
+    if len(set(names)) != k:
+        return None
+    line_rows = list(map({section: i for i, section in enumerate(distinct)}.__getitem__, sections))
+    codes = np.array(columns, dtype=np.intp).reshape(k, len(rows)).T
+    return names, values, codes[line_rows]
+
+
+def _read_columns(data: bytes, registry: EnvironmentRegistry) -> DemoTrace | None:
+    """The trace in ``data`` if every line is in the writer's layout, else
+    None; raises ``TraceError`` for some failing check, not always the
+    first, and ``UnicodeDecodeError`` for text that is not UTF-8. Each
+    piece of text is decoded and checked once: the times in one batch,
+    each hand's and object's member once per distinct text in its
+    column, and each distinct contacts text. Only the lines of the
+    decoded text are kept, and only until they are cut into pieces."""
+    if b"\r" in data or not data.endswith(b"\n"):
+        return None
+    ts, hand_texts, object_texts, contact_texts = [], [], [], []
+    for line in data[:-1].decode("utf-8").split("\n"):
+        if not (line.startswith('{"t": ') and line.endswith("}")):
+            return None
+        t, _, rest = line[6:-1].partition(', "hands": ')
+        h, _, rest = rest.partition(', "objects": ')
+        o, _, c = rest.partition(', "contacts": ')
+        ts.append(t)
+        hand_texts.append(h)
+        object_texts.append(o)
+        contact_texts.append(c)
+    # A batch of n numbers, each passing _is_number, is one number per
+    # piece: a piece that is not one number adds or removes elements, or
+    # makes one that is not a number.
+    try:
+        values = json.loads("[" + ",".join(ts) + "]")
+    except (ValueError, RecursionError):
+        return None
+    if len(values) != len(ts) or len(ts) < 2 or not all(map(_is_number, values)):
+        return None
+    times = np.array(values, dtype=float)
+    if not (times[1:] > times[:-1]).all():
+        return None
+
+    hands = _columns(hand_texts, '}, "', "}", lambda h, v: _hand_sample(h, v, registry, None))
+    objects = _columns(object_texts, '], "', "]", lambda o, v: _object_pos(o, v, registry, None))
+    del hand_texts, object_texts  # freed before the arrays are built
+    if hands is None or objects is None:
+        return None
+    hand_names, samples, hand_codes = hands
+    object_names, coords, object_codes = objects
+    names = sorted(registry.non_hands)
+    column = {name: j for j, name in enumerate(object_names)}
+    if not registry.non_hands <= column.keys():
+        return None
+    coords = np.array(coords, dtype=float).reshape(-1, 3)
+    positions = coords[object_codes[:, [column[name] for name in names]]]
+
+    placed = {*object_names, *hand_names}
+    sets = {}
+    for c in dict.fromkeys(contact_texts):
+        pairs = _whole(c)
+        if type(pairs) is not list:
+            return None
+        sets[c] = _contact_set(pairs, registry, placed, None)
+
+    pos, opens, helds = zip(*samples) if samples else ((), (), ())
+    pos = np.array(pos, dtype=float).reshape(-1, 3)
+    hand_columns = {}
+    for j, name in enumerate(hand_names):
+        codes = hand_codes[:, j]
+        rows = codes.tolist()
+        hand_columns[name] = (
+            pos[codes], tuple(map(opens.__getitem__, rows)), tuple(map(helds.__getitem__, rows))
+        )
+    contacts = list(map(sets.__getitem__, contact_texts))
+    return DemoTrace(registry, times, hand_columns, names, positions, contacts)
+
+
+def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
+    """Read a UTF-8 JSON Lines trace file into columns, reporting errors
+    with line numbers.
+
+    A file in the writer's layout is read by columns: each distinct text
+    in a column is decoded and checked once, and a line is taken only if
+    each of its pieces decodes as exactly one whole value, so that the
+    line is the JSON object of those values. Any other file, and any file
+    that fails a check, is read line by line: any valid JSON layout of a
+    line reads the same, each line's checks run in one fixed order, and
+    the first failing check of the first failing line is reported.
+    """
+    data = Path(path).read_bytes()
+    try:
+        trace = _read_columns(data, registry)
+    except (UnicodeDecodeError, TraceError):
+        trace = None
+    return _read_lines(data, registry) if trace is None else trace
 
 
 def _runs(bits: np.ndarray) -> tuple[list[int], list[int]]:

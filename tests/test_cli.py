@@ -132,7 +132,28 @@ def test_trace_that_is_not_utf8_is_bad_input(tmp_path, capsys):
     path = tmp_path / "trace.jsonl"
     path.write_bytes(b"\xff\xfe{\x00")
     assert main(["ground", str(path), "--out", str(tmp_path / "states.json")]) == 2
-    assert "error: line 1: not UTF-8 at byte 1: invalid start byte" in capsys.readouterr().err
+    message = f"error: trace {path}: line 1: not UTF-8 at byte 1: invalid start byte\n"
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda lines: [*lines[:6], lines[6][:lines[6].index('"Right_hand"') + 3]],
+         "line 7: invalid JSON: Unterminated string starting at"),
+        (lambda lines: lines[:1], "trace has 1 frames, need at least 2"),
+    ],
+    ids=["truncated", "one-frame"],
+)
+def test_learn_names_the_trace_it_could_not_read(tmp_path, trace_dir, capsys, cut, message):
+    """Of several traces, the error names the one that failed."""
+    good = trace_dir / "trace_00.jsonl"
+    bad = tmp_path / "b.jsonl"
+    bad.write_text("\n".join(cut(good.read_text().splitlines())))
+    library = tmp_path / "library.json"
+    assert main(["learn", str(good), str(bad), "--library", str(library)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: trace {bad}: {message}")
+    assert not library.exists()
 
 
 def test_grounding_config_file(tmp_path, trace_dir):
@@ -463,7 +484,7 @@ def test_incomplete_frames_fail_at_the_reader(tmp_path, trace_dir, goal_file, ca
         ["pipeline", "--out", str(tmp_path / "run"), "--goal", str(goal_file), "--traces", trace],
     ):
         assert main(argv) == 2, argv
-        assert message in capsys.readouterr().err, argv
+        assert capsys.readouterr().err.startswith(f"error: trace {trace}: {message}"), argv
     assert not (tmp_path / "library.json").exists()
 
 
@@ -537,7 +558,7 @@ def test_input_that_is_not_json_is_bad_input(
 ):
     """A file that is not UTF-8, is cut short or is nested deeper than the
     decoder can go is invalid JSON: every input file reports it with exit
-    2, not a traceback, and names itself; a trace names the line."""
+    2, not a traceback, and names itself; a trace names the line too."""
     data, reason = NOT_JSON[text]
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)
@@ -554,7 +575,7 @@ def test_input_that_is_not_json_is_bad_input(
     assert main(argv) == 2
     err = capsys.readouterr().err
     if kind == "trace":
-        assert err.startswith("error: line 1: ") and reason.split(":")[0] in err
+        assert err.startswith(f"error: trace {bad}: line 1: ") and reason.split(":")[0] in err
     else:
         assert err == f"error: {kind} {bad} is not valid JSON: {reason}\n"
 

@@ -11,7 +11,7 @@ import grounding_oracle
 import numpy as np
 import pytest
 import trace_oracle
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from trace_oracle import DemoFrame, HandSample, frames_of, trace_of
 
@@ -25,7 +25,14 @@ from demoplan.ontology import (
     execution_registry,
 )
 from demoplan.synthgen import write_corpus
-from demoplan.trace import DemoTrace, TraceError, read_trace, write_trace
+from demoplan.trace import (
+    DemoTrace,
+    TraceError,
+    _read_columns,
+    _read_lines,
+    read_trace,
+    write_trace,
+)
 
 
 def _frame(t, pos, held=None, open_=True, cube_pos=(0.5, 0.5, 0.775)):
@@ -324,6 +331,83 @@ def test_write_matches_the_per_line_oracle(tmp_path_factory, trace):
     assert (out / "columns.jsonl").read_bytes() == (out / "frames.jsonl").read_bytes()
 
 
+def _read_both(path, registry):
+    """The trace at ``path`` as the column path reads it, asserting it
+    does not decline the file and equals the per-line read: float bits,
+    tuples with their types, and sets."""
+    data = path.read_bytes()
+    columns, lines = _read_columns(data, registry), _read_lines(data, registry)
+    assert columns is not None
+    assert columns.times.tobytes() == lines.times.tobytes()
+    assert columns.names == lines.names
+    assert columns.positions.shape == lines.positions.shape
+    assert columns.positions.tobytes() == lines.positions.tobytes()
+    assert list(columns.hands) == list(lines.hands)
+    for hand, (pos, opens, helds) in columns.hands.items():
+        pos_, opens_, helds_ = lines.hands[hand]
+        assert pos.shape == pos_.shape and pos.tobytes() == pos_.tobytes()
+        assert [(type(o), o) for o in opens] == [(type(o), o) for o in opens_]
+        assert helds == helds_
+    assert columns.contacts == lines.contacts
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=written_traces(), data=st.data())
+def test_the_column_reader_takes_every_written_trace(tmp_path_factory, trace, data):
+    """A file the writer writes is read by columns: a silent fall back to
+    the per-line path would cost the gain and pass every other test. The
+    drawn trace is made readable: two or more frames at increasing times,
+    open flags that are booleans, and a table among its objects."""
+    n = len(trace)
+    assume(n >= 2)
+    times = data.draw(st.lists(COORDS, min_size=n, max_size=n, unique=True).map(sorted))
+    hands = {
+        hand: (pos, tuple(map(bool, opens)), helds) for hand, (pos, opens, helds) in trace.hands.items()
+    }
+    table = np.array(data.draw(st.lists(COORDS, min_size=3, max_size=3)))
+    positions = np.concatenate((trace.positions, np.tile(table, (n, 1, 1))), axis=1)
+    registry = EnvironmentRegistry("demonstration", [
+        *(ObjectInstance(hand, HAND) for hand in hands),
+        *(ObjectInstance(name, CUBE) for name in trace.names),
+        ObjectInstance("the table", TABLE),
+    ])
+    names = [*trace.names, "the table"]
+    trace = DemoTrace(registry, np.array(times), hands, names, positions, trace.contacts)
+    path = tmp_path_factory.getbasetemp() / "readable.jsonl"
+    write_trace(trace, path)
+    _read_both(path, registry)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"hands": ', '"t": 1.0, "hands": '),
+        ('{"t": 0.1', '{"t": 0.1, 0.2'),
+        (', "objects": ', '}, "objects": '),
+        ('"high_table": ', '"high_table": [0.0, 0.0, 0.0], "high_table": '),
+        ('"contacts": ', '"contacts": [], "contacts": '),
+    ],
+    ids=["repeated-key", "two-times", "hands-closed-early", "repeated-member", "contacts-twice"],
+)
+def test_the_column_reader_declines_a_piece_that_is_not_one_value(
+    tmp_path, registry, two_frames, old, new
+):
+    """A line is read by columns only if each of its pieces is one whole
+    value, members one by one; any other line, valid JSON or not, is left
+    to the per-line path."""
+    path = tmp_path / "trace.jsonl"
+    write_trace(two_frames, path)
+    first, second = path.read_bytes().splitlines(keepends=True)
+    assert old.encode() in second
+    assert _read_columns(first + second.replace(old.encode(), new.encode(), 1), registry) is None
+
+
+def test_the_column_reader_takes_the_seed7_corpus(tmp_path, corpus, demo_registry):
+    for demo, path in zip(corpus, write_corpus(corpus, tmp_path)):
+        assert frames_of(_read_both(path, demo_registry)) == frames_of(demo.trace)
+
+
 def test_write_reencodes_a_row_whose_zero_changes_sign(tmp_path, registry, two_frames):
     """-0.0 == 0.0, yet the two print differently."""
     positions = two_frames.positions.copy()
@@ -481,7 +565,9 @@ def seed7_lines(tmp_path_factory, corpus):
 
 
 # Each mutation edits the first of ``docs``, the frames from a chosen
-# line to the end of the window; a few edit all of them.
+# line to the end of the window; a few edit all of them. The chosen line
+# is often the first, so that every line of a file may change alike and
+# the file stay in the writer's layout.
 
 def _bad_type(draw, docs):
     _set(draw(st.sampled_from(SEED7_PATHS)), draw(JSON_VALUES))(docs[0])
@@ -556,14 +642,45 @@ def _tail_repeated(draw, docs):
 
 def _split_in_a_string(draw, docs):
     """From this line on, a hand's name or held cube spells the
-    ``"objects"`` key or the whole split."""
+    ``"objects"`` key, the whole split or a member split."""
     hand = draw(st.sampled_from(sorted(docs[0]["hands"])))
-    text, rename = draw(st.sampled_from(["objects", ', "objects": '])), draw(st.booleans())
+    text = draw(st.sampled_from(["objects", ', "objects": ', '}, "', '], "']))
+    rename = draw(st.booleans())
     for doc in docs:
         if rename:
             doc["hands"] = {text if h == hand else h: s for h, s in doc["hands"].items()}
         else:
             doc["hands"][hand]["held"] = text
+
+
+def _hands_reordered(draw, docs):
+    """Some lines list their hands in another order: the hands of each
+    line are compared as a set."""
+    for doc in docs:
+        if draw(st.booleans()):
+            doc["hands"] = dict(reversed(doc["hands"].items()))
+
+
+def _open_one(draw, docs):
+    """After a line where a hand is open, the next line repeats its
+    sample with ``"open": 1``: ``1 == True``, but only a JSON boolean is a
+    finger state."""
+    hand = draw(st.sampled_from(sorted(docs[0]["hands"])))
+    sample = docs[0]["hands"][hand]
+    if sample["open"] is True:
+        docs[1]["hands"][hand] = {**sample, "open": 1}
+
+
+def _untracked_hand_contact(draw, docs):
+    """From this line on, a hand is not tracked, and contacts name it on
+    some lines, or a tracked hand on others."""
+    hands = sorted(docs[0]["hands"])
+    gone, other = draw(st.sampled_from(hands)), draw(st.sampled_from(sorted(docs[0]["objects"])))
+    for doc in docs:
+        del doc["hands"][gone]
+    for doc in docs:
+        if draw(st.booleans()):
+            doc["contacts"].append([draw(st.sampled_from(hands)), other])
 
 
 # Layout edits: from the chosen line on, each line is written in a layout
@@ -606,11 +723,22 @@ def _head_closed_early(draw, docs):
     )
 
 
+def _raw_line_separator(draw, docs):
+    """A raw U+2028, a line break to ``str.splitlines`` but not to JSON
+    Lines, inside a string of a key no reader reads."""
+    hand = draw(st.sampled_from(sorted(docs[0]["hands"])))
+    for doc in docs:
+        doc["hands"][hand]["note\u2028"] = "a\u2028b"
+        doc.layout = functools.partial(json.dumps, ensure_ascii=False)
+
+
 MUTATIONS = [
     _bad_type, _non_finite, _missing_key, _missing_object, _hand_leaves,
     _hand_as_object_and_contact, _z_order_flip, _objects_reordered,
     _integer_coordinate, _repeated_time, _tail_repeated, _split_in_a_string,
+    _hands_reordered, _open_one, _untracked_hand_contact,
     _keys_reordered, _compact_separators, _key_after_contacts, _head_closed_early,
+    _raw_line_separator,
 ]
 SEED7_PATHS = [
     ("t",), ("hands",), ("objects",), ("contacts",),
@@ -634,11 +762,11 @@ def test_reader_matches_the_per_frame_oracle(tmp_path_factory, seed7_lines, demo
     for _ in range(data.draw(st.integers(0, 3))):
         mutate = data.draw(st.sampled_from(MUTATIONS))
         try:
-            mutate(data.draw, docs[data.draw(st.integers(0, WINDOW - 1)):])
+            mutate(data.draw, docs[data.draw(st.just(0) | st.integers(0, WINDOW - 1)):])
         except (KeyError, TypeError, IndexError, AttributeError, ValueError):
             pass  # an earlier mutation broke what this one edits
     path = tmp_path_factory.mktemp("diff") / "trace.jsonl"
-    path.write_text("".join(doc.layout(doc) + "\n" for doc in docs))
+    path.write_text("".join(doc.layout(doc) + "\n" for doc in docs), encoding="utf-8")
     try:
         expected = trace_oracle.read_trace(path, demo_registry)
     except TraceError as exc:

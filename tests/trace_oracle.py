@@ -159,7 +159,7 @@ def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None =
 def read_trace(path: str | Path, registry: EnvironmentRegistry) -> list[DemoFrame]:
     """Read a JSON Lines trace file, reporting errors with line numbers."""
     frames: list[DemoFrame] = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
