@@ -126,37 +126,35 @@ def _shared(keys: list[tuple], make) -> list:
     return [made for key, start, end in runs(keys) for made in [make(*key)] * (end - start + 1)]
 
 
-def _ground_hand(
+def approach(
     pos: np.ndarray,
-    opens: tuple[bool, ...],
-    helds: tuple[str | None, ...],
+    helds: tuple[str | None, ...] | list[str | None],
     dt: np.ndarray,
     cubes: list[str],
     cube_pos: np.ndarray,
     config: GroundingConfig,
-) -> list[HandSymState]:
-    """A hand's states at frames 1 onward, from its positions, open flags
-    and held cubes at every frame, the time steps between frames and the
-    cube positions (frames 1 onward, cube, axis)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether one hand moves at frames 1 onward, which of ``cubes`` it
+    approaches (frames, cubes) and its distance to each, from its
+    positions and held cubes at every frame, the time steps between
+    frames and the cube positions (frames 1 onward, cube, axis). A moving
+    hand approaches a cube it does not hold from within reach and along
+    its motion, or by sitting on it, where it has no direction."""
     velocity = (pos[1:] - pos[:-1]) / dt[:, None]
     speed = _norm(velocity)
     moving = speed > config.move_speed
     column = {name: j for j, name in enumerate(cubes)}
-    held = helds[1:]
-
     offset = cube_pos - pos[1:, None, :]
     dist = _norm(offset)
     with np.errstate(divide="ignore", invalid="ignore"):
         cosine = np.vecdot(velocity[:, None, :], offset) / (speed[:, None] * dist)
     approached = (
         moving[:, None]
-        & (np.arange(len(cubes)) != np.array([column.get(h, -1) for h in held])[:, None])
+        & (np.arange(len(cubes)) != np.array([column.get(h, -1) for h in helds[1:]])[:, None])
         & (dist < config.acted_on_dist)
         & ((dist < _ZERO_DIST) | (cosine > config.approach_cosine))
     )
-    within = dist < config.graspable_dist
-    acted_on, graspable = _nearest(approached, dist, cubes), _nearest(within, dist, cubes)
-    return _shared(list(zip(moving.tolist(), opens[1:], held, acted_on, graspable)), HandSymState)
+    return moving, approached, dist
 
 
 def _nearest(mask: np.ndarray, dist: np.ndarray, cubes: list[str]) -> list[str | None]:
@@ -205,10 +203,13 @@ def ground_trace(
     things = frozenset(cubes).union(trace.registry.of_type(TABLE))
     cube_pos = trace.positions[1:, [trace.names.index(name) for name in cubes]]
     dt = trace.times[1:] - trace.times[:-1]
-    per_hand = {
-        hand: _ground_hand(*column, dt, cubes, cube_pos, config)
-        for hand, column in trace.hands.items()
-    }
+    per_hand = {}
+    for hand, (pos, opens, helds) in trace.hands.items():
+        moving, approached, dist = approach(pos, helds, dt, cubes, cube_pos, config)
+        acted_on = _nearest(approached, dist, cubes)
+        graspable = _nearest(dist < config.graspable_dist, dist, cubes)
+        keys = list(zip(moving.tolist(), opens[1:], helds[1:], acted_on, graspable))
+        per_hand[hand] = _shared(keys, HandSymState)
     return [
         SymbolicState(t, {hand: states[i] for hand, states in per_hand.items()}, env)
         for i, (t, env) in enumerate(zip(trace.times[1:].tolist(), _ground_env(trace, things)))

@@ -15,17 +15,20 @@ from .model import ActivityLabel
 DEFAULT_DEBOUNCE = 3
 
 
-def classify(hand: HandSymState) -> ActivityLabel:
-    """Activity of one hand state.
+# The activity of a hand from whether it acts on a cube, holds one and
+# moves. actedOn implies a moving hand (``HandSymState`` enforces it), so
+# acting alone separates Reach and Stack from Put, Take and IdleMotion.
+ACTIVITY: dict[tuple[bool, bool, bool], ActivityLabel] = {
+    (True, True, True): ActivityLabel.STACK, (True, True, False): ActivityLabel.STACK,
+    (True, False, True): ActivityLabel.REACH, (True, False, False): ActivityLabel.REACH,
+    (False, True, True): ActivityLabel.PUT, (False, True, False): ActivityLabel.TAKE,
+    (False, False, True): ActivityLabel.IDLE, (False, False, False): ActivityLabel.IDLE,
+}
 
-    actedOn implies a moving hand (``HandSymState`` enforces it), so it
-    alone separates Reach and Stack from Put, Take and IdleMotion.
-    """
-    if hand.actedOn is not None:
-        return ActivityLabel.STACK if hand.inHand is not None else ActivityLabel.REACH
-    if hand.inHand is not None:
-        return ActivityLabel.PUT if hand.handMove else ActivityLabel.TAKE
-    return ActivityLabel.IDLE
+
+def classify(hand: HandSymState) -> ActivityLabel:
+    """Activity of one hand state, read from ``ACTIVITY``."""
+    return ACTIVITY[hand.actedOn is not None, hand.inHand is not None, hand.handMove]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ script's tallest stack, vertical descents onto targets. The timeline
 keeps the motion as runs of frames, one per straight leg or pause, each
 leg filled as one array, and the trace and the labels are computed on
 columns over all frames.
-Ground-truth labels are evaluated on the clean trajectory with the same
-threshold rules the grounding stage uses, but in code of their own, so
-they act as an independent oracle for the grounding and segmentation
-pipeline.
+The ground-truth labels are the grounding rule (``grounding.approach``)
+and the activity table (``segmentation.ACTIVITY``) applied to the clean
+trajectory, before noise is added; this one place could later label
+each frame by the script's own intent instead. The independent
+references for the rule are the frame-by-frame oracles under ``tests``.
 
 Optional positional jitter emulates human hand variability. Offsets are
 drawn per axis at one-second knots and interpolated in between, which
@@ -27,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grounding import GroundingConfig, runs
+from .grounding import GroundingConfig, approach, runs
 from .ontology import EnvironmentRegistry
+from .segmentation import ACTIVITY
 from .trace import DemoTrace, write_trace
 
 DT = 1.0 / 30.0
@@ -197,40 +199,13 @@ def _evaluate_labels(
 ) -> list[str]:
     """Per-frame activity of the scripted hand on the clean trajectory,
     from its positions and held cubes and the positions (frames, cubes, 3)
-    of ``cubes`` at every frame.
-
-    Mirrors the grounding thresholds over all frames and cubes at once,
-    but in code of its own: it is the oracle the grounding and
-    segmentation pipeline is checked against. Every reduction is an
-    ``np.vecdot``, which reduces as ``np.dot`` does, so each threshold
-    sees the bits a per-vector ``np.linalg.norm`` and ``np.dot`` give.
-    """
-    velocity = (hand_pos[1:] - hand_pos[:-1]) / DT
-    speed = np.sqrt(np.vecdot(velocity, velocity))
-    moving = speed > config.move_speed
-    offset = cube_pos[1:] - hand_pos[1:, None, :]
-    dist = np.sqrt(np.vecdot(offset, offset))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosine = np.vecdot(velocity[:, None, :], offset) / (speed[:, None] * dist)
-    held = [cubes.index(cube) if cube is not None else -1 for cube in helds[1:]]
-    # A cube is approached by a moving hand that does not hold it, from
-    # within reach and along the motion; a hand on the cube itself has no
-    # direction and counts as approaching it.
-    approached = (
-        moving[:, None]
-        & (np.arange(len(cubes)) != np.array(held)[:, None])
-        & (dist < config.acted_on_dist)
-        & ((dist < 1e-9) | (cosine > config.approach_cosine))
-    ).any(axis=1)
-    labels = ["IdleMotion"]
-    for acted_on, cube, move in zip(approached.tolist(), helds[1:], moving.tolist()):
-        if acted_on:
-            labels.append("Stack" if cube else "Reach")
-        elif cube is not None:
-            labels.append("Put" if move else "Take")
-        else:
-            labels.append("IdleMotion")
-    return labels
+    of ``cubes`` at every frame: the grounding rule and the activity
+    table, with frame 0 idle."""
+    dt = np.full(len(hand_pos) - 1, DT)
+    moving, approached, _ = approach(hand_pos, helds, dt, cubes, cube_pos[1:], config)
+    holding = [cube is not None for cube in helds[1:]]
+    keys = zip(approached.any(axis=1).tolist(), holding, moving.tolist())
+    return ["IdleMotion"] + [ACTIVITY[key].value for key in keys]
 
 
 def _noise_offsets(n_frames: int, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -59,8 +59,9 @@ class DemoTrace:
     ``positions`` is (n, len(names), 3), where ``positions[i, j]`` is
     where ``names[j]`` is at frame i; and ``contacts`` has n sets. Equal
     consecutive contact sets may be one object. Every column has its
-    shape and every time and position is a finite float64, or the
-    constructor raises ``TraceError``.
+    shape, every time and position is a finite float64, and the hands and
+    their open and held values pass the reader's checks, or else
+    ``TraceError`` is raised.
     """
 
     registry: EnvironmentRegistry
@@ -88,6 +89,12 @@ class DemoTrace:
         for what, values in lists:
             if len(values) != n:
                 raise TraceError(f"{what} has {len(values)} entries, need {n}")
+        for hand, (_, opens, helds) in self.hands.items():
+            if hand not in self.registry or self.registry.type_of(hand) != HAND:
+                raise TraceError(f"unknown hand instance: {hand}")
+            # True == 1, so each distinct value is keyed by its type too.
+            for _, is_open, held in dict.fromkeys(zip(map(type, opens), opens, helds)):
+                _check_flags(hand, is_open, held, self.registry, None)
         columns = [("time", self.times)]
         columns += [(f"hand {hand} pos", pos) for hand, (pos, _, _) in self.hands.items()]
         columns += [
@@ -128,6 +135,14 @@ def _hand_sample(name: str, sample, registry: EnvironmentRegistry, line: int | N
     if not isinstance(sample, dict):
         raise TraceError(f"hand sample for {name} must be an object", line)
     is_open, held, pos = sample.get("open"), sample.get("held"), sample.get("pos")
+    _check_flags(name, is_open, held, registry, line)
+    _check_vec(pos, f"hand {name} pos", line)
+    return pos, is_open, held
+
+
+def _check_flags(name: str, is_open, held, registry: EnvironmentRegistry, line: int | None) -> None:
+    """Raises ``TraceError`` unless hand ``name``'s open value is a
+    boolean and its held value None or a cube, held by a closed hand."""
     if type(is_open) is not bool:
         raise TraceError(f"hand {name} open must be a JSON boolean, got {is_open!r}", line)
     if held is not None:
@@ -135,8 +150,6 @@ def _hand_sample(name: str, sample, registry: EnvironmentRegistry, line: int | N
             raise TraceError(f"held object {held!r} is not a known cube", line)
         if is_open:
             raise TraceError(f"hand {name} cannot be open while holding {held}", line)
-    _check_vec(pos, f"hand {name} pos", line)
-    return pos, is_open, held
 
 
 def _object_pos(name: str, value, registry: EnvironmentRegistry, line: int | None) -> list:
@@ -298,12 +311,18 @@ def _read_columns(data: bytes, registry: EnvironmentRegistry) -> DemoTrace | Non
     first, and ``UnicodeDecodeError`` for text that is not UTF-8. Each
     piece of text is decoded and checked once: the times in one batch,
     each hand's and object's member once per distinct text in its
-    column, and each distinct contacts text. Only the lines of the
-    decoded text are kept, and only until they are cut into pieces."""
+    column, and each distinct contacts text. ``data`` is dropped once
+    decoded, and the decoded text once split into lines, so that a caller
+    who passes the only reference holds at most two copies of the text."""
     if b"\r" in data or not data.endswith(b"\n"):
         return None
+    text = data.decode("utf-8")
+    del data
+    lines = text.split("\n")
+    del text
+    lines.pop()  # the empty text after the last newline
     ts, hand_texts, object_texts, contact_texts = [], [], [], []
-    for line in data[:-1].decode("utf-8").split("\n"):
+    for line in lines:
         if not (line.startswith('{"t": ') and line.endswith("}")):
             return None
         t, _, rest = line[6:-1].partition(', "hands": ')
@@ -313,6 +332,7 @@ def _read_columns(data: bytes, registry: EnvironmentRegistry) -> DemoTrace | Non
         hand_texts.append(h)
         object_texts.append(o)
         contact_texts.append(c)
+    del lines
     # A batch of n numbers, each passing _is_number, is one number per
     # piece: a piece that is not one number adds or removes elements, or
     # makes one that is not a number.
@@ -373,12 +393,13 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
     line reads the same, each line's checks run in one fixed order, and
     the first failing check of the first failing line is reported.
     """
-    data = Path(path).read_bytes()
+    path = Path(path)
     try:
-        trace = _read_columns(data, registry)
+        # The column path gets the only reference to the file's bytes.
+        trace = _read_columns(path.read_bytes(), registry)
     except (UnicodeDecodeError, TraceError):
         trace = None
-    return _read_lines(data, registry) if trace is None else trace
+    return _read_lines(path.read_bytes(), registry) if trace is None else trace
 
 
 def _runs(bits: np.ndarray) -> tuple[list[int], list[int]]:
@@ -422,11 +443,10 @@ def write_trace(trace: DemoTrace, path: str | Path) -> None:
     dumps, n = json.dumps, len(trace)
     hands = sorted(trace.hands)
     samples = [trace.hands[hand] for hand in hands]
-    # The hands' open and held values, keyed by type as well (True == 1,
-    # but the two print differently), and a number for each distinct key.
-    flag_keys = [list(zip(map(type, v), v)) for _, opens, helds in samples for v in (opens, helds)]
+    # The hands' open and held values, and a number for each distinct one.
+    flag_keys = [v for _, opens, helds in samples for v in (opens, helds)]
     codes = {key: i for i, key in enumerate(dict.fromkeys(chain.from_iterable(flag_keys)))}
-    flag_texts = [dumps(value) for _, value in codes]
+    flag_texts = [dumps(value) for value in codes]
     # (frames, hands, 3) positions, and their bits beside the two codes.
     hand_pos = np.array([pos for pos, _, _ in samples])
     hand_pos = hand_pos.reshape(len(hands), n, 3).transpose(1, 0, 2)

@@ -348,21 +348,20 @@ def test_criterion_09_novel_goal_generalization(corpus, exec_registry, exec_acti
 
 def test_criterion_10_segmentation_matches_ground_truth(corpus):
     """On noise-free traces the segmenter recovers the scripted activity
-    sequence exactly, boundaries within the debounce window."""
+    sequence exactly, boundaries within the debounce window. Both sides
+    are in trace frames: the segments as their sidecar rows give them."""
     noise_free = [demo for demo in corpus if demo.script.noise_sigma == 0.0]
     assert len(noise_free) == 4
     worst = 0
     for demo in noise_free:
         states = grounding.ground_trace(demo.trace)
-        segments = segmentation.segment(states)
-        got = {}
-        for seg in segments:
-            got.setdefault(seg.hand, []).append((seg.label.value, seg.start, seg.end))
-        truth = {}
-        for row in demo.labels:
-            truth.setdefault(row["hand"], []).append(
-                (row["label"], row["start_frame"], row["end_frame"])
-            )
+        segments = segmentation.segments_to_json(segmentation.segment(states))
+        got, truth = {}, {}
+        for rows, side in ((segments, got), (demo.labels, truth)):
+            for row in rows:
+                side.setdefault(row["hand"], []).append(
+                    (row["label"], row["start_frame"], row["end_frame"])
+                )
         assert set(got) == set(truth)
         for hand, rows in truth.items():
             assert [r[0] for r in got[hand]] == [r[0] for r in rows]

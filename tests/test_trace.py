@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import grounding_oracle
@@ -251,8 +252,7 @@ def test_seed7_traces_are_written_back_byte_for_byte(tmp_path, corpus, demo_regi
 
 # --- the column writer against the per-line oracle -------------------------
 
-# Names JSON must escape, beside plain ones; the writer does not check
-# them against the registry.
+# Names JSON must escape, beside plain ones.
 WRITER_HANDS = ["Robot_gripper", 'Hand "left"', "Hand\\right"]
 WRITER_OBJECTS = ["Cube_red3", "high_table", "Cube\tblue", "Cubé", "Cube\u2028", "cube\n\x00"]
 COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 5e-324, -2.5e300]) | st.floats(
@@ -264,12 +264,16 @@ COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 5e-324, -2.5e300]) | st.flo
 def written_traces(draw):
     """Traces of 0-2 hands and up to 40 frames whose rows, hand samples
     and contact sets repeat, change, change in one column or only in the
-    sign of a zero. A hand may rest while its open or held value changes,
-    and its open values may be 0 or 1, which equal False and True but
-    print differently."""
-    registry = execution_registry()
+    sign of a zero. A hand may rest while its open or held value changes.
+    The registry holds the hands, the objects as cubes and a table that
+    the trace does not place."""
     hands = draw(st.lists(st.sampled_from(WRITER_HANDS), max_size=2, unique=True))
     names = draw(st.lists(st.sampled_from(WRITER_OBJECTS), max_size=4, unique=True))
+    registry = EnvironmentRegistry("demonstration", [
+        *(ObjectInstance(hand, HAND) for hand in hands),
+        *(ObjectInstance(name, CUBE) for name in names),
+        ObjectInstance("the table", TABLE),
+    ])
     n = draw(st.integers(1, 40))
 
     def evolving(fresh, *variants):
@@ -306,7 +310,7 @@ def written_traces(draw):
     columns = {}
     for hand in hands:
         helds = tuple(evolving(lambda: draw(st.sampled_from([None, *names]))))
-        opens = evolving(lambda: draw(st.booleans() | st.sampled_from([0, 1])))
+        opens = evolving(lambda: draw(st.booleans()))
         opens = tuple(held is None and is_open for held, is_open in zip(helds, opens))
         if draw(st.booleans()):
             pos = np.concatenate(evolving(rows(1), flip_zeros))
@@ -357,26 +361,18 @@ def _read_both(path, registry):
 def test_the_column_reader_takes_every_written_trace(tmp_path_factory, trace, data):
     """A file the writer writes is read by columns: a silent fall back to
     the per-line path would cost the gain and pass every other test. The
-    drawn trace is made readable: two or more frames at increasing times,
-    open flags that are booleans, and a table among its objects."""
+    drawn trace is made readable: two or more frames at increasing times
+    and the table placed."""
     n = len(trace)
     assume(n >= 2)
     times = data.draw(st.lists(COORDS, min_size=n, max_size=n, unique=True).map(sorted))
-    hands = {
-        hand: (pos, tuple(map(bool, opens)), helds) for hand, (pos, opens, helds) in trace.hands.items()
-    }
     table = np.array(data.draw(st.lists(COORDS, min_size=3, max_size=3)))
     positions = np.concatenate((trace.positions, np.tile(table, (n, 1, 1))), axis=1)
-    registry = EnvironmentRegistry("demonstration", [
-        *(ObjectInstance(hand, HAND) for hand in hands),
-        *(ObjectInstance(name, CUBE) for name in trace.names),
-        ObjectInstance("the table", TABLE),
-    ])
     names = [*trace.names, "the table"]
-    trace = DemoTrace(registry, np.array(times), hands, names, positions, trace.contacts)
+    trace = replace(trace, times=np.array(times), names=names, positions=positions)
     path = tmp_path_factory.getbasetemp() / "readable.jsonl"
     write_trace(trace, path)
-    _read_both(path, registry)
+    _read_both(path, trace.registry)
 
 
 @pytest.mark.parametrize(
@@ -481,6 +477,28 @@ def test_a_trace_refuses_columns_that_are_not_float64(two_frames, what, dtype):
     column = getattr(two_frames, what).astype(dtype)
     with pytest.raises(TraceError, match=f"^{what} has dtype {column.dtype}, need float64$"):
         replace(two_frames, **{what: column})
+
+
+@pytest.mark.parametrize(
+    "hand, opens, helds, message",
+    [
+        ("Robot_gripper", (1, 1), (None, None),
+         "hand Robot_gripper open must be a JSON boolean, got 1"),
+        ("Robot_gripper", (True, False), (None, "Cube_nope"),
+         "held object 'Cube_nope' is not a known cube"),
+        ("Robot_gripper", (True, True), (None, "Cube_red3"),
+         "hand Robot_gripper cannot be open while holding Cube_red3"),
+        ("Cube_red3", (True, True), (None, None), "unknown hand instance: Cube_red3"),
+    ],
+    ids=["open-int", "held-unknown", "open-holding", "not-a-hand"],
+)
+def test_a_trace_refuses_hand_values_the_reader_refuses(two_frames, hand, opens, helds, message):
+    """A trace built in memory holds only what the reader takes back: an
+    open flag of 1 is written as 1, which the reader refuses, as it
+    refuses an unknown held cube."""
+    pos = two_frames.hands["Robot_gripper"][0]
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        replace(two_frames, hands={hand: (pos, opens, helds)})
 
 
 def _two_hand_registry():
