@@ -194,9 +194,9 @@ def ground_trace(
     """Ground every frame from index 1 onward.
 
     The velocity at a frame is the backward difference to the frame
-    before it. The reader guarantees that every frame tracks the same
-    hands and positions every cube and table. Equal consecutive hand
-    and environment states are one object.
+    before it. ``DemoTrace`` guarantees increasing times, the same hands
+    tracked in every frame and every cube and table placed. Equal
+    consecutive hand and environment states are one object.
     """
     config = config or GroundingConfig()
     cubes = trace.registry.of_type(CUBE)

@@ -11,7 +11,9 @@ file, naming the file when it is not UTF-8 JSON.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 THING = "Thing"
@@ -22,6 +24,10 @@ TABLE = "Table"
 BUILTIN_TYPES = (THING, HAND, CUBE, TABLE)
 
 ROLES = ("demonstration", "execution")
+
+MAX_JSON_DEPTH = 100  # how deep a JSON input may nest; a library, the deepest, nests 6
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 class OntologyError(Exception):
@@ -115,15 +121,17 @@ class EnvironmentRegistry:
 
 
 def parse_json(text: str):
-    """``json.loads(text)``, where a document the decoder cannot hold, one
-    nested too deeply or an integer of too many digits, raises
-    ``json.JSONDecodeError`` like any other invalid JSON."""
+    """``json.loads(text)``, where a document nested more than
+    ``MAX_JSON_DEPTH`` deep (checked first, so alike from any stack depth)
+    or an integer of too many digits raises ``json.JSONDecodeError``."""
+    if text.count("[") + text.count("{") > MAX_JSON_DEPTH:
+        brackets = re.findall(r"[][{}]", _STRING.sub("", text))  # those outside strings
+        if max(accumulate(map(_NESTING.__getitem__, brackets)), default=0) > MAX_JSON_DEPTH:
+            raise json.JSONDecodeError("nested too deeply to decode", text, 0)
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         raise
-    except RecursionError:
-        raise json.JSONDecodeError("nested too deeply to decode", text, 0) from None
     except ValueError as exc:
         raise json.JSONDecodeError(str(exc), text, 0) from None
 

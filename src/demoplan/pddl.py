@@ -216,24 +216,12 @@ def _head(node: _Word | _List) -> str:
     return node[0].lower()
 
 
-def _text(node: _Word | _List) -> str:
-    """``node`` as one line of lower-case text, to match a fixed form.
-
-    Built from a stack, not by recursion, so that no depth of nesting
-    overflows; ``")"`` on the stack closes a list, as no word is ``")"``.
-    """
-    parts, stack = [], [node]
-    while stack:
-        item = stack.pop()
-        if parts and parts[-1] != "(" and item != ")":
-            parts.append(" ")
-        if isinstance(item, _List):
-            parts.append("(")
-            stack.append(")")
-            stack.extend(reversed(item))
-        else:
-            parts.append(item.lower())
-    return "".join(parts)
+def _matches(node: _Word | _List, form: str | tuple) -> bool:
+    """Whether ``node`` has the fixed ``form``: a word equal to a string
+    but for case, a list as long as a tuple with each item matching."""
+    if isinstance(form, str):
+        return isinstance(node, _Word) and node.lower() == form
+    return isinstance(node, _List) and len(node) == len(form) and all(map(_matches, node, form))
 
 
 def _words(items: list) -> list[_Word]:
@@ -352,7 +340,7 @@ def _action(node: _List) -> LearnedOperator:
         if head == "increase":
             if (
                 len(eff) != 3
-                or _text(eff[1]) != "(total-cost)"
+                or not _matches(eff[1], ("total-cost",))
                 or not isinstance(eff[2], _Word)
                 or not eff[2].isdecimal()
             ):
@@ -426,7 +414,7 @@ def _parse_problem(root: _List) -> PlanningProblem:
         elif head == ":init":
             for item in section[1:]:
                 if isinstance(item, _List) and _head(item) == "=":
-                    if _text(item) != "(= (total-cost) 0)":
+                    if not _matches(item, ("=", ("total-cost",), "0")):
                         _error(item, "malformed cost init: expected (= (total-cost) 0)")
                     continue
                 lit = _literal(item)
@@ -438,7 +426,7 @@ def _parse_problem(root: _List) -> PlanningProblem:
                 _error(section, "malformed :goal")
             goal = [_literal(n) for n in _conjuncts(section[1])]
         elif head == ":metric":
-            if _text(section) != "(:metric minimize (total-cost))":
+            if not _matches(section, (":metric", "minimize", ("total-cost",))):
                 _error(section, "unsupported metric: expected (:metric minimize (total-cost))")
         elif head != ":domain":
             _error(section, f"unsupported section {head!r}")

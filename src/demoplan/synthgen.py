@@ -333,7 +333,7 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
         else (np.tile(homes[hand], (n, 1)), (True,) * n, (None,) * n)
         for hand in registry.hands
     }
-    trace = DemoTrace(registry, np.arange(n) * DT, hands, names, positions, contacts)
+    trace = DemoTrace(registry, np.arange(n) * DT, hands, positions, contacts)
     return GeneratedDemo(script, trace, rows)
 
 

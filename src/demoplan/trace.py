@@ -10,13 +10,13 @@ Traces are stored as JSON Lines, one frame per line:
 Every frame tracks the same hands as the frame before it and gives a
 position for every non-hand instance of the registry; ``read_trace``
 rejects a trace that does not. A trace is held as columns over its
-frames (``DemoTrace``), whose shapes must line up. ``write_trace`` joins
-each line from texts it renders once per run of equal values in a
-column, with the bytes of ``json.dumps`` of the frame. ``read_trace``
-reads a file in that layout back by columns, decoding and checking each
-distinct text in a column once, and reads any other file, or reports its
-first error, line by line. Hands that a line also lists under
-``objects`` are checked and then dropped.
+frames (``DemoTrace``), only ever one that ``read_trace`` reads back.
+``write_trace`` joins each line from texts it renders once per run of
+equal values in a column, with the bytes of ``json.dumps`` of the frame.
+``read_trace`` reads a file in that layout back by columns, decoding and
+checking each distinct text in a column once, and reads any other file,
+or reports its first error, line by line. Hands that a line also lists
+under ``objects`` are checked and then dropped.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -52,29 +52,33 @@ class TraceError(Exception):
 
 @dataclass(eq=False)
 class DemoTrace:
-    """One demonstration as columns over its frames.
+    """One demonstration as columns over its frames: a trace that
+    ``read_trace`` reads back from the file ``write_trace`` writes.
 
-    Over n frames, ``times`` is (n,); ``hands`` maps each hand to its
-    positions (n, 3) and its n open flags and n held cubes;
-    ``positions`` is (n, len(names), 3), where ``positions[i, j]`` is
-    where ``names[j]`` is at frame i; and ``contacts`` has n sets. Equal
-    consecutive contact sets may be one object. Every column has its
-    shape, every time and position is a finite float64, and the hands and
-    their open and held values pass the reader's checks, or else
-    ``TraceError`` is raised.
+    Over n >= 2 frames, ``times`` is (n,) and increasing; ``hands`` maps
+    each hand to its positions (n, 3), n open flags and n held cubes;
+    ``names`` is the registry's non-hands, sorted; ``positions`` is (n,
+    len(names), 3), where ``positions[i, j]`` is where ``names[j]`` is at
+    frame i; and ``contacts`` has n sets of pairs of distinct registry
+    instances, where equal consecutive sets may be one object. Every time
+    and position is a finite float64 and the hands pass the reader's
+    checks, or else ``TraceError`` is raised with the reader's text.
     """
 
     registry: EnvironmentRegistry
     times: np.ndarray
     hands: dict[str, tuple[np.ndarray, tuple[bool, ...], tuple[str | None, ...]]]
-    names: list[str]
     positions: np.ndarray
     contacts: list[frozenset[frozenset[str]]]
+    names: list[str] = field(init=False)
 
     def __post_init__(self) -> None:
+        self.names = sorted(self.registry.non_hands)
         if self.times.ndim != 1:
             raise TraceError(f"times has shape {self.times.shape}, need (frames,)")
         n = len(self.times)
+        if n < 2:
+            raise TraceError(f"trace has {n} frames, need at least 2")
         arrays = [("times", self.times, (n,))]
         arrays += [(f"hand {hand} pos", pos, (n, 3)) for hand, (pos, _, _) in self.hands.items()]
         arrays.append(("positions", self.positions, (n, len(self.names), 3)))
@@ -104,6 +108,11 @@ class DemoTrace:
             bad = ~np.isfinite(values)
             if bad.any():
                 raise TraceError(f"{what} at frame {np.argwhere(bad)[0][0]} is not finite")
+        i = np.argmin(self.times[1:] > self.times[:-1])  # the first stall, if any
+        if self.times[i + 1] <= self.times[i]:
+            raise TraceError(f"timestamp {self.times[i + 1]} does not increase over {self.times[i]}")
+        for contacts in dict.fromkeys(self.contacts):
+            _contact_set(map(sorted, contacts), self.registry, self.registry, None)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -241,14 +250,12 @@ def _read_lines(data: bytes, registry: EnvironmentRegistry) -> DemoTrace:
                 lineno,
             )
         times.append(t)
-    if len(times) < 2:
-        raise TraceError(f"trace has {len(times)} frames, need at least 2")
     hand_columns = {}
     for name, column in hand_rows.items():
         pos, opens, helds = zip(*column)
         hand_columns[name] = (np.array(pos, dtype=float), opens, helds)
     positions = np.array(rows, dtype=float).reshape(len(rows), len(names), 3)
-    return DemoTrace(registry, np.array(times), hand_columns, names, positions, contacts)
+    return DemoTrace(registry, np.array(times), hand_columns, positions, contacts)
 
 
 def _whole(text: str):
@@ -340,11 +347,9 @@ def _read_columns(data: bytes, registry: EnvironmentRegistry) -> DemoTrace | Non
         values = json.loads("[" + ",".join(ts) + "]")
     except (ValueError, RecursionError):
         return None
-    if len(values) != len(ts) or len(ts) < 2 or not all(map(_is_number, values)):
+    if len(values) != len(ts) or not all(map(_is_number, values)):
         return None
     times = np.array(values, dtype=float)
-    if not (times[1:] > times[:-1]).all():
-        return None
 
     hands = _columns(hand_texts, '}, "', "}", lambda h, v: _hand_sample(h, v, registry, None))
     objects = _columns(object_texts, '], "', "]", lambda o, v: _object_pos(o, v, registry, None))
@@ -378,7 +383,7 @@ def _read_columns(data: bytes, registry: EnvironmentRegistry) -> DemoTrace | Non
             pos[codes], tuple(map(opens.__getitem__, rows)), tuple(map(helds.__getitem__, rows))
         )
     contacts = list(map(sets.__getitem__, contact_texts))
-    return DemoTrace(registry, times, hand_columns, names, positions, contacts)
+    return DemoTrace(registry, times, hand_columns, positions, contacts)
 
 
 def read_trace(path: str | Path, registry: EnvironmentRegistry) -> DemoTrace:
@@ -463,15 +468,13 @@ def write_trace(trace: DemoTrace, path: str | Path) -> None:
     ]
     hand_texts = _joined(n, len(hands), frames, columns, entries)
 
-    order = sorted(range(len(trace.names)), key=trace.names.__getitem__)
-    positions = trace.positions[:, order]
-    frames, columns = _runs(positions.view(np.uint64))
-    keys = [dumps(trace.names[k]) for k in order]
+    frames, columns = _runs(trace.positions.view(np.uint64))
+    keys = [dumps(name) for name in trace.names]
     entries = [
         f"{keys[j]}: [{x!r}, {y!r}, {z!r}]"
-        for j, (x, y, z) in zip(columns, positions[frames, columns].tolist())
+        for j, (x, y, z) in zip(columns, trace.positions[frames, columns].tolist())
     ]
-    object_texts = _joined(n, len(order), frames, columns, entries)
+    object_texts = _joined(n, len(keys), frames, columns, entries)
 
     contacts_text: dict[frozenset, str] = {}
     for contacts in trace.contacts:

@@ -154,5 +154,5 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
         for hand in registry.hands
     }
     times = np.arange(len(clean)) * DT
-    trace = DemoTrace(registry, times, hands, names, positions, [f.contacts for f in clean])
+    trace = DemoTrace(registry, times, hands, positions, [f.contacts for f in clean])
     return GeneratedDemo(script, trace, rows)

@@ -40,15 +40,16 @@ def segs(hand, *rows):
 
 
 def still_trace(right_pos, left_pos, objects, frames=3):
-    """Open, motionless hands and objects at fixed positions, at 10 Hz."""
+    """Open, motionless hands and objects at fixed positions, at 10 Hz.
+    The registry's non-hands missing from ``objects`` rest far away."""
     hands = {
         "Right_hand": HandSample(right_pos, True, None),
         "Left_hand": HandSample(left_pos, True, None),
     }
-    return trace_of(
-        [DemoFrame(i / 10, hands, objects, frozenset()) for i in range(frames)],
-        demonstration_registry(),
-    )
+    registry = demonstration_registry()
+    far = {name: (10.0 + k, 10.0, 0.775) for k, name in enumerate(sorted(registry.non_hands))}
+    objects = {**far, **objects}
+    return trace_of([DemoFrame(i / 10, hands, objects, frozenset()) for i in range(frames)], registry)
 
 
 # --- cost formula ---------------------------------------------------------

@@ -12,7 +12,7 @@ import grounding_oracle
 import numpy as np
 import pytest
 import trace_oracle
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from trace_oracle import DemoFrame, HandSample, frames_of, trace_of
 
@@ -22,6 +22,7 @@ from demoplan.ontology import (
     HAND,
     TABLE,
     EnvironmentRegistry,
+    MAX_JSON_DEPTH,
     ObjectInstance,
     execution_registry,
 )
@@ -139,6 +140,33 @@ def test_read_reports_json_the_decoder_cannot_hold(tmp_path, registry, two_frame
     with pytest.raises(TraceError, match="^line 3: invalid JSON: ") as raised:
         read_trace(path, registry)
     assert raised.value.line == 3
+
+
+def _from_deeper(frames, call):
+    """``call()``, made ``frames`` stack frames deeper than this call."""
+    return call() if frames == 0 else _from_deeper(frames - 1, call)
+
+
+@pytest.mark.parametrize("held_depth", [MAX_JSON_DEPTH - 3, MAX_JSON_DEPTH - 2, 700, 900])
+def test_a_nested_line_gets_one_verdict_from_any_caller(tmp_path, registry, two_frames, held_depth):
+    """Line 2 nests ``held_depth`` + 3 deep. Whether that is too deep does
+    not depend on how deep the reader's caller is: a decoder that runs
+    out of stack would take 700 deep from here but not 400 frames down."""
+    path = tmp_path / "trace.jsonl"
+    write_trace(two_frames, path)
+    first, second = path.read_text().splitlines()
+    held = "[" * held_depth + "]" * held_depth
+    path.write_text(first + "\n" + second.replace('"held": null', f'"held": {held}') + "\n")
+    verdicts = []
+    for frames in (0, 400):
+        with pytest.raises(TraceError) as raised:
+            _from_deeper(frames, lambda: read_trace(path, registry))
+        verdicts.append(str(raised.value))
+    if held_depth + 3 > MAX_JSON_DEPTH:
+        assert verdicts[0] == "line 2: invalid JSON: nested too deeply to decode"
+    else:
+        assert verdicts[0].startswith("line 2: held object [[[")
+    assert verdicts[1] == verdicts[0]
 
 
 def test_blank_lines_are_skipped(tmp_path, registry, two_frames):
@@ -262,19 +290,20 @@ COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 5e-324, -2.5e300]) | st.flo
 
 @st.composite
 def written_traces(draw):
-    """Traces of 0-2 hands and up to 40 frames whose rows, hand samples
-    and contact sets repeat, change, change in one column or only in the
-    sign of a zero. A hand may rest while its open or held value changes.
-    The registry holds the hands, the objects as cubes and a table that
-    the trace does not place."""
+    """Traces of 0-2 hands and 2-40 frames at increasing times whose rows,
+    hand samples and contact sets repeat, change, change in one column or
+    only in the sign of a zero. A hand may rest while its open or held
+    value changes. The registry holds the hands, the cubes and a table,
+    and the trace places the cubes and the table in name order."""
     hands = draw(st.lists(st.sampled_from(WRITER_HANDS), max_size=2, unique=True))
-    names = draw(st.lists(st.sampled_from(WRITER_OBJECTS), max_size=4, unique=True))
+    cubes = draw(st.lists(st.sampled_from(WRITER_OBJECTS), max_size=4, unique=True))
     registry = EnvironmentRegistry("demonstration", [
         *(ObjectInstance(hand, HAND) for hand in hands),
-        *(ObjectInstance(name, CUBE) for name in names),
+        *(ObjectInstance(cube, CUBE) for cube in cubes),
         ObjectInstance("the table", TABLE),
     ])
-    n = draw(st.integers(1, 40))
+    names = sorted(registry.non_hands)
+    n = draw(st.integers(2, 40))
 
     def evolving(fresh, *variants):
         """n values: a fresh one, then each the one before, a variant of
@@ -309,7 +338,7 @@ def written_traces(draw):
 
     columns = {}
     for hand in hands:
-        helds = tuple(evolving(lambda: draw(st.sampled_from([None, *names]))))
+        helds = tuple(evolving(lambda: draw(st.sampled_from([None, *cubes]))))
         opens = evolving(lambda: draw(st.booleans()))
         opens = tuple(held is None and is_open for held, is_open in zip(helds, opens))
         if draw(st.booleans()):
@@ -317,62 +346,54 @@ def written_traces(draw):
         else:
             pos = np.tile(rows(1)(), (n, 1))
         columns[hand] = (pos, opens, helds)
-    variants = [flip_zeros, one_column] if names else [flip_zeros]
-    positions = np.stack(evolving(rows(len(names)), *variants))
-    times = np.array(draw(st.lists(COORDS, min_size=n, max_size=n)))
+    positions = np.stack(evolving(rows(len(names)), flip_zeros, one_column))
+    # Unique floats are distinct, as 0.0 == -0.0, so sorted they increase.
+    times = np.array(draw(st.lists(COORDS, min_size=n, max_size=n, unique=True).map(sorted)))
     contacts = evolving(contact_set, equal_copy)
-    return DemoTrace(registry, times, columns, names, positions, contacts)
+    return DemoTrace(registry, times, columns, positions, contacts)
+
+
+def _assert_same(a, b):
+    """Asserts that traces ``a`` and ``b`` are equal: float bits, tuples
+    with their types, and sets."""
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.names == b.names
+    assert a.positions.shape == b.positions.shape
+    assert a.positions.tobytes() == b.positions.tobytes()
+    assert a.hands.keys() == b.hands.keys()
+    for hand, (pos, opens, helds) in a.hands.items():
+        pos_, opens_, helds_ = b.hands[hand]
+        assert pos.shape == pos_.shape and pos.tobytes() == pos_.tobytes()
+        assert [(type(o), o) for o in opens] == [(type(o), o) for o in opens_]
+        assert helds == helds_
+    assert a.contacts == b.contacts
+
+
+def _read_both(path, registry):
+    """The trace at ``path`` as the column path reads it, asserting it
+    does not decline the file and equals the per-line read, hands in the
+    same order."""
+    data = path.read_bytes()
+    columns, lines = _read_columns(data, registry), _read_lines(data, registry)
+    assert columns is not None
+    _assert_same(columns, lines)
+    assert list(columns.hands) == list(lines.hands)
+    return columns
 
 
 @settings(max_examples=200, deadline=None)
 @given(trace=written_traces())
-def test_write_matches_the_per_line_oracle(tmp_path_factory, trace):
-    """The column writer writes the bytes of one json.dumps per frame."""
+def test_a_written_trace_reads_back_by_columns(tmp_path_factory, trace):
+    """The column writer writes the bytes of one json.dumps per frame, and
+    the file is read by columns back into the trace written: a silent
+    fall back to the per-line path would cost the gain and pass every
+    other test."""
     out = tmp_path_factory.getbasetemp() / "written"
     out.mkdir(exist_ok=True)
     write_trace(trace, out / "columns.jsonl")
     trace_oracle.write_trace(trace, out / "frames.jsonl")
     assert (out / "columns.jsonl").read_bytes() == (out / "frames.jsonl").read_bytes()
-
-
-def _read_both(path, registry):
-    """The trace at ``path`` as the column path reads it, asserting it
-    does not decline the file and equals the per-line read: float bits,
-    tuples with their types, and sets."""
-    data = path.read_bytes()
-    columns, lines = _read_columns(data, registry), _read_lines(data, registry)
-    assert columns is not None
-    assert columns.times.tobytes() == lines.times.tobytes()
-    assert columns.names == lines.names
-    assert columns.positions.shape == lines.positions.shape
-    assert columns.positions.tobytes() == lines.positions.tobytes()
-    assert list(columns.hands) == list(lines.hands)
-    for hand, (pos, opens, helds) in columns.hands.items():
-        pos_, opens_, helds_ = lines.hands[hand]
-        assert pos.shape == pos_.shape and pos.tobytes() == pos_.tobytes()
-        assert [(type(o), o) for o in opens] == [(type(o), o) for o in opens_]
-        assert helds == helds_
-    assert columns.contacts == lines.contacts
-    return columns
-
-
-@settings(max_examples=200, deadline=None)
-@given(trace=written_traces(), data=st.data())
-def test_the_column_reader_takes_every_written_trace(tmp_path_factory, trace, data):
-    """A file the writer writes is read by columns: a silent fall back to
-    the per-line path would cost the gain and pass every other test. The
-    drawn trace is made readable: two or more frames at increasing times
-    and the table placed."""
-    n = len(trace)
-    assume(n >= 2)
-    times = data.draw(st.lists(COORDS, min_size=n, max_size=n, unique=True).map(sorted))
-    table = np.array(data.draw(st.lists(COORDS, min_size=3, max_size=3)))
-    positions = np.concatenate((trace.positions, np.tile(table, (n, 1, 1))), axis=1)
-    names = [*trace.names, "the table"]
-    trace = replace(trace, times=np.array(times), names=names, positions=positions)
-    path = tmp_path_factory.getbasetemp() / "readable.jsonl"
-    write_trace(trace, path)
-    _read_both(path, trace.registry)
+    _assert_same(_read_both(out / "columns.jsonl", trace.registry), trace)
 
 
 @pytest.mark.parametrize(
@@ -501,6 +522,45 @@ def test_a_trace_refuses_hand_values_the_reader_refuses(two_frames, hand, opens,
         replace(two_frames, hands={hand: (pos, opens, helds)})
 
 
+def _contacts(*pairs):
+    """An edit of a trace: the second frame's contact set is ``pairs``."""
+    return lambda trace: {"contacts": [trace.contacts[0], frozenset(map(frozenset, pairs))]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_contacts(("Cube_red3", "lamp")), "contact names unknown instance: lamp"),
+        (_contacts(("Cube_red3",)), "contact must be a pair, got ['Cube_red3']"),
+        (lambda trace: {"times": trace.times[:1], "positions": trace.positions[:1],
+                        "contacts": trace.contacts[:1], "hands": {}},
+         "trace has 1 frames, need at least 2"),
+        (lambda trace: {"times": np.array([0.1, 0.1])}, "timestamp 0.1 does not increase over 0.1"),
+        (lambda trace: {"times": np.array([0.2, 0.1])}, "timestamp 0.1 does not increase over 0.2"),
+    ],
+    ids=["contact-unknown", "contact-of-one", "one-frame", "time-repeats", "time-falls"],
+)
+def test_a_trace_refuses_what_the_reader_refuses_of_a_whole_trace(two_frames, edit, message):
+    """Every trace is one the reader takes back: a file of it would be
+    refused with the same text, and a repeated time would ground a
+    moving hand as at rest."""
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        replace(two_frames, **edit(two_frames))
+
+
+def test_a_trace_places_every_non_hand(registry, two_frames):
+    """The names are the registry's non-hands, so positions that leave
+    the table out make no trace, and neither do frames that do."""
+    assert two_frames.names == sorted(registry.non_hands)
+    table = two_frames.names.index("high_table")
+    with pytest.raises(TraceError, match=r"^positions has shape \(2, 4, 3\), need \(2, 5, 3\)$"):
+        replace(two_frames, positions=np.delete(two_frames.positions, table, axis=1))
+    frames = frames_of(two_frames)
+    del frames[1].objects["high_table"]
+    with pytest.raises(TraceError, match="^objects lacks a position for high_table$"):
+        trace_of(frames, registry)
+
+
 def _two_hand_registry():
     return EnvironmentRegistry(
         "demonstration",
@@ -539,6 +599,28 @@ def test_read_rejects_a_change_of_hands_with_the_line(tmp_path, hands_per_frame,
     path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
     with pytest.raises(TraceError, match=f"^line {line}: frame tracks hands"):
         read_trace(path, registry)
+
+
+def test_read_accepts_a_contact_of_an_untracked_hand(tmp_path):
+    """A hand the trace does not track may be listed under objects and
+    named in a contact, and both paths keep the contact."""
+    registry = _two_hand_registry()
+    docs = [
+        {
+            "t": 0.1 * i,
+            "hands": {"Right_hand": {"pos": [0.5, 0.5, 1.0], "open": True, "held": None}},
+            "objects": {
+                "Cube_red1": [0.5, 0.5, 0.775], "Left_hand": [0.5, 0.55, 0.8], "table1": [0.5, 0.5, 0.37]
+            },
+            "contacts": [["Cube_red1", "Left_hand"]],
+        }
+        for i in range(2)
+    ]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    trace = _read_both(path, registry)
+    assert list(trace.hands) == ["Right_hand"]
+    assert trace.contacts == [frozenset({frozenset({"Cube_red1", "Left_hand"})})] * 2
 
 
 JSON_VALUES = st.recursive(

@@ -47,8 +47,13 @@ class DemoFrame:
 
 
 def trace_of(frames: list[DemoFrame], registry: EnvironmentRegistry) -> DemoTrace:
-    """The trace of ``frames``, over the hands and objects of the first."""
-    names = sorted(frames[0].objects)
+    """The trace of ``frames``, over the hands of the first and the
+    registry's non-hands, which every frame must place as a line must."""
+    names = sorted(registry.non_hands)
+    for frame in frames:
+        missing = ", ".join(sorted(registry.non_hands.difference(frame.objects)))
+        if missing:
+            raise TraceError(f"objects lacks a position for {missing}")
     hands = {}
     for hand in frames[0].hands:
         samples = [frame.hands[hand] for frame in frames]
@@ -56,7 +61,7 @@ def trace_of(frames: list[DemoFrame], registry: EnvironmentRegistry) -> DemoTrac
         hands[hand] = (np.array(pos, dtype=float), opens, helds)
     positions = np.array([[frame.objects[name] for name in names] for frame in frames], dtype=float)
     times = np.array([frame.t for frame in frames], dtype=float)
-    return DemoTrace(registry, times, hands, names, positions, [frame.contacts for frame in frames])
+    return DemoTrace(registry, times, hands, positions, [frame.contacts for frame in frames])
 
 
 def frames_of(trace: DemoTrace) -> list[DemoFrame]:
