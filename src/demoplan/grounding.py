@@ -98,10 +98,16 @@ class EnvSymState:
 
 
 @dataclass(frozen=True)
-class SymbolicState:
-    t: float
-    hands: dict[str, HandSymState]
-    env: EnvSymState
+class GroundedTrace:
+    """The grounded states of a trace as columns: state k is at
+    ``times[k]``, with ``hands[name][k]`` and ``env[k]``."""
+
+    times: list[float]
+    hands: dict[str, list[HandSymState]]
+    env: list[EnvSymState]
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -188,15 +194,14 @@ def _ground_env(trace: DemoTrace, things: frozenset[str]) -> list[EnvSymState]:
     return _shared(keys, _env_state)
 
 
-def ground_trace(
-    trace: DemoTrace, config: GroundingConfig | None = None
-) -> list[SymbolicState]:
-    """Ground every frame from index 1 onward.
+def ground_trace(trace: DemoTrace, config: GroundingConfig | None = None) -> GroundedTrace:
+    """Ground every frame from index 1 onward, as one column per hand and
+    one for the environment: state k describes frame k + 1.
 
     The velocity at a frame is the backward difference to the frame
-    before it. ``DemoTrace`` guarantees increasing times, the same hands
-    tracked in every frame and every cube and table placed. Equal
-    consecutive hand and environment states are one object.
+    before it. ``DemoTrace`` guarantees at least two frames, increasing
+    times, the same hands tracked in every frame and every cube and table
+    placed. Equal consecutive states in a column are one object.
     """
     config = config or GroundingConfig()
     cubes = trace.registry.of_type(CUBE)
@@ -210,22 +215,20 @@ def ground_trace(
         graspable = _nearest(dist < config.graspable_dist, dist, cubes)
         keys = list(zip(moving.tolist(), opens[1:], helds[1:], acted_on, graspable))
         per_hand[hand] = _shared(keys, HandSymState)
-    return [
-        SymbolicState(t, {hand: states[i] for hand, states in per_hand.items()}, env)
-        for i, (t, env) in enumerate(zip(trace.times[1:].tolist(), _ground_env(trace, things)))
-    ]
+    return GroundedTrace(trace.times[1:].tolist(), per_hand, _ground_env(trace, things))
 
 
-def states_to_json(states: list[SymbolicState]) -> list[dict]:
+def states_to_json(states: GroundedTrace) -> list[dict]:
+    hands = sorted(states.hands.items())
     return [
         {
-            "frame": frame,
-            "t": state.t,
-            "hands": {name: dict(vars(h)) for name, h in sorted(state.hands.items())},
+            "frame": k + 1,
+            "t": t,
+            "hands": {name: dict(vars(column[k])) for name, column in hands},
             "env": {
-                "inTouch": sorted(sorted(pair) for pair in state.env.in_touch),
-                "onTop": sorted(list(pair) for pair in state.env.on_top),
+                "inTouch": sorted(sorted(pair) for pair in env.in_touch),
+                "onTop": sorted(list(pair) for pair in env.on_top),
             },
         }
-        for frame, state in enumerate(states, 1)
+        for k, (t, env) in enumerate(zip(states.times, states.env))
     ]

@@ -324,6 +324,7 @@ class OperatorLibrary:
         operators = doc.get("operators", []) if isinstance(doc, dict) else None
         if not isinstance(operators, list):
             raise ModelError("a library must be a JSON object with a list of operators")
+        _check_keys(doc, {"repaired", "operators"}, "a library")
         repaired = doc.get("repaired", False)
         if not isinstance(repaired, bool):
             raise ModelError(f"repaired must be true or false, got {repaired!r}")
@@ -335,9 +336,17 @@ def _is_int(value) -> bool:
     return type(value) is int  # a JSON boolean is not
 
 
+def _check_keys(doc: dict, known: set[str], what: str) -> None:
+    """ModelError naming the keys of ``doc`` that ``known`` lacks."""
+    if not doc.keys() <= known:
+        raise ModelError(f"{what} has unknown keys {sorted(doc.keys() - known)}")
+
+
 def _operator_from_json(item, known: dict[tuple, Literal]) -> LearnedOperator:
     if not isinstance(item, dict):
         raise ModelError(f"an operator must be a JSON object, got {item!r}")
+    _check_keys(item, {"activity", "config_index", "params", "preconditions", "effects",
+                       "count", "cost", "revokes"}, "an operator")
     get = item.get
     if not _is_int(get("config_index")):
         raise ModelError(f"config_index must be an integer, got {get('config_index')!r}")
@@ -354,6 +363,8 @@ def _operator_from_json(item, known: dict[tuple, Literal]) -> LearnedOperator:
         for r in revokes
     ):
         raise ModelError(f"revokes must be a list of pred/hand/keep strings, got {revokes!r}")
+    for r in revokes:
+        _check_keys(r, {"pred", "hand", "keep"}, "a revocation")
     for key in ("preconditions", "effects"):
         if not isinstance(get(key), list):
             raise ModelError(f"{key} must be a list of literals, got {get(key)!r}")
@@ -403,4 +414,6 @@ def _literal_fields(doc) -> tuple[str, tuple[str, ...], bool]:
         raise ModelError(f"{pred}: args must be a list of strings, got {args!r}")
     if not isinstance(positive, bool):
         raise ModelError(f"{pred}{tuple(args)}: positive must be true or false, got {positive!r}")
+    if len(doc) != 2 + ("positive" in doc):  # O(1): pred and args are present
+        _check_keys(doc, {"pred", "args", "positive"}, f"{pred}{tuple(args)}")
     return pred, tuple(args), positive

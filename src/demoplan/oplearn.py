@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grounding import EnvSymState, HandSymState, SymbolicState
+from .grounding import EnvSymState, GroundedTrace, HandSymState
 from .model import (
     NEQ,
     SINGLE_VALUED,
@@ -67,21 +67,20 @@ def _env_atom_changes(
 
 
 def extract(
-    states: list[SymbolicState],
+    states: GroundedTrace,
     segments: list[ActivitySegment],
     registry: EnvironmentRegistry,
-    trace: DemoTrace | None = None,
+    trace: DemoTrace,
 ) -> list[OperatorDraft]:
     """Build one draft per non-initial segment and attribute environment
-    changes.
+    changes, reading each hand's column and the environment column.
 
     The candidates for a change are the hands holding or acting on an
     involved cube or, when there are none, the hands that are not idle.
-    A single candidate gets the change; among several, a trace, when
-    given, picks the nearest hand. Anything else raises AttributionError.
+    A single candidate gets the change; among several, the one nearest
+    the involved cube in ``trace`` does. Anything else raises
+    AttributionError.
     """
-    if not states:
-        return []
     n = len(states)
     # Each hand's lane holds the (label, draft) of the segment at every state.
     lanes: dict[str, list[tuple[ActivityLabel, OperatorDraft | None]]] = {}
@@ -92,10 +91,11 @@ def extract(
             raise ValueError(f"segments for {hand} do not cover each of the {n} states once")
         draft = None
         if lane:
-            pre_state = states[seg.start - 1].hands[hand]
-            seen = {s.hands[hand] for s in states[seg.start : seg.end + 1]}
+            column = states.hands[hand]
+            pre_state = column[seg.start - 1]
+            seen = set(column[seg.start : seg.end + 1])
             const_true = pre_state.atoms(hand).intersection(*(h.atoms(hand) for h in seen))
-            draft = OperatorDraft(seg, pre_state, states[seg.end].hands[hand], const_true)
+            draft = OperatorDraft(seg, pre_state, column[seg.end], const_true)
             drafts.append(draft)
         lane += [(seg.label, draft)] * (seg.end - seg.start + 1)
     for hand, lane in lanes.items():
@@ -103,21 +103,20 @@ def extract(
             raise ValueError(f"segments for {hand} do not cover each of the {n} states once")
 
     hands = sorted(lanes)
+    env = states.env
     for k in range(1, n):
-        if states[k].env is states[k - 1].env:
+        if env[k] is env[k - 1]:
             continue
-        for atom, val_before, val_after, pair in _env_atom_changes(
-            states[k - 1].env, states[k].env
-        ):
+        for atom, val_before, val_after, pair in _env_atom_changes(env[k - 1], env[k]):
             involved = [x for x in pair if registry.type_of(x) == CUBE]
             candidates = [
                 h
                 for h in hands
-                if states[k].hands[h].inHand in involved or states[k].hands[h].actedOn in involved
+                if states.hands[h][k].inHand in involved or states.hands[h][k].actedOn in involved
             ] or [h for h in hands if lanes[h][k][0] is not ActivityLabel.IDLE]
             if len(candidates) == 1:
                 hand = candidates[0]
-            elif candidates and trace is not None and involved:
+            elif candidates and involved:
                 anchor = trace.positions[k + 1, trace.names.index(involved[0])]
                 hand = min(
                     candidates,
@@ -228,11 +227,11 @@ def generalize(
 
 
 def learn_from_demo(
-    states: list[SymbolicState],
+    states: GroundedTrace,
     segments: list[ActivitySegment],
     library: OperatorLibrary,
     registry: EnvironmentRegistry,
-    trace: DemoTrace | None = None,
+    trace: DemoTrace,
 ) -> list:
     """Extract, filter, generalise, and merge one demonstration."""
     learned = []

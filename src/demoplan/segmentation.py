@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grounding import HandSymState, SymbolicState, runs
+from .grounding import GroundedTrace, HandSymState, runs
 from .model import ActivityLabel
 
 DEFAULT_DEBOUNCE = 3
@@ -33,7 +33,7 @@ def classify(hand: HandSymState) -> ActivityLabel:
 
 @dataclass(frozen=True)
 class ActivitySegment:
-    """A maximal run of one activity, indices into the state list, inclusive."""
+    """A maximal run of one activity, indices into the grounded states, inclusive."""
 
     hand: str
     label: ActivityLabel
@@ -63,15 +63,12 @@ def debounce_labels(labels: list[ActivityLabel], debounce: int) -> list[Activity
     return smoothed
 
 
-def segment(states: list[SymbolicState]) -> list[ActivitySegment]:
-    """Partition every hand's state sequence into labelled segments,
+def segment(states: GroundedTrace) -> list[ActivitySegment]:
+    """Partition every hand's column of states into labelled segments,
     debounced over ``DEFAULT_DEBOUNCE`` frames."""
-    if not states:
-        return []
     segments: list[ActivitySegment] = []
-    for hand in sorted(states[0].hands):
-        raw = [classify(state.hands[hand]) for state in states]
-        smoothed = debounce_labels(raw, DEFAULT_DEBOUNCE)
+    for hand, column in sorted(states.hands.items()):
+        smoothed = debounce_labels([classify(h) for h in column], DEFAULT_DEBOUNCE)
         for label, start, end in runs(smoothed):
             segments.append(ActivitySegment(hand, label, start, end))
     return segments

@@ -2,9 +2,11 @@
 
 This is the original one-frame-at-a-time implementation of the rules
 in ``demoplan.grounding``: a backward-difference velocity per hand,
-``np.linalg.norm`` per cube and a sorted scan for the nearest cube. The
-tests compare ``ground_trace`` against it state for state, on frames
-as ``trace_oracle`` holds them.
+``np.linalg.norm`` per cube and a sorted scan for the nearest cube. Each
+frame grounds to a ``(t, hands, env)`` row, and ``columns`` turns rows
+into the ``GroundedTrace`` that ``ground_trace`` returns, so the tests
+compare the two state for state, on frames as ``trace_oracle`` holds
+them.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import numpy as np
 
 from demoplan.grounding import (
     EnvSymState,
+    GroundedTrace,
     GroundingConfig,
     HandSymState,
-    SymbolicState,
 )
 from demoplan.ontology import CUBE, TABLE
 from demoplan.trace import TraceError
@@ -116,8 +118,15 @@ def ground_frame(frames, registry, index: int, config: GroundingConfig | None = 
         )
 
     env = ground_env(frame.objects, frame.contacts, registry)
-    return SymbolicState(frame.t, hands, env)
+    return frame.t, hands, env
 
 
-def ground_frames(frames, registry, config: GroundingConfig | None = None):
-    return [ground_frame(frames, registry, i, config) for i in range(1, len(frames))]
+def columns(rows) -> GroundedTrace:
+    """Per-frame ``(t, hands, env)`` rows, with the same hands in each
+    row, as one column per hand and one for the environment."""
+    times, hands, env = zip(*rows)
+    return GroundedTrace(list(times), {h: [row[h] for row in hands] for h in hands[0]}, list(env))
+
+
+def ground_frames(frames, registry, config: GroundingConfig | None = None) -> GroundedTrace:
+    return columns(ground_frame(frames, registry, i, config) for i in range(1, len(frames)))

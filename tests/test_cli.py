@@ -240,11 +240,12 @@ def test_mistyped_library_field_is_bad_input(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit", ["copy", "type", "twice", "revoke"])
+@pytest.mark.parametrize("edit", ["copy", "type", "twice", "revoke", "misspelt"])
 def test_malformed_operator_is_bad_input(tmp_path, library_file, goal_file, capsys, edit):
     """Operators that would emit invalid PDDL: a second operator of one
     name, a parameter of an unknown type or declared twice, and a
-    revocation on an undeclared variable."""
+    revocation on an undeclared variable; and a misspelt key, which
+    would drop the operator's revocations."""
     doc = json.loads(library_file.read_text())
     op = doc["operators"][0]
     name = OperatorLibrary.from_json(doc).operators[0].name
@@ -258,9 +259,12 @@ def test_malformed_operator_is_bad_input(tmp_path, library_file, goal_file, caps
     elif edit == "twice":
         op["params"].append([param, type_name])
         message = f"{name}: parameter {param} is declared twice"
-    else:
+    elif edit == "revoke":
         op["revokes"] = [{"pred": "actedOn", "hand": "?Hand9", "keep": "Cube_blue3"}]
         message = f"{name}: revocation variable ?Hand9 not in parameters"
+    else:
+        op["revoke"] = op.pop("revokes")
+        message = "an operator has unknown keys ['revoke']"
     library = tmp_path / "library.json"
     library.write_text(json.dumps(doc))
     out = tmp_path / "plan.json"
@@ -407,8 +411,12 @@ def test_validate_mutex_flags_double_reach(tmp_path, combined_library, capsys):
         {"pred": "onTop", "args": ["Cube_blue3", "Cube_blue3"]},
         {"pred": "inHand", "args": ["Cube_blue3", "Robot_gripper"]},
         {"pred": "neq", "args": ["Cube_green3", "Cube_blue3"]},
+        {"pred": "onTop", "args": ["Cube_green3", "Cube_blue3"], "postive": False},
     ],
-    ids=["string-positive", "number-args", "string-args", "one-cube-twice", "mistyped", "neq"],
+    ids=[
+        "string-positive", "number-args", "string-args", "one-cube-twice", "mistyped", "neq",
+        "misspelt-positive",
+    ],
 )
 def test_malformed_goal_literal_is_bad_input(tmp_path, library_file, literal, capsys):
     goal = tmp_path / "goal.json"

@@ -242,6 +242,9 @@ def test_library_json_round_trip():
         ({"pred": ["onTop"], "args": ["a", "b"]}, "pred must be a string"),
         (["onTop", "a", "b"], "must be a JSON object"),
         ({"pred": "neq", "args": ["?Hand1", "?Hand2"], "positive": False}, "neq is never negated"),
+        # Read as absent, a misspelt positive would make the literal positive.
+        ({"pred": "onTop", "args": ["a", "b"], "postive": False},
+         r"^onTop\('a', 'b'\) has unknown keys \['postive'\]$"),
     ],
 )
 def test_literal_codec_rejects_malformed_documents(doc, message):
@@ -308,6 +311,9 @@ def _operator_doc(**overrides) -> dict:
          r"^Reach: revocation variable \?Hand9 not in parameters$"),
         ({"revokes": [{"pred": "graspable", "hand": "?Hand1", "keep": "?Cube9"}]},
          r"^Reach: revocation variable \?Cube9 not in parameters$"),
+        ({"revoke": [], "note": ""}, r"^an operator has unknown keys \['note', 'revoke'\]$"),
+        ({"revokes": [{"pred": "actedOn", "hand": "?Hand1", "keep": "?Wooden_cube1", "drop": ""}]},
+         r"^a revocation has unknown keys \['drop'\]$"),
     ],
 )
 def test_library_loader_rejects_mistyped_operator_fields(overrides, message):
@@ -330,6 +336,11 @@ def test_library_refuses_two_operators_of_one_name():
 def test_library_loader_rejects_mistyped_documents(doc):
     with pytest.raises(ModelError, match="repaired must be|a library must be"):
         OperatorLibrary.from_json(doc)
+
+
+def test_library_loader_rejects_unknown_keys():
+    with pytest.raises(ModelError, match=r"^a library has unknown keys \['repair'\]$"):
+        OperatorLibrary.from_json({"repair": True, "operators": []})
 
 
 _OPERATOR_DOCS = st.builds(

@@ -1,11 +1,12 @@
 """Tests for oplearn.py."""
 
 import pytest
+from grounding_oracle import columns
 from hypothesis import given
 from hypothesis import strategies as st
 from trace_oracle import DemoFrame, HandSample, trace_of
 
-from demoplan.grounding import EnvSymState, HandSymState, SymbolicState
+from demoplan.grounding import EnvSymState, HandSymState
 from demoplan.model import Literal, Revocation
 from demoplan.oplearn import (
     AttributionError,
@@ -32,7 +33,7 @@ def env(*touch_pairs, on_top=()):
 
 
 def state(t, right, left, env_state=EMPTY_ENV):
-    return SymbolicState(t, {"Right_hand": right, "Left_hand": left}, env_state)
+    return t, {"Right_hand": right, "Left_hand": left}, env_state
 
 
 def segs(hand, *rows):
@@ -186,14 +187,15 @@ def test_env_changes_carry_contact_pairs_in_name_order_and_supports_as_placed():
 
 
 def test_extract_skips_the_opening_segment():
-    states = [
+    states = columns([
         state(0.0, IDLE_HAND, IDLE_HAND),
         state(0.1, MOVING_HAND, IDLE_HAND),
         state(0.2, MOVING_HAND, IDLE_HAND),
-    ]
+    ])
     segments = segs("Right_hand", (ActivityLabel.IDLE, 0, 0), (ActivityLabel.REACH, 1, 2))
     segments += segs("Left_hand", (ActivityLabel.IDLE, 0, 2))
-    drafts = extract(states, segments, demonstration_registry())
+    trace = still_trace((0.9, 0.9, 0.9), (0.25, 0.2, 0.8), {}, frames=4)
+    drafts = extract(states, segments, demonstration_registry(), trace)
     assert [(d.segment.hand, d.segment.label) for d in drafts] == [
         ("Right_hand", ActivityLabel.REACH)
     ]
@@ -205,7 +207,8 @@ def test_extract_skips_the_opening_segment():
 def test_extract_requires_full_coverage():
     """Each hand's segments must tile the states: no gap, no overlap, and
     nothing past the last state."""
-    states = [state(0.0, IDLE_HAND, IDLE_HAND), state(0.1, IDLE_HAND, IDLE_HAND)]
+    states = columns([state(0.0, IDLE_HAND, IDLE_HAND), state(0.1, IDLE_HAND, IDLE_HAND)])
+    trace = still_trace((0.9, 0.9, 0.9), (0.25, 0.2, 0.8), {})
     left = segs("Left_hand", (ActivityLabel.IDLE, 0, 1))
     for right in [
         [(ActivityLabel.IDLE, 0, 0)],
@@ -213,19 +216,21 @@ def test_extract_requires_full_coverage():
         [(ActivityLabel.IDLE, 0, 0), (ActivityLabel.REACH, 1, 2)],
     ]:
         with pytest.raises(ValueError, match="cover"):
-            extract(states, segs("Right_hand", *right) + left, demonstration_registry())
+            extract(states, segs("Right_hand", *right) + left, demonstration_registry(), trace)
 
 
 def test_ambiguous_environment_change_raises():
     changed = env(("Cube_red1", "Cube_green1"))
-    states = [
+    states = columns([
         state(0.0, IDLE_HAND, IDLE_HAND),
         state(0.1, IDLE_HAND, IDLE_HAND, changed),
-    ]
+    ])
     segments = segs("Right_hand", (ActivityLabel.IDLE, 0, 1))
     segments += segs("Left_hand", (ActivityLabel.IDLE, 0, 1))
+    objects = {"Cube_red1": (0.2, 0.2, 0.775), "Cube_green1": (0.25, 0.2, 0.775)}
+    trace = still_trace((0.9, 0.9, 0.9), (0.25, 0.2, 0.8), objects)
     with pytest.raises(AttributionError, match="frame 2") as err:
-        extract(states, segments, demonstration_registry())
+        extract(states, segments, demonstration_registry(), trace)
     assert err.value.frame == 2
 
 
@@ -237,7 +242,7 @@ def test_change_while_every_hand_is_idle_raises_even_with_a_trace():
     changed = env(("Cube_red1", "Cube_green1"))
 
     # The scene above, both hands idle from the start.
-    states = [state(0.0, IDLE_HAND, IDLE_HAND), state(0.1, IDLE_HAND, IDLE_HAND, changed)]
+    states = columns([state(0.0, IDLE_HAND, IDLE_HAND), state(0.1, IDLE_HAND, IDLE_HAND, changed)])
     segments = segs("Right_hand", (ActivityLabel.IDLE, 0, 1))
     segments += segs("Left_hand", (ActivityLabel.IDLE, 0, 1))
     with pytest.raises(AttributionError, match="frame 2: cannot attribute"):
@@ -245,12 +250,12 @@ def test_change_while_every_hand_is_idle_raises_even_with_a_trace():
 
     # The right hand reaches and rests before the cubes start touching:
     # the change must not become an effect of its IdleMotion.
-    states = [
+    states = columns([
         state(0.0, IDLE_HAND, IDLE_HAND),
         state(0.1, MOVING_HAND, IDLE_HAND),
         state(0.2, IDLE_HAND, IDLE_HAND),
         state(0.3, IDLE_HAND, IDLE_HAND, changed),
-    ]
+    ])
     segments = segs(
         "Right_hand",
         (ActivityLabel.IDLE, 0, 0),
@@ -265,23 +270,25 @@ def test_change_while_every_hand_is_idle_raises_even_with_a_trace():
 def test_change_during_opening_segment_raises():
     holding = HandSymState(False, False, "Cube_red1", None, None)
     changed = env(("Cube_red1", "table1"))
-    states = [
+    states = columns([
         state(0.0, holding, IDLE_HAND),
         state(0.1, holding, IDLE_HAND, changed),
-    ]
+    ])
     segments = segs("Right_hand", (ActivityLabel.TAKE, 0, 1))
     segments += segs("Left_hand", (ActivityLabel.IDLE, 0, 1))
+    objects = {"Cube_red1": (0.25, 0.2, 0.775), "table1": (0.5, 0.5, 0.37)}
+    trace = still_trace((0.25, 0.2, 0.8), (0.9, 0.9, 0.9), objects)
     with pytest.raises(AttributionError, match="opening segment"):
-        extract(states, segments, demonstration_registry())
+        extract(states, segments, demonstration_registry(), trace)
 
 
 def test_trace_proximity_breaks_attribution_ties():
     """Two moving hands, neither qualifying: the nearer one is blamed."""
     changed = env(("Cube_red1", "table1"))
-    states = [
+    states = columns([
         state(0.0, IDLE_HAND, IDLE_HAND),
         state(0.1, MOVING_HAND, MOVING_HAND, changed),
-    ]
+    ])
     segments = segs("Right_hand", (ActivityLabel.IDLE, 0, 0), (ActivityLabel.PUT, 1, 1))
     segments += segs("Left_hand", (ActivityLabel.IDLE, 0, 0), (ActivityLabel.PUT, 1, 1))
 
@@ -292,9 +299,6 @@ def test_trace_proximity_breaks_attribution_ties():
     blamed = {d.segment.hand: d.env_pairs for d in drafts}
     assert blamed["Left_hand"]
     assert not blamed["Right_hand"]
-
-    with pytest.raises(AttributionError):
-        extract(states, segments, registry)
 
 
 # --- repair ---------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Tests for segmentation.py."""
 
 import pytest
+from grounding_oracle import columns
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demoplan.grounding import EnvSymState, HandSymState, SymbolicState
+from demoplan.grounding import EnvSymState, HandSymState
 from demoplan.segmentation import (
     ActivityLabel,
     ActivitySegment,
@@ -96,13 +97,11 @@ def test_debounce_properties(labels, debounce):
 
 def test_segment_splits_per_hand():
     def state(t, right, left):
-        return SymbolicState(
-            t, {"Right_hand": right, "Left_hand": left}, EnvSymState(frozenset(), frozenset())
-        )
+        return t, {"Right_hand": right, "Left_hand": left}, EnvSymState(frozenset(), frozenset())
 
     still = hand()
     reach = hand(move=True, acted="c")
-    states = [
+    states = columns([
         state(0.0, still, still),
         state(0.1, reach, still),
         state(0.2, reach, still),
@@ -111,7 +110,7 @@ def test_segment_splits_per_hand():
         state(0.5, still, still),
         state(0.6, still, still),
         state(0.7, still, still),
-    ]
+    ])
     segments = segment(states)
     by_hand = {}
     for s in segments:

@@ -444,7 +444,7 @@ def test_a_trace_refuses_values_that_are_not_finite(corpus, demo_registry, what)
     """A trace built in memory is checked as a file is: a NaN coordinate
     of a moving hand would ground as a hand at rest."""
     states = ground_trace(corpus[0].trace)
-    moving = next(i for i, state in enumerate(states, 1) if state.hands["Right_hand"].handMove)
+    moving = next(i for i, h in enumerate(states.hands["Right_hand"], 1) if h.handMove)
     frames = frames_of(corpus[0].trace)
     frame = frames[moving]
     hand = frame.hands["Right_hand"]
