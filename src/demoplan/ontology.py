@@ -11,9 +11,7 @@ file, naming the file when it is not UTF-8 JSON.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 THING = "Thing"
@@ -26,8 +24,7 @@ BUILTIN_TYPES = (THING, HAND, CUBE, TABLE)
 ROLES = ("demonstration", "execution")
 
 MAX_JSON_DEPTH = 100  # how deep a JSON input may nest; a library, the deepest, nests 6
-_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
-_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
+_TOO_DEEP = "nested too deeply to decode"
 
 
 class OntologyError(Exception):
@@ -121,19 +118,23 @@ class EnvironmentRegistry:
 
 
 def parse_json(text: str):
-    """``json.loads(text)``, where a document nested more than
-    ``MAX_JSON_DEPTH`` deep (checked first, so alike from any stack depth)
-    or an integer of too many digits raises ``json.JSONDecodeError``."""
-    if text.count("[") + text.count("{") > MAX_JSON_DEPTH:
-        brackets = re.findall(r"[][{}]", _STRING.sub("", text))  # those outside strings
-        if max(accumulate(map(_NESTING.__getitem__, brackets)), default=0) > MAX_JSON_DEPTH:
-            raise json.JSONDecodeError("nested too deeply to decode", text, 0)
+    """``json.loads(text)``; a value nested over ``MAX_JSON_DEPTH`` deep, from
+    any caller, or an integer of too many digits is a ``json.JSONDecodeError``."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
+    except RecursionError:  # the decoder ran out of stack on a deep value
+        raise json.JSONDecodeError(_TOO_DEEP, text, 0) from None
     except json.JSONDecodeError:
         raise
     except ValueError as exc:
         raise json.JSONDecodeError(str(exc), text, 0) from None
+    level = [[value]] if text.count("[") + text.count("{") > MAX_JSON_DEPTH else []
+    for _ in range(MAX_JSON_DEPTH + 1):  # pass k leaves the containers nested k deep
+        level = [v for c in level for v in (c.values() if type(c) is dict else c)
+                 if type(v) in (list, dict)]
+        if not level:
+            return value
+    raise json.JSONDecodeError(_TOO_DEEP, text, 0)
 
 
 def load_json(path: str | Path, what: str):

@@ -275,12 +275,12 @@ def _literal(node: _Word | _List) -> Literal:
     return _make(node, Literal, pred, args, positive)
 
 
-def _conjuncts(node: _Word | _List) -> list:
-    """The items of an ``(and ...)``; any other node is a conjunction of one."""
-    if isinstance(node, _List) and node and isinstance(node[0], _Word):
-        if node[0].lower() == "and":
-            return node[1:]
-    return [node]
+def _conjuncts(node: _Word | _List | None) -> list:
+    """The items of an ``(and ...)``, none of a missing node; any other
+    node is a conjunction of one."""
+    if node is None:
+        return []
+    return node[1:] if isinstance(node, _List) and node and _matches(node[0], "and") else [node]
 
 
 _LABELS = sorted(ActivityLabel, key=lambda l: -len(l.value))
@@ -316,26 +316,21 @@ def _action(node: _List) -> LearnedOperator:
     if len(node) < 2 or not isinstance(node[1], _Word):
         _error(node, "action name expected")
     activity, config_index = _action_identity(node[1])
-    sections: dict[str, _Word | _List] = {}
     for i in range(2, len(node), 2):
-        key = node[i]
-        if not isinstance(key, _Word) or not key.startswith(":") or i + 1 >= len(node):
-            _error(key, "malformed action body")
-        sections[key.lower()] = node[i + 1]
+        if not isinstance(node[i], _Word) or not node[i].startswith(":") or i + 1 >= len(node):
+            _error(node[i], "malformed action body")
+    sections = _sections(zip(map(str.lower, node[2::2]), node[2::2], node[3::2]), _ACTION_KEYS)
 
     params_node = sections.get(":parameters")
     if not isinstance(params_node, _List):
         _error(node, "action needs :parameters")
     params = tuple((str(name), type_name) for name, type_name in _typed_pairs(params_node))
-
-    preconditions = []
-    if ":precondition" in sections:
-        preconditions = [_literal(n) for n in _conjuncts(sections[":precondition"])]
+    preconditions = [_literal(n) for n in _conjuncts(sections.get(":precondition"))]
 
     effects: list[Literal] = []
     revokes: list[Revocation] = []
     cost = None
-    for eff in _conjuncts(sections[":effect"]) if ":effect" in sections else ():
+    for eff in _conjuncts(sections.get(":effect")):
         head = _head(eff) if isinstance(eff, _List) else ""
         if head == "increase":
             if (
@@ -345,6 +340,8 @@ def _action(node: _List) -> LearnedOperator:
                 or not eff[2].isdecimal()
             ):
                 _error(eff, "malformed cost increase: expected (increase (total-cost) N)")
+            if cost is not None:
+                _error(eff, "repeated cost increase")
             cost = _make(eff, int, eff[2])
         elif head == "forall":
             revokes.append(_revocation(eff))
@@ -365,12 +362,30 @@ def _action(node: _List) -> LearnedOperator:
 
 
 SUPPORTED_REQUIREMENTS = set(BASE_REQUIREMENTS) | set(REPAIR_REQUIREMENTS)
+_DOMAIN_KEYS = (":requirements", ":types", ":predicates", ":functions", ":constants", ":action")
+_PROBLEM_KEYS = (":domain", ":objects", ":init", ":goal", ":metric")
+_ACTION_KEYS = (":parameters", ":precondition", ":effect")
+
+
+def _sections(entries, allowed: tuple[str, ...]) -> dict:
+    """Each ``(keyword, node, value)`` entry's value by its keyword, and a
+    domain's actions listed under ``:action``. A keyword not ``allowed``, or
+    one but ``:action`` given twice, is a syntax error at its node."""
+    found: dict = {":action": []}
+    for key, node, value in entries:
+        if key not in allowed:
+            _error(node, f"unsupported section {key!r}")
+        if key == ":action":
+            found[key].append(value)
+        elif found.setdefault(key, value) is not value:
+            _error(node, f"repeated section {key!r}")
+    return found
 
 
 def parse(doc: PddlDocument | str):
     """Parse emitted PDDL text back into a library or a problem.
 
-    Malformed text raises PddlSyntaxError, and nothing else.
+    Malformed text, a repeated section too, raises PddlSyntaxError only.
     """
     root = _read(doc.text if isinstance(doc, PddlDocument) else doc)
     if not isinstance(root, _List) or _head(root) != "define":
@@ -378,57 +393,40 @@ def parse(doc: PddlDocument | str):
     if len(root) < 2:
         _error(root, "expected (define (domain ...) ...) or (define (problem ...) ...)")
     kind = _head(root[1])
-    if kind == "domain":
-        return _parse_domain(root)
+    if kind not in ("domain", "problem"):
+        _error(root[1], f"unknown document kind {kind!r}")
+    allowed = _DOMAIN_KEYS if kind == "domain" else _PROBLEM_KEYS
+    sections = _sections(((_head(s), s, s) for s in root[2:]), allowed)
     if kind == "problem":
-        return _parse_problem(root)
-    _error(root[1], f"unknown document kind {kind!r}")
+        return _parse_problem(root, sections)
+    for req in _words(sections.get(":requirements", [])[1:]):
+        if req.lower() not in SUPPORTED_REQUIREMENTS:
+            _error(req, f"unsupported requirement {req}")
+    return _make(root, OperatorLibrary, [_action(section) for section in sections[":action"]])
 
 
-def _parse_domain(root: _List) -> OperatorLibrary:
-    operators = []
-    for section in root[2:]:
-        head = _head(section)
-        if head == ":requirements":
-            for req in _words(section[1:]):
-                if req.lower() not in SUPPORTED_REQUIREMENTS:
-                    _error(req, f"unsupported requirement {req}")
-        elif head == ":action":
-            operators.append(_action(section))
-        elif head not in (":types", ":predicates", ":functions", ":constants"):
-            _error(section, f"unsupported section {head!r}")
-    return _make(root, OperatorLibrary, operators)
-
-
-def _parse_problem(root: _List) -> PlanningProblem:
+def _parse_problem(root: _List, sections: dict) -> PlanningProblem:
     objects: list[ObjectInstance] = []
+    for name, type_name in _typed_pairs(sections.get(":objects", [])[1:]):
+        if type_name not in BUILTIN_TYPES:
+            _error(name, f"object {name!r} has undeclared type {type_name!r}")
+        objects.append(ObjectInstance(str(name), type_name))
     init: set = set()
-    goal: list[Literal] = []
-    for section in root[2:]:
-        head = _head(section)
-        if head == ":objects":
-            for name, type_name in _typed_pairs(section[1:]):
-                if type_name not in BUILTIN_TYPES:
-                    _error(name, f"object {name!r} has undeclared type {type_name!r}")
-                objects.append(ObjectInstance(str(name), type_name))
-        elif head == ":init":
-            for item in section[1:]:
-                if isinstance(item, _List) and _head(item) == "=":
-                    if not _matches(item, ("=", ("total-cost",), "0")):
-                        _error(item, "malformed cost init: expected (= (total-cost) 0)")
-                    continue
-                lit = _literal(item)
-                if not lit.positive:
-                    _error(item, "negative init atoms are not supported")
-                init.add(lit.atom)
-        elif head == ":goal":
-            if len(section) != 2:
-                _error(section, "malformed :goal")
-            goal = [_literal(n) for n in _conjuncts(section[1])]
-        elif head == ":metric":
-            if not _matches(section, (":metric", "minimize", ("total-cost",))):
-                _error(section, "unsupported metric: expected (:metric minimize (total-cost))")
-        elif head != ":domain":
-            _error(section, f"unsupported section {head!r}")
+    for item in sections.get(":init", [])[1:]:
+        if isinstance(item, _List) and _head(item) == "=":
+            if not _matches(item, ("=", ("total-cost",), "0")):
+                _error(item, "malformed cost init: expected (= (total-cost) 0)")
+            continue
+        lit = _literal(item)
+        if not lit.positive:
+            _error(item, "negative init atoms are not supported")
+        init.add(lit.atom)
+    goal = sections.get(":goal")
+    if goal and len(goal) != 2:
+        _error(goal, "malformed :goal")
+    literals = [_literal(n) for n in _conjuncts(goal[1])] if goal else []
+    metric = sections.get(":metric")
+    if metric and not _matches(metric, (":metric", "minimize", ("total-cost",))):
+        _error(metric, "unsupported metric: expected (:metric minimize (total-cost))")
     registry = _make(root, EnvironmentRegistry, "execution", objects)
-    return _make(root, PlanningProblem, registry, frozenset(init), tuple(goal))
+    return _make(root, PlanningProblem, registry, frozenset(init), tuple(literals))

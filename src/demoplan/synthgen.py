@@ -306,7 +306,7 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
     clean, opens, helds, cube_pos, contacts = tl.columns()
     n = len(clean)
 
-    cubes = sorted(registry.cubes)
+    cubes = registry.cubes
     labels = _evaluate_labels(clean, helds, cube_pos, cubes, GroundingConfig())
     rows = [
         {"hand": script.hand, "label": label, "start_frame": start, "end_frame": end}
@@ -321,7 +321,7 @@ def generate(script: DemoScript, registry: EnvironmentRegistry) -> GeneratedDemo
     # The scripted hand and the cube it holds follow the noisy path; the
     # other hands rest open at home.
     hand_pos = clean + _noise_offsets(n, script.noise_sigma, rng)
-    names = sorted([*cubes, table])
+    names = sorted(registry.non_hands)  # the order DemoTrace places objects in
     positions = np.empty((n, len(names), 3))
     positions[:, [names.index(cube) for cube in cubes]] = cube_pos
     positions[:, names.index(table)] = (0.5, 0.35, TABLE_BODY_Z)

@@ -193,12 +193,12 @@ def _contact_set(
 
 
 def _documents(data: bytes) -> Iterator[tuple[int, object]]:
-    """Each non-blank line of ``data`` by its 1-based number, decoded as
-    JSON; raises ``TraceError`` for the first line that is not UTF-8 or
-    not JSON."""
+    """Each line of ``data`` that is not blank (only spaces and tabs) by
+    its 1-based number, decoded as JSON; raises ``TraceError`` for the
+    first line that is not UTF-8 or not JSON."""
     for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
-            raw = raw.decode("utf-8").strip()
+            raw = raw.decode("utf-8").strip(" \t\r\n")
         except UnicodeDecodeError as exc:
             message = f"not UTF-8 at byte {exc.start + 1}: {exc.reason}"
             raise TraceError(message, lineno) from None

@@ -2,12 +2,14 @@
 
 import json
 import re
+from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoplan.ontology import (
+    MAX_JSON_DEPTH,
     OntologyError,
     CUBE,
     HAND,
@@ -20,6 +22,7 @@ from demoplan.ontology import (
     demonstration_registry,
     execution_registry,
     load_registry,
+    parse_json,
     registry_from_json,
     save_registry,
 )
@@ -189,3 +192,49 @@ def test_registry_from_json_raises_only_ontology_errors(doc):
     except OntologyError:
         return
     assert registry_from_json(registry.to_json()).to_json() == registry.to_json()
+
+
+def _text_depth(text: str) -> int:
+    """How deep a JSON text nests, counted on the text: each bracket
+    outside the strings opens or closes a level."""
+    brackets = re.findall(r"[][{}]", re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"', "", text))
+    return max(accumulate(1 if b in "[{" else -1 for b in brackets), default=0)
+
+
+# Strings that spell brackets, quotes and backslashes, some with more
+# brackets than a document may nest.
+_BRACKETY = st.text(alphabet='[]{}"\\ a', max_size=6) | st.integers(0, 150).map("[{".__mul__)
+_WIDE = st.recursive(
+    st.none() | st.integers() | _BRACKETY,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_BRACKETY, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _nested_texts(draw) -> str:
+    """A chain of lists and objects, as deep as the limit give or take
+    a few or anywhere up to twice it, with wide values beside the chain
+    at some levels and at its end."""
+    near = st.integers(MAX_JSON_DEPTH - 3, MAX_JSON_DEPTH + 3)
+    depth = draw(near | st.integers(0, 2 * MAX_JSON_DEPTH))
+    objects = draw(st.lists(st.booleans(), min_size=depth, max_size=depth))
+    beside = draw(st.dictionaries(st.integers(0, depth), _WIDE, max_size=4))
+    key, other = draw(st.lists(_BRACKETY, min_size=2, max_size=2, unique=True))
+    value = draw(_WIDE)
+    for level in reversed(range(depth)):
+        items = [value, *([beside[level]] if level in beside else [])]
+        value = dict(zip((key, other), items)) if objects[level] else items
+    return json.dumps(value, ensure_ascii=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested_texts())
+def test_parse_json_refuses_exactly_what_nests_too_deep(text):
+    """Measured on the decoded value, the depth is the one a scan of the
+    text outside its strings counts."""
+    if _text_depth(text) > MAX_JSON_DEPTH:
+        with pytest.raises(json.JSONDecodeError, match="^nested too deeply to decode"):
+            parse_json(text)
+    else:
+        assert parse_json(text) == json.loads(text)

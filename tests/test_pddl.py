@@ -486,6 +486,21 @@ def _problem(init: str, metric: str = "") -> str:
             "object 'a' has undeclared type 'Small_cube'",
             "a - Small_cube",
         ),
+        (_reach(COST_1).replace(" :effect", " :foo (bar) :effect"),
+         "unsupported section ':foo'", ":foo"),
+        (_reach(COST_1, "(and) :precondition (and)"),
+         "repeated section ':precondition'", ":precondition (and) :effect"),
+        (_reach("(and (increase (total-cost) 1) (increase (total-cost) 2))"),
+         "repeated cost increase", "(increase (total-cost) 2"),
+        ("(define (domain d) (:requirements :strips) (:requirements :typing))",
+         "repeated section ':requirements'", "(:requirements :typing"),
+        (
+            "(define (problem p) (:domain d) (:objects h - Hand) (:objects t - Table)"
+            " (:init) (:goal (and (handOpen h))))",
+            "repeated section ':objects'",
+            "(:objects t",
+        ),
+        (_problem("", "(:goal (not (handOpen h)))"), "repeated section ':goal'", "(:goal (not"),
     ],
 )
 def test_malformed_text_raises_a_positioned_syntax_error(text, message, at):
@@ -495,7 +510,10 @@ def test_malformed_text_raises_a_positioned_syntax_error(text, message, at):
     type outside the header's, and actions the library refuses: a
     parameter of an unknown type or declared twice, a revocation on an
     undeclared variable, and a second action of one name. A fixed form
-    nested 5,000 deep is refused where it stands, not by RecursionError."""
+    nested 5,000 deep is refused where it stands, not by RecursionError.
+    An unknown action keyword, a repeated section or action keyword and
+    a second cost increase are refused where they stand, not ignored,
+    merged or kept in place of the first."""
     with pytest.raises(PddlSyntaxError, match=re.escape(message)) as info:
         parse(text)
     assert (info.value.line, info.value.col) == (1, text.index(at) + 1)

@@ -176,6 +176,22 @@ def test_blank_lines_are_skipped(tmp_path, registry, two_frames):
     assert len(read_trace(path, registry)) == 2
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda lines: [lines[0], "\x1c", lines[1]], lambda lines: [lines[0], "\u00a0" + lines[1]]],
+    ids=["a-separator-only-line", "a-frame-after-a-no-break-space"],
+)
+def test_only_json_whitespace_is_blank(tmp_path, registry, two_frames, edit):
+    """A line is blank when it holds only spaces and tabs: other Unicode
+    whitespace is text that JSON refuses, on the line it stands on."""
+    path = tmp_path / "trace.jsonl"
+    write_trace(two_frames, path)
+    path.write_text(" \t\n".join(edit(path.read_text().splitlines())) + "\n", encoding="utf-8")
+    for read in (read_trace, trace_oracle.read_trace):
+        with pytest.raises(TraceError, match="^line 2: invalid JSON: Expecting value"):
+            read(path, registry)
+
+
 HAND_POS = "hand Robot_gripper pos must be a 3-element finite number list"
 CUBE_POS = "object Cube_red3 pos must be a 3-element finite number list"
 HAND_OPEN = "hand Robot_gripper open must be a JSON boolean"

@@ -166,7 +166,7 @@ def read_trace(path: str | Path, registry: EnvironmentRegistry) -> list[DemoFram
     frames: list[DemoFrame] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
+            raw = raw.strip(" \t\r\n")
             if not raw:
                 continue
             try:
