@@ -7,12 +7,13 @@ search reads those masks, and its states are bitmasks over a copy of
 the index. min_cost mode is A* with an admissible and consistent
 heuristic, h_max on the atoms that name a hand and the goal's, computed
 over independent parts of those atoms with one memo per part, and
-provably optimal; min_length is the same search with unit weights;
-greedy orders the frontier by unsatisfied goal literals and trades
-optimality for speed. An expansion looks only at the actions whose hand
-preconditions hold: each hand's candidates are cached under the hand's
-part of the state and come out in (name, args) order, so every mode
-generates exactly the successors a scan over all actions would.
+provably optimal; min_length is the same search with unit weights.
+greedy expands first the oldest state of fewest unsatisfied goal
+literals, from one FIFO bucket per count, and trades optimality for
+speed. An expansion looks only at the actions whose hand preconditions
+hold: each hand's candidates are cached under the hand's part of the
+state and come out in (name, args) order, so every mode generates
+exactly the successors a scan over all actions would.
 Validation replays a plan step by step on masks, optionally under mutex
 world semantics where a newly acquired single-valued atom
 (``SINGLE_VALUED``) displaces the hand's previous one.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from dataclasses import InitVar, dataclass
 from operator import attrgetter, itemgetter
 
@@ -429,16 +431,45 @@ def solve(
     def unsatisfied(state: int) -> int:
         return (goal_pos & ~state).bit_count() + (goal_neg & state).bit_count()
 
-    # The optimal modes order the open list by a lower bound on f = g + H,
-    # the deeper state first among equal bounds: a state's H is looked up
-    # only when it is popped, and a state whose f exceeds the bound it was
-    # pushed with goes back with its f. greedy keeps its push order.
     parent: dict[int, tuple[int, int] | None] = {init: None}
+    expansions = 0
+    if greedy:
+        # One FIFO bucket per count of unsatisfied goal literals, popped
+        # from the lowest non-empty one: the order of a heap keyed by
+        # (count, push order), with no heap to keep.
+        buckets: list[deque[int]] = [deque() for _ in range(len(problem.goal) + 1)]
+        low = unsatisfied(init)
+        buckets[low].append(init)
+        while low < len(buckets):
+            if not buckets[low]:
+                low += 1
+                continue
+            state = buckets[low].popleft()
+            if reached(state):
+                return rebuild(state)
+            expansions += 1
+            if max_expansions is not None and expansions > max_expansions:
+                raise PlannerError(f"gave up after {max_expansions} expansions")
+            for i, pp, pn, add, dl, _ in successors.candidates(state):
+                if state & pp != pp or state & pn:
+                    continue
+                nxt = (state & ~dl) | add
+                if nxt not in parent:
+                    parent[nxt] = (state, i)
+                    count = unsatisfied(nxt)
+                    buckets[count].append(nxt)
+                    low = min(low, count)
+        return None
+
+    # The optimal modes order the open list by a lower bound on f = g + H,
+    # the deeper state first among equal bounds. A successor whose H is in
+    # the memo goes in once at its exact f, or not at all if H is infinite;
+    # any other goes in at its parent's f, and its H is computed when it is
+    # popped, which pushes it again at its f if that exceeds the bound.
+    memo, pattern = (heuristic.memo, heuristic.pattern) if heuristic else ({}, 0)
     best_g = {init: 0}
     counter = itertools.count()
-    priority = unsatisfied(init) if greedy else 0
-    heap = [(priority, 0, next(counter), 0, init)]
-    expansions = 0
+    heap = [(0, 0, next(counter), 0, init)]
     while heap:
         bound, _, _, g, state = heapq.heappop(heap)
         if g > best_g.get(state, g):
@@ -460,15 +491,14 @@ def solve(
                 continue
             nxt = (state & ~dl) | add
             ng = g + weight
-            if greedy:
-                if nxt in parent:
+            if ng < best_g.get(nxt, ng + 1):
+                h = memo.get(nxt & pattern)
+                if h == math.inf:
                     continue
-                parent[nxt] = (state, i)
-                heapq.heappush(heap, (unsatisfied(nxt), 0, next(counter), ng, nxt))
-            elif ng < best_g.get(nxt, ng + 1):
                 best_g[nxt] = ng
                 parent[nxt] = (state, i)
-                heapq.heappush(heap, (max(f, ng), -ng, next(counter), ng, nxt))
+                bound = max(f, ng) if h is None else ng + h
+                heapq.heappush(heap, (bound, -ng, next(counter), ng, nxt))
     return None
 
 

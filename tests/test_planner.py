@@ -152,6 +152,17 @@ def test_unreachable_goal_returns_none(combined_library):
     assert solve(problem, ground(combined_library, registry)) is None
 
 
+@pytest.mark.parametrize("mode", ["min_cost", "min_length"])
+def test_relaxed_unreachable_goal_returns_none_without_expanding(
+    repaired_library, exec_registry, mode
+):
+    """No action adds the table on a cube, so H(init) is infinite and the
+    search ends before its first expansion, even on a budget of none."""
+    table, cube = exec_registry.table, exec_registry.cubes[0]
+    problem = goal_problem(exec_registry, Literal("onTop", (table, cube)))
+    assert solve(problem, ground(repaired_library, exec_registry), mode, max_expansions=0) is None
+
+
 def test_expansion_budget(exec_actions, exec_registry):
     problem = goal_problem(exec_registry, *standard_goals(exec_registry)["goal3"])
     with pytest.raises(PlannerError, match="gave up after 3 expansions"):
@@ -1012,6 +1023,33 @@ def test_heuristic_reruns_a_part_only_for_a_new_part_key(
     assert sum(len(memo) for _, memo, _ in heuristic.parts) <= max_runs
 
 
+# Dijkstra runs per exec4 goal, goal1 to goal4, when H is computed only
+# for states that A* pops.
+DIJKSTRA_RUNS = {"min_cost": (17, 66, 70, 66), "min_length": (5, 58, 70, 58)}
+
+
+@pytest.mark.parametrize("mode", sorted(DIJKSTRA_RUNS))
+def test_heuristic_runs_no_dijkstra_for_unpopped_states(
+    repaired_library, exec_registry, monkeypatch, mode
+):
+    """Computing H for every successor when it is generated ran more
+    Dijkstras, for states A* never pops, and slowed the shallow goals."""
+    runs = []
+    h_max = _HMax._h_max
+
+    def counted(key, table):
+        runs.append(key)
+        return h_max(key, table)
+
+    monkeypatch.setattr(_HMax, "_h_max", staticmethod(counted))
+    actions = ground(repaired_library, exec_registry)
+    goals = standard_goals(exec_registry)
+    for goal_name, most in zip(("goal1", "goal2", "goal3", "goal4"), DIJKSTRA_RUNS[mode]):
+        runs.clear()
+        assert solve(goal_problem(exec_registry, *goals[goal_name]), actions, mode) is not None
+        assert len(runs) <= most, goal_name
+
+
 # --- seed-7 plans and towers ------------------------------------------------
 
 # sha256 of json.dumps(plan_to_json(plan), sort_keys=True) for the seed-7
@@ -1055,7 +1093,7 @@ def test_heuristic_prunes_goal3(repaired_library, exec_registry, hands, goal_nam
     """A* plans the 4-tower within 1,500 expansions (it takes 1,112 and
     1,302); uniform-cost search takes 10,973 and 12,179, and A* that
     expands a popped state whose f exceeds its bound takes 3,011 and
-    2,624. On two grippers the 2-tower takes 488 and 228; a pattern per
+    2,624. On two grippers the 2-tower takes 488 and 232; a pattern per
     hand, which lets one hand's Stack skip that hand's Take, took 4,944
     and 3,507."""
     registry = exec_registry if hands == (GRIPPER,) else table_registry(COLORS[:4], hands)
