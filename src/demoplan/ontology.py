@@ -11,6 +11,7 @@ file, naming the file when it is not UTF-8 JSON.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,7 @@ ROLES = ("demonstration", "execution")
 
 MAX_JSON_DEPTH = 100  # how deep a JSON input may nest; a library, the deepest, nests 6
 _TOO_DEEP = "nested too deeply to decode"
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")  # a name PDDL reads as one word
 
 
 class OntologyError(Exception):
@@ -47,7 +49,8 @@ class ObjectInstance:
 
 @dataclass
 class EnvironmentRegistry:
-    """Named instances of one environment, each of a built-in type."""
+    """Named instances of one environment, each of a built-in type and
+    named by a letter followed by letters, digits, ``_`` or ``-``."""
 
     role: str
     instances: list[ObjectInstance]
@@ -61,6 +64,8 @@ class EnvironmentRegistry:
         for inst in self.instances:
             if inst.name in self._type_of:
                 raise RegistryError(f"duplicate instance name: {inst.name}")
+            if not _NAME.fullmatch(inst.name):
+                raise RegistryError(f"instance name {inst.name!r} is not a PDDL name")
             if inst.type_name not in BUILTIN_TYPES:
                 raise UnknownTypeError(
                     f"instance {inst.name} has unknown type {inst.type_name}"
@@ -174,8 +179,11 @@ def registry_from_json(doc: dict) -> EnvironmentRegistry:
 
 
 def _instance(item) -> ObjectInstance:
-    """An instance entry: an object whose name and type are strings."""
+    """An instance entry: an object of a string name and type alone."""
     if isinstance(item, dict):
+        extra = sorted(item.keys() - {"name", "type"})
+        if extra:
+            raise RegistryError(f"instance entry {item!r} has unknown keys {extra}")
         name, type_name = item.get("name"), item.get("type")
         if isinstance(name, str) and isinstance(type_name, str):
             return ObjectInstance(name, type_name)

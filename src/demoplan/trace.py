@@ -143,6 +143,8 @@ def _hand_sample(name: str, sample, registry: EnvironmentRegistry, line: int | N
         raise TraceError(f"unknown hand instance: {name}", line)
     if not isinstance(sample, dict):
         raise TraceError(f"hand sample for {name} must be an object", line)
+    if "held" not in sample:
+        raise TraceError(f"hand sample for {name} missing 'held'", line)
     is_open, held, pos = sample.get("open"), sample.get("held"), sample.get("pos")
     _check_flags(name, is_open, held, registry, line)
     _check_vec(pos, f"hand {name} pos", line)

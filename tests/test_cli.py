@@ -496,6 +496,42 @@ def test_incomplete_frames_fail_at_the_reader(tmp_path, trace_dir, goal_file, ca
     assert not (tmp_path / "library.json").exists()
 
 
+def test_a_hand_sample_without_held_is_bad_input(tmp_path, trace_dir, capsys):
+    """A misspelt ``held`` on the frames where a hand holds a cube is
+    refused at the first of them, not read as an empty hand."""
+    frames = [json.loads(raw) for raw in (trace_dir / "trace_00.jsonl").read_text().splitlines()]
+    line, hand = next(
+        (i, hand) for i, doc in enumerate(frames, start=1)
+        for hand, sample in sorted(doc["hands"].items()) if sample["held"] is not None
+    )
+
+    def misspell(doc):
+        for sample in doc["hands"].values():
+            if sample["held"] is not None:
+                sample["hold"] = sample.pop("held")
+
+    trace = str(_edited_trace(trace_dir / "trace_00.jsonl", tmp_path / "trace.jsonl", 1, misspell))
+    assert main(["ground", trace, "--out", str(tmp_path / "states.json")]) == 2
+    message = f"error: trace {trace}: line {line}: hand sample for {hand} missing 'held'"
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "states.json").exists()
+
+
+def test_a_registry_name_that_is_not_a_pddl_name_is_bad_input(tmp_path, library_file, goal_file, capsys):
+    """Refused before ``emit`` writes a problem file no PDDL reader takes."""
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"role": "execution", "instances": [
+        {"name": "Robot_gripper", "type": "Hand"},
+        {"name": "Cube red", "type": "Wooden_cube"},
+        {"name": "high_table", "type": "Table"},
+    ]}))
+    argv = ["emit", "--library", str(library_file), "--goal", str(goal_file), "--registry",
+            str(registry), "--out", str(tmp_path / "d.pddl"), "--problem-out", str(tmp_path / "p.pddl")]
+    assert main(argv) == 2
+    assert "error: instance name 'Cube red' is not a PDDL name" in capsys.readouterr().err
+    assert not (tmp_path / "p.pddl").exists()
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

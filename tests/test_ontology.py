@@ -133,11 +133,25 @@ _REGISTRY_DOC = {
         ({"instances": 5}, "'instances' must be a JSON list"),
         ({"instances": [{"name": ["g"], "type": HAND}]}, "malformed instance entry"),
         ({"instances": [{"name": "g", "type": [HAND]}]}, "malformed instance entry"),
+        ({"instances": [{"name": "g", "type": HAND, "tpye": TABLE}]}, re.escape("unknown keys ['tpye']")),
     ],
 )
 def test_loader_rejects_mistyped_fields(overrides, message):
     with pytest.raises(RegistryError, match=message):
         registry_from_json({**_REGISTRY_DOC, **overrides})
+
+
+@pytest.mark.parametrize("name", ["Cube red", "Cube(1)", "Cube;1", "-", "", "1cube", "_cube", "Cube.1"])
+def test_registry_names_must_be_pddl_names(name):
+    """A name the emitted PDDL could not read back as one word is refused."""
+    doc = {**_REGISTRY_DOC, "instances": [*_REGISTRY_DOC["instances"], {"name": name, "type": CUBE}]}
+    with pytest.raises(RegistryError, match=re.escape(f"instance name {name!r} is not a PDDL name")):
+        registry_from_json(doc)
+
+
+def test_registry_names_may_hold_digits_underscores_and_dashes():
+    doc = {**_REGISTRY_DOC, "instances": [*_REGISTRY_DOC["instances"], {"name": "Cube_red-1", "type": CUBE}]}
+    assert registry_from_json(doc).cubes == ["Cube_red-1", "b"]
 
 
 @pytest.mark.parametrize(
@@ -173,6 +187,11 @@ _JSON = st.recursive(
 _ENTRIES = st.fixed_dictionaries(
     {}, optional={"name": _JSON, "type": _JSON}
 ) | _JSON
+# Entries of a PDDL name or another name, and a type, that may load.
+_NAMED = st.fixed_dictionaries({
+    "name": st.sampled_from(["g", "b", "t", "Cube_red-1", "Cube red", "Cube(1)", "-", ""]),
+    "type": st.sampled_from([HAND, CUBE, TABLE]),
+})
 
 
 @given(
@@ -184,6 +203,7 @@ _ENTRIES = st.fixed_dictionaries(
             "types": st.lists(_ENTRIES, max_size=2) | _JSON,
         },
     )
+    | st.fixed_dictionaries({"role": st.just("execution"), "instances": st.lists(_NAMED, max_size=4)})
     | _JSON
 )
 def test_registry_from_json_raises_only_ontology_errors(doc):

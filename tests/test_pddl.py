@@ -12,6 +12,7 @@ from demoplan.model import (
     OperatorLibrary,
     PlanningProblem,
 )
+from demoplan.ontology import EnvironmentRegistry, ObjectInstance, RegistryError
 from demoplan.oplearn import repair_exclusivity
 from demoplan.pddl import (
     REPAIR_REQUIREMENTS,
@@ -281,6 +282,26 @@ def test_problem_round_trip(exec_registry):
     assert back.registry.role == "execution"
     assert back.registry.cubes == exec_registry.cubes
     assert emit_problem(back).text == doc.text
+
+
+@given(
+    st.tuples(st.sampled_from("aZ"), st.text(alphabet="aZ09_-", max_size=4)).map("".join)
+    | st.text(alphabet="aZ09_-();. ", max_size=5)
+)
+def test_a_registry_name_is_refused_or_survives_the_problem_file(name):
+    """A name the registry takes is one word of the problem file it
+    emits, so the file parses back to the same objects, init and goal."""
+    try:
+        registry = EnvironmentRegistry("execution", [
+            ObjectInstance("g", "Hand"), ObjectInstance("t", "Table"),
+            ObjectInstance("b", "Wooden_cube"), ObjectInstance(name, "Wooden_cube"),
+        ])
+    except RegistryError as exc:
+        assert "is not a PDDL name" in str(exc) or name in ("g", "t", "b")
+        return
+    problem = PlanningProblem(registry, tabletop_init(registry), (Literal("onTop", (name, "b")),))
+    back = parse(emit_problem(problem))
+    assert (back.registry.cubes, back.init, back.goal) == (registry.cubes, problem.init, problem.goal)
 
 
 def test_learned_library_round_trip(combined_library, repaired_library):

@@ -240,6 +240,7 @@ def _write_with_second_frame_edited(trace, path, edit):
         (_set(("hands", "Robot_gripper", "open"), "no"), HAND_OPEN),
         (_set(("hands", "Robot_gripper", "open"), 1), HAND_OPEN),
         (_drop(("hands", "Robot_gripper", "open")), HAND_OPEN),
+        (_drop(("hands", "Robot_gripper", "held")), "hand sample for Robot_gripper missing 'held'"),
         (_drop(("objects", "Cube_blue3")), "objects lacks a position for Cube_blue3"),
         (_set(("objects",), {}), "objects lacks a position for Cube_blue3, Cube_green3,"),
         (_drop(("objects", "high_table")), "objects lacks a position for high_table"),
@@ -259,6 +260,7 @@ def _write_with_second_frame_edited(trace, path, edit):
         "string-open",
         "number-open",
         "missing-open",
+        "missing-held",
         "missing-cube",
         "empty-objects",
         "missing-table",
@@ -296,9 +298,9 @@ def test_seed7_traces_are_written_back_byte_for_byte(tmp_path, corpus, demo_regi
 
 # --- the column writer against the per-line oracle -------------------------
 
-# Names JSON must escape, beside plain ones.
-WRITER_HANDS = ["Robot_gripper", 'Hand "left"', "Hand\\right"]
-WRITER_OBJECTS = ["Cube_red3", "high_table", "Cube\tblue", "Cubé", "Cube\u2028", "cube\n\x00"]
+# Registry names are PDDL names; these sort apart by case, digits, `_` and `-`.
+WRITER_HANDS = ["Robot_gripper", "Hand-left", "hand_2"]
+WRITER_OBJECTS = ["Cube_red3", "high_table", "Cube-blue", "cube_9", "Z", "a-"]
 COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 5e-324, -2.5e300]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
@@ -316,7 +318,7 @@ def written_traces(draw):
     registry = EnvironmentRegistry("demonstration", [
         *(ObjectInstance(hand, HAND) for hand in hands),
         *(ObjectInstance(cube, CUBE) for cube in cubes),
-        ObjectInstance("the table", TABLE),
+        ObjectInstance("the_table", TABLE),
     ])
     names = sorted(registry.non_hands)
     n = draw(st.integers(2, 40))

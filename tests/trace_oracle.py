@@ -120,6 +120,8 @@ def frame_from_json(doc: dict, registry: EnvironmentRegistry, line: int | None =
             raise TraceError(f"unknown hand instance: {name}", line)
         if not isinstance(sample, dict):
             raise TraceError(f"hand sample for {name} must be an object", line)
+        if "held" not in sample:
+            raise TraceError(f"hand sample for {name} missing 'held'", line)
         is_open = sample.get("open")
         if type(is_open) is not bool:
             raise TraceError(f"hand {name} open must be a JSON boolean, got {is_open!r}", line)
